@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +26,12 @@ import click
 
 from . import __version__, betamix, rays_corr, rays_mean, risk
 from . import _reference_tables as ref
-from .errors import BernraysError, InadmissibleCorrelation, InfeasibleMoment
+from .errors import (
+    BernraysError,
+    InadmissibleCorrelation,
+    InfeasibleMoment,
+    InvalidSpec,
+)
 from .pmf import ClassSpec
 from .rays_mean import RayDensity
 from .rayset_io import format_ray_set, load_cached_rays, store_cached_rays
@@ -65,11 +70,17 @@ def parse_rho(text: str) -> float:
     the single final rounding to float, so ``1/6`` and ``0.1666...``
     typed to any precision never drift apart.
     """
-    return float(Fraction(text))
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidSpec(f"not a decimal or a fraction: {text!r}") from exc
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise InvalidSpec(f"alphas must be numbers, got {text!r}") from exc
 
 
 def _enumerate_cached(config: ScenarioConfig) -> list[RayDensity]:
@@ -159,7 +170,7 @@ SWEEP_COLUMNS = ("rho", "alpha", "var_min", "var_max", "beta_var")
 
 def _moments_rows(spec: ClassSpec) -> list[dict]:
     rows = []
-    for order in (1, 2, 3, 4):
+    for order in range(1, min(4, spec.d) + 1):
         bounds = rays_mean.moment_bounds(spec, order)
         rows.append(
             {"order": str(order), "lower": bounds.lower, "upper": bounds.upper}
@@ -209,13 +220,7 @@ def _sweep_grid(n: int) -> list[float]:
 def _sweep_rows(config: ScenarioConfig) -> list[dict]:
     rows = []
     for rho in _sweep_grid(config.grid):
-        point = ScenarioConfig(
-            d=config.d,
-            p=config.p,
-            rho=rho,
-            alphas=config.alphas,
-            cache=config.cache,
-        )
+        point = replace(config, rho=rho)
         try:
             rays = _enumerate_cached(point)
         except InfeasibleMoment as exc:
@@ -223,14 +228,13 @@ def _sweep_rows(config: ScenarioConfig) -> list[dict]:
             continue
         for alpha in config.alphas:
             bounds = risk.risk_bounds(rays, alpha)
-            beta = _beta_var(point, alpha) if rho > 0.0 else None
             rows.append(
                 {
                     "rho": rho,
                     "alpha": alpha,
                     "var_min": bounds.var_min,
                     "var_max": bounds.var_max,
-                    "beta_var": beta,
+                    "beta_var": _beta_var(point, alpha),
                 }
             )
     return rows
@@ -255,7 +259,7 @@ def cmd_bounds(config: ScenarioConfig) -> str:
 
 
 def cmd_moments(config: ScenarioConfig) -> str:
-    """Moment-bound table (orders 1-4 plus the correlation row)."""
+    """Moment-bound table (orders 1 to min(4, d) plus the rho row)."""
     if config.rho is not None:
         raise BernraysError(
             "moments describes the mean-constrained class; drop --rho"
@@ -273,32 +277,66 @@ def cmd_sweep(config: ScenarioConfig) -> str:
 # Reproduction gate.
 
 
-def _expected_strings(kind: str, scenario: str, rho_label: str | None):
-    """Reference tables rendered through the display formatters, so the
-    comparison happens on the exact emitted strings."""
-    if kind == "moments":
-        rows = [
-            {"order": order, "lower": low, "upper": high}
-            for order, (low, high) in ref.MOMENTS[scenario].items()
-        ]
-    elif kind == "var":
-        rows = [
-            {"alpha": alpha, "var_min": low, "var_max": high}
-            for alpha, (low, high) in ref.VAR_MEAN[scenario].items()
-        ]
-    elif kind == "es":
-        rows = [
-            {"alpha": alpha, "es_min": low, "es_max": high}
-            for alpha, (low, high) in ref.ES_MEAN[scenario].items()
-        ]
-    else:
-        rows = [
-            {"alpha": alpha, "var_min": low, "var_max": high, "beta_var": beta}
-            for alpha, (low, high, beta) in ref.VAR_CORR[
-                (scenario, rho_label)
-            ].items()
-        ]
-    return _stringify(rows)
+def _project(rows: list[dict], columns: tuple[str, ...]) -> list[dict]:
+    return [{key: row[key] for key in columns} for row in rows]
+
+
+def _reference_rows(columns: tuple[str, ...], table: dict, *prefix):
+    """A reference table (row key -> cells) as rows under ``columns``;
+    ``prefix`` holds leading cells shared by every row."""
+    return [
+        dict(zip(columns, (*prefix, key, *cells)))
+        for key, cells in table.items()
+    ]
+
+
+def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
+    """The seven tables of one scenario, each as ``(name, columns, rows,
+    checked rows, expected rows)``.
+
+    Every table is a column projection of one of three row sets: the
+    moment bounds, the mean-class risk bounds and the correlation sweep.
+    The sweep grid holds each reference correlation bit for bit, so a
+    per-rho table is the sweep rows at its rho and every class is
+    enumerated once.
+    """
+    base = ScenarioConfig(
+        d=ref.DEFAULT_D,
+        p=p,
+        rho=None,
+        alphas=ref.DEFAULT_ALPHAS,
+        cache=cache_dir,
+    )
+    moments = _moments_rows(base.class_spec())
+    mean = _bounds_rows(base, _enumerate_cached(base))
+    sweep = _sweep_rows(base)
+    tables = [
+        (f"{kind}_{scenario}", columns, rows, rows,
+         _reference_rows(columns, table[scenario]))
+        for kind, columns, rows, table in (
+            ("moments", MOMENTS_COLUMNS, moments, ref.MOMENTS),
+            ("var", VAR_COLUMNS, mean, ref.VAR_MEAN),
+            ("es", ES_COLUMNS, mean, ref.ES_MEAN),
+        )
+    ]
+    checked, expected = [], []
+    for label in ref.RHO_LABELS:
+        rho = parse_rho(label)
+        at_rho = [row for row in sweep if row["rho"] == rho]
+        reference = ref.VAR_CORR[(scenario, label)]
+        tables.append((
+            f"var_{scenario}_rho_{label.replace('/', '_')}",
+            VAR_BETA_COLUMNS,
+            at_rho,
+            at_rho,
+            _reference_rows(VAR_BETA_COLUMNS, reference),
+        ))
+        checked += at_rho
+        expected += _reference_rows(SWEEP_COLUMNS, reference, rho)
+    tables.append(
+        (f"sweep_{scenario}", SWEEP_COLUMNS, sweep, checked, expected)
+    )
+    return tables
 
 
 def _diff_rows(
@@ -335,125 +373,32 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
 
     Writes one CSV per table plus ``manifest.json`` into ``out_dir``;
     returns the number of mismatched cells (0 means the full set of
-    reference values was reproduced).
+    reference values was reproduced). Cells are compared as the emitted
+    display strings.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"version": __version__, "tables": {}}
     total_diffs = 0
-
-    def record(name: str, columns, raw_rows, expected) -> None:
-        nonlocal total_diffs
-        text = _render(raw_rows, columns, "csv")
-        path = out_dir / f"{name}.csv"
-        path.write_text(text, encoding="utf-8")
-        diffs = (
-            _diff_rows(_stringify(raw_rows), expected, name)
-            if expected is not None
-            else []
-        )
-        total_diffs += len(diffs)
-        cells = sum(len(row) for row in raw_rows)
-        manifest["tables"][name] = {
-            "file": path.name,
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            "checked_cells": cells if expected is not None else 0,
-            "mismatches": diffs,
-        }
-        status = "OK" if not diffs else f"{len(diffs)} MISMATCHES"
-        click.echo(f"{name}: {status}")
-
     for scenario, p in ref.SCENARIOS.items():
         start = time.perf_counter()
-        base = ScenarioConfig(
-            d=ref.DEFAULT_D,
-            p=p,
-            rho=None,
-            alphas=ref.DEFAULT_ALPHAS,
-            cache=cache_dir,
-        )
-        spec = base.class_spec()
-        record(
-            f"moments_{scenario}",
-            MOMENTS_COLUMNS,
-            _moments_rows(spec),
-            _expected_strings("moments", scenario, None),
-        )
-        mean_rows = _bounds_rows(base, _enumerate_cached(base))
-        record(
-            f"var_{scenario}",
-            VAR_COLUMNS,
-            [
-                {k: row[k] for k in VAR_COLUMNS}
-                for row in mean_rows
-            ],
-            _expected_strings("var", scenario, None),
-        )
-        record(
-            f"es_{scenario}",
-            ES_COLUMNS,
-            [{k: row[k] for k in ES_COLUMNS} for row in mean_rows],
-            _expected_strings("es", scenario, None),
-        )
-        for rho_label in ref.RHO_LABELS:
-            point = ScenarioConfig(
-                d=ref.DEFAULT_D,
-                p=p,
-                rho=parse_rho(rho_label),
-                alphas=ref.DEFAULT_ALPHAS,
-                cache=cache_dir,
-            )
-            corr_rows = [
-                {k: row[k] for k in VAR_BETA_COLUMNS}
-                for row in _bounds_rows(point, _enumerate_cached(point))
-            ]
-            name = f"var_{scenario}_rho_{rho_label.replace('/', '_')}"
-            record(
-                name,
-                VAR_BETA_COLUMNS,
-                corr_rows,
-                _expected_strings("corr", scenario, rho_label),
-            )
-        sweep_rows = _sweep_rows(base)
-        sweep_expected = []
-        for row in sweep_rows:
-            for rho_label in ref.RHO_LABELS:
-                if row["rho"] == parse_rho(rho_label):
-                    low, high, beta = ref.VAR_CORR[(scenario, rho_label)][
-                        row["alpha"]
-                    ]
-                    sweep_expected.append(
-                        {
-                            "rho": row["rho"],
-                            "alpha": row["alpha"],
-                            "var_min": low,
-                            "var_max": high,
-                            "beta_var": beta,
-                        }
-                    )
-        checked = [
-            row
-            for row in sweep_rows
-            if any(
-                row["rho"] == parse_rho(label) for label in ref.RHO_LABELS
-            )
-        ]
-        record(
-            f"sweep_{scenario}",
-            SWEEP_COLUMNS,
-            sweep_rows,
-            None,
-        )
-        diffs = _diff_rows(
-            _stringify(checked),
-            _stringify(sweep_expected),
-            f"sweep_{scenario}",
-        )
-        total_diffs += len(diffs)
-        manifest["tables"][f"sweep_{scenario}"]["mismatches"] = diffs
-        manifest["tables"][f"sweep_{scenario}"]["checked_cells"] = sum(
-            len(row) for row in checked
-        )
+        for name, columns, rows, checked, expected in _scenario_tables(
+            scenario, p, cache_dir
+        ):
+            text = _render(_project(rows, columns), columns, "csv")
+            path = out_dir / f"{name}.csv"
+            path.write_text(text, encoding="utf-8")
+            checked = _project(checked, columns)
+            diffs = _diff_rows(_stringify(checked), _stringify(expected), name)
+            total_diffs += len(diffs)
+            manifest["tables"][name] = {
+                "file": path.name,
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "checked_cells": sum(len(row) for row in checked),
+                "mismatches": diffs,
+            }
+            status = "OK" if not diffs else f"{len(diffs)} MISMATCHES"
+            click.echo(f"{name}: {status}")
         elapsed = time.perf_counter() - start
         click.echo(f"scenario {scenario}: {elapsed:.1f} s", err=True)
 
@@ -471,13 +416,16 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
 # Click wiring.
 
 
+_cache_option = click.option(
+    "--cache",
+    type=click.Path(file_okay=False, path_type=Path),
+    default=None,
+    help="Directory for the ray-set cache.",
+)
+
+
 def _class_options(fn):
-    fn = click.option(
-        "--cache",
-        type=click.Path(file_okay=False, path_type=Path),
-        default=None,
-        help="Directory for the ray-set cache.",
-    )(fn)
+    fn = _cache_option(fn)
     fn = click.option(
         "--out",
         type=click.Path(file_okay=False, path_type=Path),
@@ -620,7 +568,7 @@ def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
 @_class_options
 @_format_option
 def moments_command(d, p, scenario, rho_text, fmt, out, cache):
-    """Sharp cross-moment and correlation bounds (orders 1-4)."""
+    """Sharp cross-moment and correlation bounds (orders 1 to min(4, d))."""
 
     def body():
         config = _resolve(
@@ -667,12 +615,7 @@ def sweep_command(d, p, scenario, rho_text, alpha_text, fmt, grid, out, cache):
     show_default=True,
     help="Output directory for tables and manifest.",
 )
-@click.option(
-    "--cache",
-    type=click.Path(file_okay=False, path_type=Path),
-    default=None,
-    help="Directory for the ray-set cache.",
-)
+@_cache_option
 def reproduce_command(out, cache):
     """Regenerate all reference tables and verify every cell."""
 

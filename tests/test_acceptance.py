@@ -6,6 +6,7 @@ reference numbers are the frozen table values; tolerances are
 pinned next to each check and never loosened at call sites.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -28,6 +29,11 @@ from oracles import random_mixture, vertex_pmfs
 ALPHAS = (0.90, 0.95, 0.99)
 SCENARIOS = {"A": 0.003, "BBB": 0.017, "B": 0.266}
 RHO_VALUES = {"1/6": 1 / 6, "1/2": 1 / 2, "5/6": 5 / 6}
+# The manifest carries the sha256 and checked-cell count of every
+# reproduced table, so its own digest pins every output byte.
+MANIFEST_SHA256 = (
+    "224fee8c0353524f808133bb0a53ca480932070054c92dd58ed1c48ca723cfb9"
+)
 
 # Reference quantile bounds of the mean-constrained classes.
 MEAN_VAR = {
@@ -298,6 +304,8 @@ def test_criterion_9_full_reproduction(tmp_path):
     checked = sum(t["checked_cells"] for t in tables.values())
     assert checked > 200
     assert all((out / t["file"]).exists() for t in tables.values())
+    manifest_sha = hashlib.sha256((out / "manifest.json").read_bytes())
+    assert manifest_sha.hexdigest() == MANIFEST_SHA256
     print(
         f"CRITERION 9: PASS — {len(tables)} tables, {checked} checked "
         f"cells, 0 diffs, exit 0 in {elapsed:.1f} s"

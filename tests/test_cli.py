@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from bernrays import ClassSpec, __version__, cli, rays_corr, rays_mean
+from bernrays import _reference_tables as ref
 from bernrays.errors import LengthMismatch
 from bernrays.rayset_io import (
     format_ray_set,
@@ -120,6 +121,19 @@ class TestCommands:
         assert lines[4] == "4,0.004,0.266"
         assert lines[5] == "rho,-0.010,1.000"
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_moments_stop_at_order_d_for_small_d(self, d):
+        result = run("moments", "--d", str(d), "--p", "0.3")
+        assert result.exit_code == 0
+        orders = [line.split(",")[0] for line in result.stdout.split()]
+        assert orders == ["order", *map(str, range(1, d + 1)), "rho"]
+
+    def test_moments_without_a_pair_moment_is_infeasible(self):
+        result = CliRunner().invoke(
+            cli.main, ["moments", "--d", "1", "--p", "0.3"]
+        )
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+
     def test_moments_rejects_a_correlation_target(self):
         result = CliRunner().invoke(
             cli.main, ["moments", "--scenario", "B", "--rho", "1/6"]
@@ -197,6 +211,19 @@ class TestExitCodes:
         )
         assert result.exit_code == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--alpha", "0.9,abc"), ("--alpha", ""), ("--rho", "abc"),
+         ("--rho", "1/0")],
+    )
+    def test_malformed_numbers_map_to_the_infeasible_code(self, flag, text):
+        result = CliRunner().invoke(
+            cli.main, ["bounds", "--scenario", "A", flag, text]
+        )
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+
     def test_reproduction_mismatch_has_its_own_code(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.setattr(cli, "cmd_reproduce", lambda out, cache=None: 2)
@@ -218,3 +245,36 @@ class TestDiffing:
     def test_equal_rows_produce_no_diffs(self):
         rows = [{"alpha": "0.9", "var_min": "0", "var_max": "2"}]
         assert cli._diff_rows(rows, list(rows), "table") == []
+
+
+class TestReproduce:
+    def test_each_class_is_enumerated_once_and_every_check_reports(
+        self, tmp_path, monkeypatch
+    ):
+        for scenario in ("BBB", "B"):
+            monkeypatch.delitem(ref.SCENARIOS, scenario)
+        planted = dict(ref.VAR_CORR[("A", "1/6")])
+        low, high, beta = planted[0.99]
+        planted[0.99] = (low, high + 1, beta)
+        monkeypatch.setitem(ref.VAR_CORR, ("A", "1/6"), planted)
+        requests = []
+        enumerate_cached = cli._enumerate_cached
+
+        def counting(config):
+            requests.append((config.d, config.p, config.rho))
+            return enumerate_cached(config)
+
+        monkeypatch.setattr(cli, "_enumerate_cached", counting)
+        result = CliRunner().invoke(
+            cli.main, ["reproduce", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == cli.EXIT_MISMATCH
+        assert "var_A_rho_1_6: 1 MISMATCHES" in result.stdout.splitlines()
+        assert "sweep_A: 1 MISMATCHES" in result.stdout.splitlines()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "fail"
+        assert manifest["tables"]["sweep_A"]["mismatches"][0]["column"] == (
+            "var_max"
+        )
+        assert len(requests) == 13
+        assert len(set(requests)) == 13
