@@ -14,17 +14,19 @@ from .betamix import BetaMixParams
 from .errors import BernraysError
 from .pmf import ClassSpec, DefaultCountPmf, ExchangeablePmfSummary
 from .rays_corr import CorrSystemCoeffs, MembershipResult
-from .rays_mean import MeanCorr, MeanOnly, MomentBounds, RayDensity
+from .rays_mean import MeanCorr, MeanOnly, MomentBounds, RayDensity, RaySet
 from .risk import EsEnvelope, RiskBounds
 
 __version__ = "0.1.0"
 
 
-def enumerate_rays(spec: ClassSpec) -> list[RayDensity]:
+def enumerate_rays(spec: ClassSpec) -> RaySet:
     """Enumerate the extremal rays of the class ``spec`` describes.
 
-    Dispatches on whether a correlation target is present; see
-    :func:`rays_mean.enumerate_rays` and :func:`rays_corr.enumerate_rays`.
+    The result is a :class:`RaySet`, a ``Sequence[RayDensity]`` backed
+    by ``support`` and ``masses`` arrays. Dispatches on whether a
+    correlation target is present; see :func:`rays_mean.enumerate_rays`
+    and :func:`rays_corr.enumerate_rays`.
     """
     if spec.rho is None:
         return rays_mean.enumerate_rays(spec)
@@ -44,6 +46,7 @@ __all__ = [
     "MembershipResult",
     "MomentBounds",
     "RayDensity",
+    "RaySet",
     "RiskBounds",
     "__version__",
     "betamix",

@@ -33,7 +33,7 @@ from .errors import (
     InvalidSpec,
 )
 from .pmf import ClassSpec
-from .rays_mean import RayDensity
+from .rays_mean import RaySet
 from .rayset_io import format_ray_set, load_cached_rays, store_cached_rays
 
 EXIT_INFEASIBLE = 2
@@ -83,7 +83,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         raise InvalidSpec(f"alphas must be numbers, got {text!r}") from exc
 
 
-def _enumerate_cached(config: ScenarioConfig) -> list[RayDensity]:
+def _enumerate_cached(config: ScenarioConfig) -> RaySet:
     """Enumerate the configured class, by way of the cache when one is
     given. Cache hits log their timing to stderr; stdout stays clean."""
     spec = config.class_spec()
@@ -190,9 +190,7 @@ def _beta_var(config: ScenarioConfig, alpha: float) -> int | None:
     return betamix.var(params, config.d, alpha)
 
 
-def _bounds_rows(
-    config: ScenarioConfig, rays: list[RayDensity]
-) -> list[dict]:
+def _bounds_rows(config: ScenarioConfig, rays: RaySet) -> list[dict]:
     rows = []
     for alpha in config.alphas:
         bounds = risk.risk_bounds(rays, alpha)

@@ -64,3 +64,7 @@ class EmptyRaySet(BernraysError, ValueError):
 
 class InadmissibleCorrelation(BernraysError, ValueError):
     """Beta-mixture calibration requires correlation strictly inside (0, 1)."""
+
+
+class ClassTooLarge(BernraysError, ValueError):
+    """Enumerating the class would need more working memory than allowed."""

@@ -12,28 +12,33 @@ the two moment equations plus normalization have the unique solution
 
 which sums to one identically, so a triple yields a ray exactly when all
 three masses are nonnegative. Rays with fewer support points arise as
-degenerate triples: a vanishing mass drops its point. Enumeration scans
-all triples, adds the mean-class two-point rays whose second moment
+degenerate triples: a vanishing mass drops its point. Enumeration sweeps
+the triples whose middle index the outer pair admits, in O(d^2 + n) for
+``n`` rays, adds the mean-class two-point rays whose second moment
 matches ``M``, and the point mass when both targets sit on an integer.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rays_mean
-from .errors import IndexOutOfRange, InfeasibleMoment, InvalidSpec
+from .errors import (
+    ClassTooLarge,
+    IndexOutOfRange,
+    InfeasibleMoment,
+    InvalidSpec,
+)
 from .pmf import (
     ClassSpec,
     DefaultCountPmf,
     MEAN_RESIDUAL_SCALE,
     SECOND_MOMENT_RESIDUAL_SCALE,
 )
-from .rays_mean import MeanCorr, RayDensity
+from .rays_mean import MeanCorr, RayDensity, RaySet
 
 # A computed mass this close to zero marks a dropped support point; the
 # Cramer formulas at d ~ 100 accumulate roundoff near 1e-13.
@@ -45,6 +50,19 @@ _MATCH_SCALE = 1e-12
 
 # Slack when testing the target moment against the closed class bounds.
 _FEASIBILITY_TOL = 1e-12
+
+# Slack of the triple sweep's pair test and middle-index interval, scaled
+# by d**2: far above the float error of the mass numerators (about
+# 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
+_SWEEP_SLACK = 1e-9
+
+# Most index triples one enumeration may examine. Each candidate holds
+# about 128 bytes of working arrays (indices, masses, temporaries), so
+# the cap keeps the sweep near 1 GiB.
+MAX_CANDIDATES = 2**23
+
+# Rows per block when normalising kept triples with math.fsum.
+_FSUM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -128,50 +146,144 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
     )
 
 
-def _scan_triples(spec: ClassSpec) -> dict[tuple[int, ...], RayDensity]:
-    """Vectorized sweep of all index triples; same arithmetic as
-    :func:`triple_ray`, keyed and deduplicated by support set."""
+def _pair_ranges(spec: ClassSpec):
+    """Outer pairs ``(i, k)`` that can carry a ray, with the range of
+    middle indices to try on each.
+
+    Yields arrays ``(i, k, lo, hi)`` per lower index ``i``, with every
+    ``lo <= hi``. Writing ``s2 = M - m**2``, the ``j`` mass has the sign
+    of ``(m - i)(k - m) - s2``, and the other two are nonnegative exactly
+    for ``j`` in ``[m - s2/(k - m), m + s2/(m - i)]``. The slack and the
+    one-index widening keep every triple the float keep-test accepts.
+    """
     d = spec.d
     m = spec.mean_count
-    big_m = spec.second_moment_target
-    idx = np.array(
-        list(itertools.combinations(range(d + 1), 3)), dtype=np.int64
-    )
-    i = idx[:, 0].astype(float)
-    j = idx[:, 1].astype(float)
-    k = idx[:, 2].astype(float)
-    mass_i = (j * k - (j + k) * m + big_m) / ((j - i) * (k - i))
-    mass_j = -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j))
-    mass_k = (i * j - (i + j) * m + big_m) / ((k - i) * (k - j))
-    keep = (
-        (mass_i >= -ZERO_MASS_TOL)
-        & (mass_j >= -ZERO_MASS_TOL)
-        & (mass_k >= -ZERO_MASS_TOL)
-    )
-    tag = MeanCorr(spec.p, spec.rho)
-    out: dict[tuple[int, ...], RayDensity] = {}
-    for row, raw in zip(
-        idx[keep], np.column_stack((mass_i, mass_j, mass_k))[keep]
-    ):
-        support = tuple(int(s) for s, x in zip(row, raw) if x > ZERO_MASS_TOL)
-        if support in out:
-            continue
-        masses = [float(x) for x in raw if x > ZERO_MASS_TOL]
-        total = math.fsum(masses)
-        out[support] = RayDensity(
-            d, support, tuple(x / total for x in masses), tag
-        )
+    s2 = spec.second_moment_target - m * m
+    slack = _SWEEP_SLACK * d * d
+    for i in range(d - 1):
+        below = m - i
+        k = np.arange(i + 2, d + 1)
+        k = k[below * (k - m) - s2 >= -slack]
+        above = k - m
+        with np.errstate(divide="ignore"):
+            lo = np.where(above > 0.0, m - (s2 + slack) / above, -np.inf)
+        hi = m + (s2 + slack) / below if below > 0.0 else np.inf
+        lo = np.maximum(np.floor(lo) - 1.0, i + 1.0).astype(np.int64)
+        hi = np.minimum(np.ceil(hi) + 1.0, k - 1.0).astype(np.int64)
+        some = lo <= hi
+        if some.any():
+            k = k[some]
+            yield np.full(len(k), i), k, lo[some], hi[some]
+
+
+def candidate_count(spec: ClassSpec) -> int:
+    """Exact number of index triples the sweep of :func:`enumerate_rays`
+    examines, in O(d^2) time and O(d) memory."""
+    _require_corr(spec, "candidate_count")
+    return sum(int((hi - lo + 1).sum()) for *_, lo, hi in _pair_ranges(spec))
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range number and value of every integer in the ranges [lo, hi]."""
+    counts = np.maximum(hi - lo + 1, 0)
+    rows = np.repeat(np.arange(len(lo)), counts)
+    start = np.cumsum(counts) - counts
+    return rows, np.arange(len(rows)) + (lo - start)[rows]
+
+
+def _row_fsums(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row, a block of rows at a time."""
+    out = np.empty(len(x))
+    for start in range(0, len(x), _FSUM_BLOCK):
+        block = x[start:start + _FSUM_BLOCK].tolist()
+        out[start:start + len(block)] = list(map(math.fsum, block))
     return out
 
 
-def enumerate_rays(spec: ClassSpec) -> list[RayDensity]:
+def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Padded support and mass rows of every triple the interval sweep
+    keeps, with :func:`triple_ray`'s arithmetic.
+
+    Triples that drop a point come first, in lexicographic triple order,
+    so the first of them per support is the one the merge keeps.
+    """
+    ranges = []
+    total = 0
+    for found in _pair_ranges(spec):
+        total += int((found[3] - found[2] + 1).sum())
+        if total > MAX_CANDIDATES:
+            raise ClassTooLarge(
+                f"class (d={spec.d}, p={spec.p:g}, rho={spec.rho:g}) needs "
+                f"more than {MAX_CANDIDATES} candidate triples"
+            )
+        ranges.append(found)
+    if not ranges:
+        return np.empty((0, 3), np.int64), np.empty((0, 3))
+    pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
+    pair, mid = _spans(lo, hi)
+    pts = np.column_stack((pair_i[pair], mid, pair_k[pair]))
+    m = spec.mean_count
+    big_m = spec.second_moment_target
+    i, j, k = pts.T.astype(float)
+    mass_i = (j * k - (j + k) * m + big_m) / ((j - i) * (k - i))
+    mass_j = -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j))
+    mass_k = (i * j - (i + j) * m + big_m) / ((k - i) * (k - j))
+    raw = np.column_stack((mass_i, mass_j, mass_k))
+    keep = (raw >= -ZERO_MASS_TOL).all(1)
+    pts, raw = pts[keep], raw[keep]
+    live = raw > ZERO_MASS_TOL
+    dropped = np.flatnonzero(~live.all(1))
+    dropped = dropped[np.lexsort(pts[dropped].T[::-1])]
+    rows = np.concatenate((dropped, np.flatnonzero(live.all(1))))
+    pts, raw, live = pts[rows], raw[rows], live[rows]
+    # Move kept points to the front and repeat the last one as padding.
+    front = np.argsort(~live, axis=1, kind="stable")
+    support = np.take_along_axis(pts, front, 1)
+    masses = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
+    count = live.sum(1)
+    last = support[np.arange(len(support)), count - 1]
+    support = np.where(np.arange(3) < count[:, None], support, last[:, None])
+    return support, masses / _row_fsums(masses)[:, None]
+
+
+def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the mean-class rays whose second moment matches the
+    target: two-point rays with :func:`rays_mean.two_point_ray`'s
+    masses, then the point ray when the mean is an integer."""
+    base = ClassSpec(spec.d, spec.p)
+    m = spec.mean_count
+    big_m = spec.second_moment_target
+    match_tol = _MATCH_SCALE * max(1.0, float(spec.d**2))
+    # (j1 + j2) m - j1 j2 - M rises in j2 with slope m - j1 > 0.
+    j1 = np.arange(base.max_lower_index + 1)
+    slope = m - j1
+    root = (big_m - j1 * m) / slope
+    width = 2.0 * match_tol / slope
+    lo = np.maximum(np.floor(root - width) - 1.0, base.min_upper_index)
+    hi = np.minimum(np.ceil(root + width) + 1.0, spec.d)
+    row, j2 = _spans(lo.astype(np.int64), hi.astype(np.int64))
+    j1 = j1[row]
+    match = np.abs((j1 + j2) * m - j1 * j2 - big_m) <= match_tol
+    support, masses = rays_mean._two_point_rows(base, j1[match], j2[match])
+    if base.integer_mean and abs(m * m - big_m) <= match_tol:
+        center = int(round(m))
+        support = np.vstack((support, [center] * 3))
+        masses = np.vstack((masses, [1.0, 0.0, 0.0]))
+    return support, masses
+
+
+def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-and-correlation class.
 
     Feasibility of the target second moment against the closed bounds of
     the mean class is checked first. The result merges the matching
     two-point mean-class rays, the point ray when both targets allow it,
-    and every admissible triple, deduplicated by support set and sorted
-    lexicographically. Complexity is O(d^3) in the triple sweep.
+    and every admissible triple, deduplicated by support set (in that
+    order of precedence) and sorted lexicographically. The triple sweep
+    examines only the middle indices that the outer pair ``(i, k)``
+    admits, so it costs O(d^2 + n) for ``n`` rays; a class needing more
+    than ``MAX_CANDIDATES`` triples raises :class:`ClassTooLarge` before
+    any per-triple array is built.
     """
     _require_corr(spec, "enumerate_rays")
     mu2 = spec.pair_moment_target
@@ -184,26 +296,20 @@ def enumerate_rays(spec: ClassSpec) -> list[RayDensity]:
             f"pair moment {mu2} outside attainable range "
             f"[{mean_bounds.lower}, {mean_bounds.upper}]"
         )
-    d = spec.d
-    m = spec.mean_count
-    big_m = spec.second_moment_target
-    match_tol = _MATCH_SCALE * max(1.0, float(d * d))
-    tag = MeanCorr(spec.p, spec.rho)
-    base = ClassSpec(d, spec.p)
-    rays: dict[tuple[int, ...], RayDensity] = {}
-    for j1 in range(base.max_lower_index + 1):
-        for j2 in range(base.min_upper_index, d + 1):
-            if abs((j1 + j2) * m - j1 * j2 - big_m) <= match_tol:
-                flat = rays_mean.two_point_ray(base, j1, j2)
-                rays[flat.support] = RayDensity(
-                    d, flat.support, flat.masses, tag
-                )
-    if base.integer_mean and abs(m * m - big_m) <= match_tol:
-        center = int(round(m))
-        rays[(center,)] = RayDensity(d, (center,), (1.0,), tag)
-    for support, ray in _scan_triples(spec).items():
-        rays.setdefault(support, ray)
-    return [rays[key] for key in sorted(rays)]
+    # The sweep goes first so that its cap fires before anything large.
+    triples = _sweep_triples(spec)
+    support, masses = (
+        np.concatenate(parts)
+        for parts in zip(_matching_mean_rays(spec), triples)
+    )
+    # lexsort is stable: the first row per support keeps its precedence.
+    order = np.lexsort(support.T[::-1])
+    support, masses = support[order], masses[order]
+    first = np.ones(len(support), bool)
+    first[1:] = (support[1:] != support[:-1]).any(1)
+    return RaySet(
+        spec.d, MeanCorr(spec.p, spec.rho), support[first], masses[first]
+    )
 
 
 def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:

@@ -12,13 +12,16 @@ sharp bounds on cross moments and on the pairwise correlation.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from . import pmf as pmf_mod
 from .errors import (
+    EmptyRaySet,
     IndexOutOfRange,
     InvalidSpec,
     LengthMismatch,
@@ -31,6 +34,14 @@ from .pmf import ClassSpec, DefaultCountPmf
 
 # Masses this close to one another at a pairing step are exhausted together.
 _RESIDUAL_EPS = 1e-15
+
+# Ray checks shared by RayDensity and RaySet: the masses sum to one
+# within _SUM_TOL, the mean is within _MEAN_SCALE * d of d*p and, for
+# the correlated class, the raw second moment is within
+# _SECOND_MOMENT_SCALE * d**2 of its target.
+_SUM_TOL = 1e-12
+_MEAN_SCALE = 1e-10
+_SECOND_MOMENT_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,18 +100,19 @@ class RayDensity:
             raise IndexOutOfRange(f"support {sup} escapes 0..{self.d}")
         if any(a >= b for a, b in zip(sup, sup[1:])):
             raise IndexOutOfRange(f"support {sup} is not strictly increasing")
-        if min(mas) <= 0.0:
+        if not all(m > 0.0 for m in mas):
             raise NotNormalized(f"ray masses must be positive, got {mas}")
-        if abs(math.fsum(mas) - 1.0) > 1e-12:
+        if abs(math.fsum(mas) - 1.0) > _SUM_TOL:
             raise NotNormalized(f"ray masses sum to {math.fsum(mas)}")
         target = self.d * self.class_tag.p
         got = math.fsum(s * m for s, m in zip(sup, mas))
-        if abs(got - target) > 1e-10 * self.d:
+        if abs(got - target) > _MEAN_SCALE * self.d:
             raise MeanMismatch(f"ray mean {got} differs from target {target}")
         if isinstance(self.class_tag, MeanCorr):
             spec = ClassSpec(self.d, self.class_tag.p, self.class_tag.rho)
             got2 = math.fsum(s * s * m for s, m in zip(sup, mas))
-            if abs(got2 - spec.second_moment_target) > 1e-9 * self.d**2:
+            if (abs(got2 - spec.second_moment_target)
+                    > _SECOND_MOMENT_SCALE * self.d**2):
                 raise MeanMismatch(
                     f"ray second moment {got2} differs from target "
                     f"{spec.second_moment_target}"
@@ -112,6 +124,133 @@ class RayDensity:
         for s, m in zip(self.support, self.masses):
             probs[s] = m
         return DefaultCountPmf(self.d, probs)
+
+
+def _check_rows(
+    d: int, tag: ClassTag, support: np.ndarray, masses: np.ndarray
+) -> np.ndarray:
+    """Run :class:`RayDensity`'s checks on every padded row at once and
+    return the number of support points per row.
+
+    A column past the first is padding when it repeats the previous
+    support point with exactly zero mass; padding must be trailing. The
+    checks run in RayDensity's order, so a single bad row raises the
+    error class its RayDensity would raise.
+    """
+    if support.shape != masses.shape:
+        raise LengthMismatch(
+            f"support shape {support.shape} vs masses shape {masses.shape}"
+        )
+    if support.ndim != 2 or support.shape[1] != 3:
+        raise IndexOutOfRange(
+            f"a ray carries 1 to 3 support points, got rows of shape "
+            f"{support.shape[1:]}"
+        )
+    pad = (support[:, 1:] == support[:, :-1]) & (masses[:, 1:] == 0.0)
+    live = np.column_stack((np.ones(len(support), bool), ~pad))
+
+    def fail(error, bad, what):
+        t = int(np.flatnonzero(bad)[0])
+        k = int(live[t].sum())
+        raise error(
+            f"ray {t} (support {tuple(support[t, :k].tolist())}, masses "
+            f"{tuple(masses[t, :k].tolist())}) {what}"
+        )
+
+    bad = (support[:, 0] < 0) | (support[:, 2] > d)
+    if bad.any():
+        fail(IndexOutOfRange, bad, f"escapes 0..{d}")
+    bad = (live[:, 1:] & (support[:, 1:] <= support[:, :-1])).any(1)
+    bad |= pad[:, 0] & ~pad[:, 1]
+    if bad.any():
+        fail(IndexOutOfRange, bad, "is not strictly increasing")
+    bad = (live & ~(masses > 0.0)).any(1)
+    if bad.any():
+        fail(NotNormalized, bad, "has a non-positive mass")
+    bad = np.abs(masses.sum(1) - 1.0) > _SUM_TOL
+    if bad.any():
+        fail(NotNormalized, bad, "has masses that do not sum to 1")
+    bad = np.abs((support * masses).sum(1) - d * tag.p) > _MEAN_SCALE * d
+    if bad.any():
+        fail(MeanMismatch, bad, f"misses the mean {d * tag.p}")
+    if isinstance(tag, MeanCorr):
+        target = ClassSpec(d, tag.p, tag.rho).second_moment_target
+        bad = np.abs((support * support * masses).sum(1) - target)
+        bad = bad > _SECOND_MOMENT_SCALE * d**2
+        if bad.any():
+            fail(MeanMismatch, bad, f"misses the second moment {target}")
+    return live.sum(1)
+
+
+class RaySet(Sequence):
+    """The extremal rays of one class, held as arrays.
+
+    ``support`` is an ``(n, 3)`` int64 array and ``masses`` an
+    ``(n, 3)`` float64 array; a ray with fewer than three points repeats
+    its last point with zero mass, and ``sizes`` holds each ray's point
+    count. Every row passes the checks of :class:`RayDensity` once, on
+    construction, and the arrays are read-only. The set is a
+    ``Sequence[RayDensity]``: indexing builds the ray on demand, and
+    slicing gives a RaySet.
+    """
+
+    def __init__(self, d: int, class_tag: ClassTag, support, masses):
+        support = np.array(support, dtype=np.int64)
+        masses = np.array(masses, dtype=np.float64)
+        sizes = _check_rows(d, class_tag, support, masses)
+        for array in (support, masses, sizes):
+            array.setflags(write=False)
+        self.d = d
+        self.class_tag = class_tag
+        self.support = support
+        self.masses = masses
+        self.sizes = sizes
+
+    @classmethod
+    def of(cls, rays: Sequence[RayDensity]) -> "RaySet":
+        """``rays`` itself if it is a RaySet, else its rays packed once.
+
+        A plain sequence must be non-empty and hold rays of one class.
+        """
+        if isinstance(rays, RaySet):
+            return rays
+        if len(rays) == 0:
+            raise EmptyRaySet("no rays to pack")
+        d, tag = rays[0].d, rays[0].class_tag
+        if any(ray.d != d for ray in rays):
+            raise InvalidSpec("rays mix different dimensions")
+        if any(ray.class_tag != tag for ray in rays):
+            raise InvalidSpec("rays mix different classes")
+        support = [ray.support + ray.support[-1:] * (3 - len(ray.support))
+                   for ray in rays]
+        masses = [ray.masses + (0.0,) * (3 - len(ray.masses)) for ray in rays]
+        return cls(d, tag, support, masses)
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RaySet(self.d, self.class_tag, self.support[index],
+                          self.masses[index])
+        t = operator.index(index)
+        k = self.sizes[t]
+        return RayDensity(
+            self.d,
+            tuple(self.support[t, :k].tolist()),
+            tuple(self.masses[t, :k].tolist()),
+            self.class_tag,
+        )
+
+    def __repr__(self) -> str:
+        return f"RaySet(d={self.d}, class_tag={self.class_tag!r}, n={len(self)})"
+
+    def lex_first(self, where: np.ndarray) -> int:
+        """Index of the row with the lexicographically smallest support
+        among those ``where`` selects."""
+        rows = np.flatnonzero(where)
+        s = self.support[rows]
+        return int(rows[np.lexsort((s[:, 2], s[:, 1], s[:, 0]))[0]])
 
 
 class MomentBounds(NamedTuple):
@@ -168,7 +307,22 @@ def point_ray(spec: ClassSpec) -> RayDensity:
     return RayDensity(spec.d, (k,), (1.0,), MeanOnly(spec.p))
 
 
-def enumerate_rays(spec: ClassSpec) -> list[RayDensity]:
+def _two_point_rows(
+    spec: ClassSpec, j1: np.ndarray, j2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded support and mass rows of the two-point rays on ``(j1, j2)``,
+    with :func:`two_point_ray`'s arithmetic."""
+    pd = spec.mean_count
+    gap = j2 - j1
+    low = (j2 - pd) / gap
+    high = (pd - j1) / gap
+    total = low + high
+    support = np.column_stack((j1, j2, j2))
+    masses = np.column_stack((low / total, high / total, np.zeros(len(j1))))
+    return support, masses
+
+
+def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-constrained class.
 
     Two-point rays in lexicographic ``(j1, j2)`` order, the point ray
@@ -177,14 +331,16 @@ def enumerate_rays(spec: ClassSpec) -> list[RayDensity]:
     ``j1M``/``j2m`` are the extreme support indices adjacent to the mean.
     """
     _require_mean_only(spec, "enumerate_rays")
-    rays = [
-        two_point_ray(spec, j1, j2)
-        for j1 in range(spec.max_lower_index + 1)
-        for j2 in range(spec.min_upper_index, spec.d + 1)
-    ]
+    lower = np.arange(spec.max_lower_index + 1)
+    upper = np.arange(spec.min_upper_index, spec.d + 1)
+    support, masses = _two_point_rows(
+        spec, np.repeat(lower, len(upper)), np.tile(upper, len(lower))
+    )
     if spec.integer_mean:
-        rays.append(point_ray(spec))
-    return rays
+        k = int(round(spec.mean_count))
+        support = np.vstack((support, [k, k, k]))
+        masses = np.vstack((masses, [1.0, 0.0, 0.0]))
+    return RaySet(spec.d, MeanOnly(spec.p), support, masses)
 
 
 def decompose(
@@ -291,17 +447,16 @@ def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:
             argmin = two_point_ray(base, j, j + 1)
         return MomentBounds(lower, base.p, argmin, hull_ray)
     rays = enumerate_rays(base)
-    best_lo = best_hi = None
-    lo = math.inf
-    hi = -math.inf
-    for ray in rays:
-        ratio = _falling_ratio(np.array(ray.support), base.d, order)
-        value = float(np.dot(ratio, ray.masses))
-        if value < lo or (value == lo and ray.support < best_lo.support):
-            lo, best_lo = value, ray
-        if value > hi or (value == hi and ray.support < best_hi.support):
-            hi, best_hi = value, ray
-    return MomentBounds(lo, hi, best_lo, best_hi)
+    ratio = _falling_ratio(rays.support, base.d, order)
+    # A batched matmul rounds each 3-term dot product like np.dot does.
+    values = (ratio[:, None, :] @ rays.masses[:, :, None])[:, 0, 0]
+    lo, hi = values.min(), values.max()
+    return MomentBounds(
+        float(lo),
+        float(hi),
+        rays[rays.lex_first(values == lo)],
+        rays[rays.lex_first(values == hi)],
+    )
 
 
 def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:

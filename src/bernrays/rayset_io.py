@@ -11,50 +11,100 @@ sidecar mismatch invalidates the entry instead of surfacing stale rays.
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
+from typing import Sequence
 
-from .errors import LengthMismatch, NotNormalized
-from .rays_mean import MeanCorr, MeanOnly, RayDensity
+import numpy as np
+
+from .errors import IndexOutOfRange, LengthMismatch
+from .rays_mean import MeanCorr, MeanOnly, RayDensity, RaySet
+
+# Line templates by ray size; str.format ignores the unused trailing cells.
+_LINE_FORMATS = {
+    1: "{0}:{1:.17g}",
+    2: "{0}:{1:.17g};{2}:{3:.17g}",
+    3: "{0}:{1:.17g};{2}:{3:.17g};{4}:{5:.17g}",
+}
+
+# One ray line: one to three index:mass pairs. Indices of at most 18
+# digits fit int64; masses are checked by float().
+_PAIR = r"([0-9]{1,18}):([^;:\n]+)"
+_RAY_LINE = re.compile(rf"^{_PAIR}(?:;{_PAIR})?(?:;{_PAIR})?$", re.MULTILINE)
+
+# Characters of ray lines parsed at once.
+_BLOCK_CHARS = 2**18
 
 
 def format_ray_set(
-    d: int, p: float, rho: float | None, rays: list[RayDensity]
+    d: int, p: float, rho: float | None, rays: Sequence[RayDensity]
 ) -> str:
+    rays = RaySet.of(rays)
     rho_field = "" if rho is None else format(rho, ".17g")
+    columns = []
+    for c in range(3):
+        columns += [rays.support[:, c].tolist(), rays.masses[:, c].tolist()]
     lines = [f"{d},{p:.17g},{rho_field},{len(rays)}"]
-    for ray in rays:
-        lines.append(
-            ";".join(
-                f"{s}:{m:.17g}" for s, m in zip(ray.support, ray.masses)
-            )
-        )
+    lines += [_LINE_FORMATS[k].format(*row)
+              for k, row in zip(rays.sizes.tolist(), zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
-def parse_ray_set(text: str) -> tuple[int, float, float | None, list[RayDensity]]:
-    lines = text.strip("\n").split("\n")
-    fields = lines[0].split(",")
+def _read_rows(rows: list, support: np.ndarray, masses: np.ndarray) -> None:
+    """Fill padded support and mass rows from regex rows of six cells.
+
+    An absent pair reads as two empty cells; its index repeats the
+    previous one and its mass stays zero, as RaySet pads short rays.
+    """
+    cells = list(zip(*rows)) or [()] * 6
+    for c in range(3):
+        indices, weights = cells[2 * c], cells[2 * c + 1]
+        present = np.fromiter(map(bool, indices), bool, len(rows))
+        support[present, c] = np.fromiter(map(int, filter(None, indices)),
+                                          np.int64)
+        masses[present, c] = np.fromiter(map(float, filter(None, weights)),
+                                         np.float64)
+        if c:
+            # A written pair that repeats its predecessor would pass for
+            # padding; RayDensity rejects a repeated point.
+            if (present & (support[:, c] == support[:, c - 1])).any():
+                raise IndexOutOfRange("a ray repeats a support point")
+            support[~present, c] = support[~present, c - 1]
+
+
+def parse_ray_set(text: str) -> tuple[int, float, float | None, RaySet]:
+    text = text.strip("\n")
+    split = text.find("\n")
+    header = text if split < 0 else text[:split]
+    fields = header.split(",")
     if len(fields) != 4:
-        raise LengthMismatch(f"malformed ray-set header: {lines[0]!r}")
+        raise LengthMismatch(f"malformed ray-set header: {header!r}")
     d = int(fields[0])
     p = float(fields[1])
     rho = float(fields[2]) if fields[2] else None
     count = int(fields[3])
-    if len(lines) - 1 != count:
+    carried = text.count("\n")
+    if carried != count:
         raise LengthMismatch(
-            f"header announces {count} rays, file carries {len(lines) - 1}"
+            f"header announces {count} rays, file carries {carried}"
         )
+    support = np.zeros((count, 3), np.int64)
+    masses = np.zeros((count, 3))
+    done = 0
+    # Blocks of lines bound the per-cell strings alive at once.
+    start = len(text) if split < 0 else split + 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end
+        rows = _RAY_LINE.findall(text, start, end)
+        _read_rows(rows, support[done:done + len(rows)],
+                   masses[done:done + len(rows)])
+        done += len(rows)
+        start = end + 1
+    if done != count:
+        raise LengthMismatch("a ray line is not 1 to 3 index:mass pairs")
     tag = MeanOnly(p) if rho is None else MeanCorr(p, rho)
-    rays = []
-    for line in lines[1:]:
-        support = []
-        masses = []
-        for pair in line.split(";"):
-            idx, mass = pair.split(":")
-            support.append(int(idx))
-            masses.append(float(mass))
-        rays.append(RayDensity(d, tuple(support), tuple(masses), tag))
-    return d, p, rho, rays
+    return d, p, rho, RaySet(d, tag, support, masses)
 
 
 def _cache_file(
@@ -67,10 +117,10 @@ def _cache_file(
 
 def load_cached_rays(
     cache_dir: Path, d: int, p: float, rho: float | None, version: str
-) -> list[RayDensity] | None:
+) -> RaySet | None:
     """Return the cached enumeration for the key, or None on any doubt:
-    missing files, checksum mismatch, or a header that does not match
-    the requested key."""
+    missing files, checksum mismatch, a header that does not match the
+    requested key, or rays that fail validation."""
     path = _cache_file(cache_dir, d, p, rho, version)
     sidecar = path.with_suffix(".sha256")
     if not path.exists() or not sidecar.exists():
@@ -81,7 +131,7 @@ def load_cached_rays(
         return None
     try:
         got_d, got_p, got_rho, rays = parse_ray_set(text)
-    except (ValueError, LengthMismatch, NotNormalized):
+    except (ValueError, ArithmeticError):
         return None
     same_rho = (rho is None and got_rho is None) or (
         rho is not None and got_rho is not None and got_rho == rho
@@ -97,7 +147,7 @@ def store_cached_rays(
     p: float,
     rho: float | None,
     version: str,
-    rays: list[RayDensity],
+    rays: Sequence[RayDensity],
 ) -> Path:
     path = _cache_file(cache_dir, d, p, rho, version)
     path.parent.mkdir(parents=True, exist_ok=True)

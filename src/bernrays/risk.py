@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyRaySet, InvalidSpec
 from .pmf import CDF_TIE_TOL, ClassSpec, _check_alpha
 from .rays_corr import enumerate_rays as enumerate_corr_rays
-from .rays_mean import RayDensity
+from .rays_mean import RayDensity, RaySet
 
 # Slack for boundary decisions in the closed-form index arithmetic:
 # quantities like pd/(1-alpha) land exactly on integers for round table
@@ -54,22 +54,6 @@ class EsEnvelope(NamedTuple):
     upper_attained: bool
 
 
-def _ray_arrays(
-    rays: Sequence[RayDensity],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack rays into (n, 3) support/mass arrays, padding short rays by
-    repeating their last support point with zero mass."""
-    n = len(rays)
-    support = np.empty((n, 3), dtype=np.int64)
-    masses = np.zeros((n, 3))
-    for t, ray in enumerate(rays):
-        k = len(ray.support)
-        support[t, :k] = ray.support
-        support[t, k:] = ray.support[-1]
-        masses[t, :k] = ray.masses
-    return support, masses
-
-
 def _scan_vars(
     support: np.ndarray, masses: np.ndarray, alpha: float
 ) -> np.ndarray:
@@ -89,17 +73,31 @@ def _scan_vars(
     )
 
 
-def _lex_smallest(rays: Sequence[RayDensity], where: np.ndarray) -> RayDensity:
-    return min((rays[int(t)] for t in np.flatnonzero(where)),
-               key=lambda ray: ray.support)
+def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
+    t = rays.lex_first(where)
+    return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
-def _check_rays(rays: Sequence[RayDensity]) -> None:
+def _check_rays(rays: Sequence[RayDensity]) -> RaySet:
     if len(rays) == 0:
         raise EmptyRaySet("risk scan over an empty ray collection")
-    d = rays[0].d
-    if any(ray.d != d for ray in rays):
-        raise InvalidSpec("rays mix different dimensions")
+    return RaySet.of(rays)
+
+
+def _extrema(
+    alpha: float, rays: RaySet, values: np.ndarray, es: np.ndarray | None
+) -> RiskBounds:
+    lo = int(values.min())
+    hi = int(values.max())
+    return RiskBounds(
+        alpha=alpha,
+        var_min=lo,
+        var_max=hi,
+        es_min=None if es is None else float(es.min()),
+        es_max=None if es is None else float(es.max()),
+        argmin_ray=_lex_smallest(rays, values == lo),
+        argmax_ray=_lex_smallest(rays, values == hi),
+    )
 
 
 def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
@@ -109,20 +107,9 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     support, independent of the input order.
     """
     alpha = _check_alpha(alpha)
-    _check_rays(rays)
-    support, masses = _ray_arrays(rays)
-    values = _scan_vars(support, masses, alpha)
-    lo = int(values.min())
-    hi = int(values.max())
-    return RiskBounds(
-        alpha=alpha,
-        var_min=lo,
-        var_max=hi,
-        es_min=None,
-        es_max=None,
-        argmin_ray=_lex_smallest(rays, values == lo).support,
-        argmax_ray=_lex_smallest(rays, values == hi).support,
-    )
+    rays = _check_rays(rays)
+    values = _scan_vars(rays.support, rays.masses, alpha)
+    return _extrema(alpha, rays, values, None)
 
 
 def _floor_strict(x: float) -> int:
@@ -194,30 +181,19 @@ def es_bounds_scan(
     class-wide bound).
     """
     alpha = _check_alpha(alpha)
-    _check_rays(rays)
-    support, masses = _ray_arrays(rays)
-    values = _scan_vars(support, masses, alpha)
-    es = _scan_es(support, masses, values)
+    rays = _check_rays(rays)
+    values = _scan_vars(rays.support, rays.masses, alpha)
+    es = _scan_es(rays.support, rays.masses, values)
     return float(es.min()), float(es.max())
 
 
 def risk_bounds(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     """One-pass VaR and ES scan bundled into a :class:`RiskBounds`."""
     alpha = _check_alpha(alpha)
-    _check_rays(rays)
-    support, masses = _ray_arrays(rays)
-    values = _scan_vars(support, masses, alpha)
-    es = _scan_es(support, masses, values)
-    lo = int(values.min())
-    hi = int(values.max())
-    return RiskBounds(
-        alpha=alpha,
-        var_min=lo,
-        var_max=hi,
-        es_min=float(es.min()),
-        es_max=float(es.max()),
-        argmin_ray=_lex_smallest(rays, values == lo).support,
-        argmax_ray=_lex_smallest(rays, values == hi).support,
+    rays = _check_rays(rays)
+    values = _scan_vars(rays.support, rays.masses, alpha)
+    return _extrema(
+        alpha, rays, values, _scan_es(rays.support, rays.masses, values)
     )
 
 
@@ -241,8 +217,8 @@ def es_envelope(
             rays = enumerate_corr_rays(source)
             lower = float(var_bounds_scan(rays, alpha).var_min)
     else:
-        _check_rays(source)
-        d = source[0].d
-        p = source[0].class_tag.p
+        source = _check_rays(source)
+        d = source.d
+        p = source.class_tag.p
         lower = float(var_bounds_scan(source, alpha).var_min)
     return EsEnvelope(lower, float(d), 1.0 - p <= alpha)

@@ -3,10 +3,15 @@
 Vertex enumeration solves an explicit linear system on every candidate
 support, and the composition grid walks an entire discretized simplex.
 Both are exponentially slow and only usable at small d, which is the
-point: they are independent of the analytic formulas under test.
+point: they are independent of the analytic formulas under test. The
+all-triples sweep and the exact rational classifier check every index
+triple of a correlated class, in O(d^3), against the interval sweep of
+the package.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,3 +90,71 @@ def random_mixture(rng, rays, max_terms=40):
         for point, mass in zip(ray.support, ray.masses):
             probs[point] += weight * mass
     return probs, weights, chosen
+
+
+def all_triples_rays(spec, zero_tol=1e-12, match_scale=1e-12):
+    """Reference enumeration of a correlated class by a sweep over every
+    index triple, ``C(d + 1, 3)`` of them.
+
+    The mean-class two-point rays whose second moment matches take
+    precedence, then the point ray, then the first triple (in
+    lexicographic order) per support set. A triple keeps every mass at
+    or above ``-zero_tol`` and drops the points whose mass is at most
+    ``zero_tol``. Returns ``(support, masses)`` pairs sorted by support.
+    """
+    d = spec.d
+    m = spec.mean_count
+    big_m = spec.second_moment_target
+    match_tol = match_scale * max(1.0, float(d * d))
+    out = {}
+    for j1 in range(spec.max_lower_index + 1):
+        for j2 in range(spec.min_upper_index, d + 1):
+            if abs((j1 + j2) * m - j1 * j2 - big_m) <= match_tol:
+                gap = j2 - j1
+                masses = ((j2 - m) / gap, (m - j1) / gap)
+                total = math.fsum(masses)
+                out[j1, j2] = tuple(x / total for x in masses)
+    if spec.integer_mean and abs(m * m - big_m) <= match_tol:
+        out[round(m),] = (1.0,)
+    idx = np.array(list(itertools.combinations(range(d + 1), 3)))
+    i, j, k = idx.T.astype(float)
+    raw = np.column_stack((
+        (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
+        -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
+        (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
+    ))
+    keep = (raw >= -zero_tol).all(axis=1)
+    for row, masses in zip(idx[keep].tolist(), raw[keep].tolist()):
+        support = tuple(s for s, x in zip(row, masses) if x > zero_tol)
+        if support not in out:
+            kept = [x for x in masses if x > zero_tol]
+            total = math.fsum(kept)
+            out[support] = tuple(x / total for x in kept)
+    return sorted(out.items())
+
+
+def exact_ray_supports(spec):
+    """Support sets of a correlated class's rays, classified in exact
+    rational arithmetic.
+
+    The float targets ``d*p`` and ``M`` are taken as exact rationals
+    over a common denominator ``q``. Each of the three masses of a
+    triple has a positive denominator, so its sign is the sign of an
+    integer numerator: a triple carries a ray when no numerator is
+    negative, on the points whose numerator is positive.
+    """
+    m = Fraction(spec.mean_count)
+    big_m = Fraction(spec.second_moment_target)
+    q = math.lcm(m.denominator, big_m.denominator)
+    a = m.numerator * (q // m.denominator)
+    b = big_m.numerator * (q // big_m.denominator)
+    supports = set()
+    for i, j, k in itertools.combinations(range(spec.d + 1), 3):
+        nums = (
+            j * k * q - (j + k) * a + b,
+            -(i * k * q - (i + k) * a + b),
+            i * j * q - (i + j) * a + b,
+        )
+        if min(nums) >= 0:
+            supports.add(tuple(s for s, x in zip((i, j, k), nums) if x > 0))
+    return supports

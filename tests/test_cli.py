@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, serialization formats,
 byte determinism, the ray-set cache, and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,28 @@ from bernrays.rayset_io import (
 
 def run(*args):
     return CliRunner().invoke(cli.main, list(args), catch_exceptions=False)
+
+
+# sha256 of the stdout of `rays`, recorded before ray sets became arrays.
+RAYS_SHA256 = {
+    ("--d", "100", "--p", "0.266", "--rho", "1/6"):
+        "75c37d5cf1e134bbd8d1d69ff849f5b03a7b423408d05bbdf79b05dd4bbfc6c0",
+    ("--d", "200", "--p", "0.0196", "--rho", "0.879"):
+        "59793f3f85eb61bbeb91c733f856b4ddc22dad3294d8768903b20416367f94af",
+    ("--d", "400", "--p", "0.282"):
+        "590c41762e022255b17cd68ae255b753fae973d3c4ebefe7799d3b7910ccbacd",
+}
+
+# Cache lines that break one ray check each, for (d=4, p=0.5, rho=1/4).
+BAD_RAY_LINES = {
+    "order": "2:0.5;0:0.5",
+    "repeated point": "0:1;0:0",
+    "range": "0:0.6;5:0.4",
+    "non-positive mass": "0:1;4:0",
+    "sum": "0:0.5;4:0.6",
+    "mean": "1:0.40625;3:0.59375",
+    "second moment": "1:0.5;3:0.5",
+}
 
 
 class TestRaySetFormat:
@@ -71,6 +94,27 @@ class TestRaySetCache:
         victim = next(tmp_path.glob("rayset_*.txt"))
         victim.write_text(victim.read_text().replace("0", "1", 1))
         assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+
+    @pytest.mark.parametrize(
+        "line", BAD_RAY_LINES.values(), ids=list(BAD_RAY_LINES)
+    )
+    def test_invalid_rays_under_a_valid_sidecar_are_a_miss(
+        self, tmp_path, line
+    ):
+        args = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
+        plain = run(*args)
+        run(*args, "--cache", str(tmp_path))
+        victim = next(tmp_path.glob("rayset_*.txt"))
+        lines = victim.read_text().splitlines()
+        lines[3] = line
+        text = "\n".join(lines) + "\n"
+        victim.write_text(text)
+        victim.with_suffix(".sha256").write_text(
+            hashlib.sha256(text.encode()).hexdigest() + "\n"
+        )
+        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__) is None
+        cached = run(*args, "--cache", str(tmp_path))
+        assert cached.stdout_bytes == plain.stdout_bytes
 
     def test_version_bump_is_a_miss(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
@@ -171,6 +215,12 @@ class TestCommands:
         )
         assert as_fraction.stdout == as_decimal.stdout
 
+    @pytest.mark.parametrize("args", list(RAYS_SHA256))
+    def test_rays_output_bytes_are_pinned(self, args):
+        result = run("rays", *args)
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == RAYS_SHA256[args]
+
     def test_output_is_byte_deterministic(self):
         first = run("bounds", "--scenario", "A", "--rho", "1/2")
         second = run("bounds", "--scenario", "A", "--rho", "1/2")
@@ -223,6 +273,17 @@ class TestExitCodes:
         assert result.exit_code == cli.EXIT_INFEASIBLE
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
+
+    def test_a_class_above_the_candidate_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
+        result = CliRunner().invoke(
+            cli.main,
+            ["bounds", "--d", "100", "--p", "0.266", "--rho", "1/6"],
+        )
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert "candidate triples" in result.stderr
 
     def test_reproduction_mismatch_has_its_own_code(self, tmp_path,
                                                     monkeypatch):

@@ -3,10 +3,13 @@ solver, the full enumeration against a brute-force vertex oracle, and
 the membership test."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bernrays import (
     ClassSpec,
@@ -17,8 +20,18 @@ from bernrays import (
     rays_corr,
     rays_mean,
 )
-from bernrays.errors import IndexOutOfRange, InfeasibleMoment, InvalidSpec
-from oracles import random_mixture, vertex_pmfs
+from bernrays.errors import (
+    ClassTooLarge,
+    IndexOutOfRange,
+    InfeasibleMoment,
+    InvalidSpec,
+)
+from oracles import (
+    all_triples_rays,
+    exact_ray_supports,
+    random_mixture,
+    vertex_pmfs,
+)
 
 
 def random_feasible_spec(rng, d_max=6, margin=0.1):
@@ -143,6 +156,78 @@ class TestEnumerate:
     def test_requires_correlation_target(self):
         with pytest.raises(InvalidSpec):
             rays_corr.enumerate_rays(ClassSpec(4, 0.5))
+
+
+def as_pairs(rays):
+    return [(ray.support, ray.masses) for ray in rays]
+
+
+@st.composite
+def degenerate_classes(draw):
+    """Classes on the edges of the sweep: an integer mean, rho = 1, rho
+    at the lower feasibility edge, or rational p and rho that make some
+    triple masses vanish exactly."""
+    d = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(
+        ("integer mean", "comonotone", "lower edge", "rational")
+    ))
+    if kind == "integer mean":
+        p = draw(st.integers(1, d - 1)) / d
+    else:
+        p = float(draw(st.fractions(Fraction(1, 20), Fraction(19, 20),
+                                    max_denominator=20)))
+    low, _ = rays_mean.correlation_bounds(ClassSpec(d, p))
+    if kind == "comonotone":
+        rho = 1.0
+    elif kind == "lower edge":
+        rho = low
+    else:
+        rho = float(draw(st.fractions(Fraction(-1, 2), 1,
+                                      max_denominator=12)))
+    assume(-1.0 < rho and low <= rho)
+    return ClassSpec(d, p, rho)
+
+
+class TestIntervalSweep:
+    """The O(d^2 + n) sweep against the all-triples reference."""
+
+    def test_matches_the_all_triples_sweep_bit_for_bit(self):
+        rng = np.random.default_rng(89)
+        for _ in range(12):
+            d = int(rng.integers(3, 121))
+            p = float(rng.uniform(0.01, 0.99))
+            low, high = rays_mean.correlation_bounds(ClassSpec(d, p))
+            spec = ClassSpec(d, p, float(rng.uniform(low, high)))
+            rays = rays_corr.enumerate_rays(spec)
+            assert as_pairs(rays) == all_triples_rays(spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_classes())
+    def test_matches_on_degenerate_classes(self, spec):
+        rays = rays_corr.enumerate_rays(spec)
+        assert as_pairs(rays) == all_triples_rays(spec)
+
+    @pytest.mark.parametrize(
+        "d, p, rho", [(20, 0.266, 1 / 6), (40, 0.13, 0.3), (60, 0.41, 0.05)]
+    )
+    def test_supports_match_exact_rational_classification(self, d, p, rho):
+        spec = ClassSpec(d, p, rho)
+        supports = [ray.support for ray in rays_corr.enumerate_rays(spec)]
+        assert set(supports) == exact_ray_supports(spec)
+
+    def test_candidate_count_bounds_the_rays(self):
+        spec = ClassSpec(100, 0.266, 1 / 6)
+        count = rays_corr.candidate_count(spec)
+        assert 32372 <= count <= 2 * 32372
+
+    def test_large_classes_exceed_the_cap(self):
+        spec = ClassSpec(3000, 0.266, 1 / 6)
+        assert rays_corr.candidate_count(spec) > rays_corr.MAX_CANDIDATES
+
+    def test_the_cap_stops_enumeration(self, monkeypatch):
+        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
+        with pytest.raises(ClassTooLarge):
+            rays_corr.enumerate_rays(ClassSpec(100, 0.266, 1 / 6))
 
 
 class TestMembership:

@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from bernrays import ClassSpec, DefaultCountPmf, MeanOnly, pmf, rays_mean
+from bernrays import (
+    ClassSpec,
+    DefaultCountPmf,
+    MeanCorr,
+    MeanOnly,
+    RaySet,
+    pmf,
+    rays_corr,
+    rays_mean,
+)
 from bernrays.errors import (
+    EmptyRaySet,
     IndexOutOfRange,
     InvalidSpec,
     MeanMismatch,
@@ -120,6 +130,71 @@ class TestRayDensity:
         ray = rays_mean.two_point_ray(ClassSpec(4, 0.5), 1, 3)
         y = ray.to_pmf()
         np.testing.assert_allclose(y.probs, [0.0, 0.5, 0.0, 0.5, 0.0])
+
+
+# One bad ray per check of RayDensity, for the class (d=4, p=0.5,
+# rho=1/4): mean 2, raw second moment 5.75.
+BAD_RAYS = {
+    "decreasing": ((2, 0), (0.5, 0.5), IndexOutOfRange),
+    "repeated": ((1, 1), (0.5, 0.5), IndexOutOfRange),
+    "above d": ((0, 5), (0.6, 0.4), IndexOutOfRange),
+    "below 0": ((-1, 3), (0.25, 0.75), IndexOutOfRange),
+    "zero mass": ((0, 4), (1.0, 0.0), NotNormalized),
+    "negative mass": ((0, 2, 4), (0.5, 0.7, -0.2), NotNormalized),
+    "nan mass": ((0, 4), (float("nan"), 0.5), NotNormalized),
+    "sum": ((0, 4), (0.5, 0.6), NotNormalized),
+    "mean": ((1, 3), (0.40625, 0.59375), MeanMismatch),
+    "second moment": ((1, 3), (0.5, 0.5), MeanMismatch),
+}
+
+
+class TestRaySet:
+    def test_is_a_sequence_of_rays(self):
+        rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
+        listed = list(rays)
+        assert len(rays) == len(listed) == 5
+        assert rays[-1] == listed[4]
+        assert rays[np.int64(1)].support == (0, 4)
+        assert isinstance(rays[1:3], RaySet)
+        assert list(rays[1:3]) == listed[1:3]
+        with pytest.raises(IndexError):
+            rays[5]
+        with pytest.raises(ValueError):
+            rays.masses[0, 0] = 0.5
+
+    def test_pads_short_rays(self):
+        rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
+        assert rays.support[-1].tolist() == [2, 2, 2]
+        assert rays.masses[-1].tolist() == [1.0, 0.0, 0.0]
+        assert rays.sizes.tolist() == [2, 2, 2, 2, 1]
+
+    def test_packs_a_list_once(self):
+        rays = rays_mean.enumerate_rays(ClassSpec(9, 0.3))
+        assert RaySet.of(rays) is rays
+        packed = RaySet.of(list(rays))
+        assert np.array_equal(packed.support, rays.support)
+        assert np.array_equal(packed.masses, rays.masses)
+        with pytest.raises(EmptyRaySet):
+            RaySet.of([])
+        other = rays_mean.enumerate_rays(ClassSpec(9, 0.4))
+        with pytest.raises(InvalidSpec):
+            RaySet.of([rays[0], other[0]])
+
+    @pytest.mark.parametrize("name", sorted(BAD_RAYS))
+    def test_a_bad_row_raises_what_its_ray_raises(self, name):
+        support, masses, error = BAD_RAYS[name]
+        tag = MeanCorr(0.5, 0.25)
+        with pytest.raises(error) as from_ray:
+            rays_mean.RayDensity(4, support, masses, tag)
+        good = rays_corr.enumerate_rays(ClassSpec(4, 0.5, 0.25))
+        rows = good.support.copy()
+        cells = good.masses.copy()
+        pad = 3 - len(support)
+        rows[2] = support + support[-1:] * pad
+        cells[2] = masses + (0.0,) * pad
+        with pytest.raises(error) as from_set:
+            RaySet(4, tag, rows, cells)
+        assert type(from_set.value) is type(from_ray.value) is error
 
 
 class TestDecompose:
