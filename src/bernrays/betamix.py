@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from . import pmf as pmf_mod
 from .errors import InadmissibleCorrelation, InvalidSpec
-from .pmf import DefaultCountPmf, log_binomial
+from .pmf import DefaultCountPmf
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,22 @@ def calibrate(p: float, rho: float) -> BetaMixParams:
 def pmf(params: BetaMixParams, d: int) -> DefaultCountPmf:
     """Beta-binomial count pmf on ``{0, ..., d}``.
 
-    ``probs[j] = binom(d, j) * B(a+j, b+d-j) / B(a, b)``, evaluated as
-    log-gamma differences throughout; with calibrated ``a`` as small as
-    a few 1e-4 the gamma function itself is far outside floating range
-    while its log stays tame.
+    ``probs[j] = binom(d, j) * B(a+j, b+d-j) / B(a, b)``, evaluated in
+    log space from ``probs[0] = prod_{k<d} (1 - a/(a+b+k))`` and the
+    ratios ``probs[j+1]/probs[j] = (d-j)/(j+1) * (a+j)/(b+d-1-j)``.
+    Every term is O(1) in size, so nothing cancels: a difference of
+    log-beta values would lose about ``(a+b) * eps`` to rounding, which
+    breaks normalisation once ``rho`` is near 1e-6. With calibrated
+    ``a`` as small as a few 1e-4 the gamma function itself is far
+    outside floating range while these logs stay tame.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidSpec(f"d must be a positive integer, got {d}")
-    j = np.arange(d + 1, dtype=float)
-    log_probs = (
-        log_binomial(d)
-        + betaln(params.a + j, params.b + d - j)
-        - betaln(params.a, params.b)
-    )
+    a, b = params.a, params.b
+    log_first = math.fsum(math.log1p(-a / (a + b + k)) for k in range(d))
+    j = np.arange(d, dtype=float)
+    steps = np.log((d - j) / (j + 1.0)) + np.log((a + j) / (b + d - 1.0 - j))
+    log_probs = np.concatenate(([0.0], np.cumsum(steps))) + log_first
     return DefaultCountPmf(d, np.exp(log_probs))
 
 

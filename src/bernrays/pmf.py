@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateMarginal,
@@ -204,8 +203,8 @@ class ClassSpec:
 
 def log_binomial(d: int) -> np.ndarray:
     """Vector of ``log binom(d, j)`` for ``j = 0..d`` via log-gamma."""
-    j = np.arange(d + 1, dtype=float)
-    return gammaln(d + 1.0) - gammaln(j + 1.0) - gammaln(d - j + 1.0)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(d + 1)])
+    return log_factorial[d] - log_factorial - log_factorial[::-1]
 
 
 def _weighted_levels(d: int, f: np.ndarray) -> np.ndarray:

@@ -56,9 +56,10 @@ _FEASIBILITY_TOL = 1e-12
 # 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
 _SWEEP_SLACK = 1e-9
 
-# Most index triples one enumeration may examine. Each candidate holds
+# Most index triples one enumeration may examine, and most two-point
+# rays a mean-class enumeration may build. Each candidate or ray holds
 # about 128 bytes of working arrays (indices, masses, temporaries), so
-# the cap keeps the sweep near 1 GiB.
+# the cap keeps either near 1 GiB.
 MAX_CANDIDATES = 2**23
 
 # Rows per block when normalising kept triples with math.fsum.

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import pmf as pmf_mod
 from .errors import (
+    ClassTooLarge,
     EmptyRaySet,
     IndexOutOfRange,
     InvalidSpec,
@@ -329,8 +330,18 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     (present iff ``d*p`` is an integer) last. The count is
     ``(j1M + 1) * (d - j2m + 1)`` plus one for the point ray, where
     ``j1M``/``j2m`` are the extreme support indices adjacent to the mean.
+    A class with more two-point rays than ``rays_corr.MAX_CANDIDATES``
+    raises :class:`ClassTooLarge` before any array is built.
     """
+    from . import rays_corr  # rays_corr imports this module
+
     _require_mean_only(spec, "enumerate_rays")
+    count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
+    if count > rays_corr.MAX_CANDIDATES:
+        raise ClassTooLarge(
+            f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
+            f"more than {rays_corr.MAX_CANDIDATES}"
+        )
     lower = np.arange(spec.max_lower_index + 1)
     upper = np.arange(spec.min_upper_index, spec.d + 1)
     support, masses = _two_point_rows(

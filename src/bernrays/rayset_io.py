@@ -1,16 +1,26 @@
 """Sparse ray-set serialization and the on-disk ray-set cache.
 
-Format: one header line ``d,p,rho,count`` (the rho field is empty for
-mean-only classes), then one line per ray of ``;``-joined
-``index:mass`` pairs with 17 significant digits, which round-trips
-doubles exactly. The cache stores one such file per
-(d, p, rho, package version) key next to a ``.sha256`` sidecar; a
-sidecar mismatch invalidates the entry instead of surfacing stale rays.
+Text format, written by ``rays`` and read by :func:`parse_ray_set`: one
+header line ``d,p,rho,count`` (the rho field is empty for mean-only
+classes), then one line per ray of ``;``-joined ``index:mass`` pairs
+with 17 significant digits, which round-trips doubles exactly.
+
+The cache stores binary arrays instead: one ``rayset_<key digest>.bin``
+file per (d, p, rho, package version) key holding three consecutive
+``.npy`` records (version 1.0, written by ``np.save``): the float64 key
+``[d, p, rho]`` with rho NaN for a mean-only class, then the ``(n, 3)``
+int64 support and float64 masses of a :class:`RaySet`. A ``.sha256``
+sidecar holds the digest of the file's bytes. Any doubt is a miss: a
+missing file, a sidecar mismatch, a malformed, truncated or overlong
+record sequence, another dtype or shape, a key that differs from the
+request, or rays that fail validation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import math
 import re
 from pathlib import Path
 from typing import Sequence
@@ -112,33 +122,51 @@ def _cache_file(
 ) -> Path:
     key = f"{d},{p!r},{rho!r},{version}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"rayset_{digest}.txt"
+    return Path(cache_dir) / f"rayset_{digest}.bin"
+
+
+def _read_record(data: bytes, stream: io.BytesIO, dtype) -> np.ndarray:
+    """Read the ``.npy`` record at the stream position, which must hold
+    C-ordered ``dtype`` values. Only the header is parsed before the
+    shape is checked against the bytes left, so a forged shape cannot
+    make the reader allocate."""
+    if np.lib.format.read_magic(stream) != (1, 0):
+        raise ValueError("not a version 1.0 .npy record")
+    shape, fortran_order, got = np.lib.format.read_array_header_1_0(stream)
+    if fortran_order or got != np.dtype(dtype):
+        raise ValueError(f"record of dtype {got}, expected {dtype}")
+    if any(n < 0 for n in shape):
+        raise ValueError(f"record of shape {shape}")
+    start = stream.tell()
+    array = np.frombuffer(data, dtype, math.prod(shape), start)
+    stream.seek(start + array.nbytes)
+    return array.reshape(shape)
 
 
 def load_cached_rays(
     cache_dir: Path, d: int, p: float, rho: float | None, version: str
 ) -> RaySet | None:
-    """Return the cached enumeration for the key, or None on any doubt:
-    missing files, checksum mismatch, a header that does not match the
-    requested key, or rays that fail validation."""
+    """Return the cached enumeration for the key, or None on any doubt."""
     path = _cache_file(cache_dir, d, p, rho, version)
-    sidecar = path.with_suffix(".sha256")
-    if not path.exists() or not sidecar.exists():
-        return None
-    text = path.read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    if sidecar.read_text(encoding="utf-8").strip() != digest:
-        return None
     try:
-        got_d, got_p, got_rho, rays = parse_ray_set(text)
-    except (ValueError, ArithmeticError):
+        data = path.read_bytes()
+        digest = path.with_suffix(".sha256").read_text(encoding="utf-8")
+        if digest.strip() != hashlib.sha256(data).hexdigest():
+            return None
+        stream = io.BytesIO(data)
+        key = _read_record(data, stream, np.float64)
+        support = _read_record(data, stream, np.int64)
+        masses = _read_record(data, stream, np.float64)
+        if stream.tell() != len(data) or key.shape != (3,):
+            return None
+        same_rho = math.isnan(key[2]) if rho is None else key[2] == rho
+        if key[0] != d or key[1] != p or not same_rho:
+            return None
+        # RaySet checks the shapes and validates every ray.
+        tag = MeanOnly(p) if rho is None else MeanCorr(p, rho)
+        return RaySet(d, tag, support, masses)
+    except (OSError, ValueError, ArithmeticError):
         return None
-    same_rho = (rho is None and got_rho is None) or (
-        rho is not None and got_rho is not None and got_rho == rho
-    )
-    if got_d != d or got_p != p or not same_rho:
-        return None
-    return rays
 
 
 def store_cached_rays(
@@ -149,10 +177,13 @@ def store_cached_rays(
     version: str,
     rays: Sequence[RayDensity],
 ) -> Path:
+    rays = RaySet.of(rays)
     path = _cache_file(cache_dir, d, p, rho, version)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = format_ray_set(d, p, rho, rays)
-    path.write_text(text, encoding="utf-8")
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    key = np.array([d, p, math.nan if rho is None else rho])
+    with path.open("wb") as handle:
+        for array in (key, rays.support, rays.masses):
+            np.save(handle, array, allow_pickle=False)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     path.with_suffix(".sha256").write_text(digest + "\n", encoding="utf-8")
     return path

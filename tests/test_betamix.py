@@ -1,14 +1,35 @@
 """Moment-matched beta-binomial benchmark: calibration, the stable pmf
 evaluation, and its tail measures against the class bounds."""
 
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
 from bernrays import BetaMixParams, ClassSpec, betamix, pmf, risk
 from bernrays.errors import InadmissibleCorrelation, InvalidSpec
+
+# betamix.var and betamix.es on a seeded (p, rho, d, alpha) grid, as the
+# scipy betaln evaluation computed them; null where it could not.
+GRID = json.loads((Path(__file__).parent / "betamix_grid.json").read_text())
+
+
+def mpmath_pmf(a, b, d):
+    """Beta-binomial pmf at 50 significant digits."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        log_norm = mpmath.log(mpmath.beta(a, b))
+        return [
+            float(mpmath.exp(
+                mpmath.log(mpmath.binomial(d, j))
+                + mpmath.log(mpmath.beta(a + j, b + d - j)) - log_norm
+            ))
+            for j in range(d + 1)
+        ]
 
 
 class TestCalibrate:
@@ -77,6 +98,20 @@ class TestPmf:
             mu2 = rho * p * (1 - p) + p * p
             assert math.isclose(pmf.cross_moment(y, 2), mu2, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("rho", [0.9, 1 / 6, 1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("p", [0.003, 0.266, 0.9])
+    def test_matches_a_high_precision_oracle(self, p, rho):
+        for d in (1, 37, 400):
+            params = betamix.calibrate(p, rho)
+            got = betamix.pmf(params, d).probs
+            want = np.array(mpmath_pmf(params.a, params.b, d))
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-300)
+
+    def test_stays_normalized_at_tiny_correlation(self):
+        for rho in (1e-6, 1e-9, 1e-12):
+            y = betamix.pmf(betamix.calibrate(0.266, rho), 30)
+            assert math.isclose(math.fsum(y.probs), 1.0, abs_tol=1e-12)
+
     def test_high_correlation_concentrates_at_zero(self):
         y = betamix.pmf(betamix.calibrate(0.003, 5 / 6), 100)
         assert y.probs[0] >= 0.99
@@ -123,3 +158,23 @@ class TestTailMeasures:
         for alpha in (0.90, 0.95, 0.99):
             assert betamix.var(params, 100, alpha) == pmf.var(y, alpha)
             assert betamix.es(params, 100, alpha) == pmf.es(y, alpha)
+
+
+class TestPinnedGrid:
+    def test_values_match_the_recorded_grid(self):
+        columns = GRID["columns"]
+        computed = 0
+        for row in GRID["rows"]:
+            case = dict(zip(columns, row))
+            params = betamix.calibrate(case["p"], case["rho"])
+            d, alpha = case["d"], case["alpha"]
+            v = betamix.var(params, d, alpha)
+            e = betamix.es(params, d, alpha)
+            if case["var"] is None:
+                # The recorded evaluation could not normalise these.
+                assert 0 <= v <= d and v - 1e-12 <= e <= d + 1e-9
+                continue
+            computed += 1
+            assert v == case["var"], case
+            assert math.isclose(e, case["es"], rel_tol=1e-10), case
+        assert computed == 415

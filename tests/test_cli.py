@@ -2,13 +2,26 @@
 byte determinism, the ray-set cache, and exit codes."""
 
 import hashlib
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bernrays import ClassSpec, __version__, cli, rays_corr, rays_mean
+import bernrays
+from bernrays import (
+    ClassSpec,
+    MeanCorr,
+    RaySet,
+    __version__,
+    cli,
+    rays_corr,
+    rays_mean,
+)
 from bernrays import _reference_tables as ref
 from bernrays.errors import LengthMismatch
 from bernrays.rayset_io import (
@@ -33,15 +46,99 @@ RAYS_SHA256 = {
         "590c41762e022255b17cd68ae255b753fae973d3c4ebefe7799d3b7910ccbacd",
 }
 
-# Cache lines that break one ray check each, for (d=4, p=0.5, rho=1/4).
-BAD_RAY_LINES = {
-    "order": "2:0.5;0:0.5",
-    "repeated point": "0:1;0:0",
-    "range": "0:0.6;5:0.4",
-    "non-positive mass": "0:1;4:0",
-    "sum": "0:0.5;4:0.6",
-    "mean": "1:0.40625;3:0.59375",
-    "second moment": "1:0.5;3:0.5",
+# Cached (support, masses) rows that break one ray check each, for
+# (d=4, p=0.5, rho=1/4), with the words of the check that rejects them.
+# A short ray repeats its last point with zero mass, as RaySet pads.
+BAD_RAY_ROWS = {
+    "order": ([2, 0, 0], [0.5, 0.5, 0.0], "not strictly increasing"),
+    "repeated point": ([1, 3, 3], [0.25, 0.375, 0.375],
+                       "not strictly increasing"),
+    "range": ([0, 5, 5], [0.6, 0.4, 0.0], "escapes"),
+    "non-positive mass": ([0, 4, 4], [1.0, 0.0, 0.0], "non-positive mass"),
+    "sum": ([0, 4, 4], [0.5, 0.6, 0.0], "do not sum to 1"),
+    "mean": ([1, 3, 3], [0.40625, 0.59375, 0.0], "misses the mean"),
+    "second moment": ([1, 3, 3], [0.5, 0.5, 0.0],
+                      "misses the second moment"),
+}
+
+SMALL_CLASS = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
+
+
+def read_records(path):
+    """The key, support and masses records of a cache file."""
+    with path.open("rb") as handle:
+        return [np.load(handle) for _ in range(3)]
+
+
+def write_signed(path, data):
+    """Overwrite a cache file with ``data`` and a matching sidecar."""
+    path.write_bytes(data)
+    path.with_suffix(".sha256").write_text(
+        hashlib.sha256(data).hexdigest() + "\n"
+    )
+
+
+def write_entry(path, records):
+    """Overwrite a cache file with ``records``, signed."""
+    buffer = io.BytesIO()
+    for array in records:
+        np.save(buffer, array, allow_pickle=True)
+    write_signed(path, buffer.getvalue())
+
+
+def _flip_last_byte(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+def _stale_sidecar(path):
+    path.with_suffix(".sha256").write_text("0" * 64 + "\n")
+
+
+def _negative_shape(path):
+    # The masses record announces shape (-1, 3) over the same bytes.
+    key, support, masses = read_records(path)
+    buffer = io.BytesIO()
+    np.save(buffer, key)
+    np.save(buffer, support)
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": (-1, 3)}
+    )
+    write_signed(path, buffer.getvalue() + masses.tobytes())
+
+
+def _with_record(slot, change):
+    def mutate(path):
+        records = read_records(path)
+        records[slot] = change(records[slot])
+        write_entry(path, records)
+    return mutate
+
+
+# Damage to a cached (d=4, p=0.5, rho=1/4) entry that must read as a
+# miss; all but the first two come with a matching sidecar.
+BAD_ENTRIES = {
+    "flipped bytes": _flip_last_byte,
+    "stale sidecar": _stale_sidecar,
+    "truncated": lambda path: write_signed(path, path.read_bytes()[:-5]),
+    "trailing bytes": lambda path: write_signed(
+        path, path.read_bytes() + b"\0" * 8
+    ),
+    "float support": _with_record(1, lambda a: a.astype(np.float64)),
+    "int32 support": _with_record(1, lambda a: a.astype(np.int32)),
+    # Same bytes as the int64 record, so only the dtype tells.
+    "uint64 support": _with_record(1, lambda a: a.astype(np.uint64)),
+    "float32 masses": _with_record(2, lambda a: a.astype(np.float32)),
+    "two columns": _with_record(1, lambda a: a[:, :2]),
+    "short masses": _with_record(2, lambda a: a[:-1]),
+    "flat support": _with_record(1, lambda a: a.ravel()),
+    "long key": _with_record(0, lambda a: np.append(a, 0.0)),
+    "key d": _with_record(0, lambda a: a + [1.0, 0.0, 0.0]),
+    "key p": _with_record(0, lambda a: a * [1.0, 1.5, 1.0]),
+    "key rho": _with_record(0, lambda a: a * [1.0, 1.0, 0.5]),
+    "key without rho": _with_record(0, lambda a: a * [1.0, 1.0, np.nan]),
+    "pickled masses": _with_record(2, lambda a: a.astype(object)),
+    "negative shape": _negative_shape,
 }
 
 
@@ -79,11 +176,30 @@ class TestRaySetCache:
     def test_store_then_load(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
         store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
-        assert len(list(tmp_path.glob("rayset_*.txt"))) == 1
+        assert len(list(tmp_path.glob("rayset_*.bin"))) == 1
         assert len(list(tmp_path.glob("rayset_*.sha256"))) == 1
         back = load_cached_rays(tmp_path, 30, 0.21, None, __version__)
         assert back is not None
         assert [r.support for r in back] == [r.support for r in rays]
+
+    def test_entry_is_three_npy_records(self, tmp_path):
+        rays = rays_corr.enumerate_rays(ClassSpec(20, 0.266, 1 / 6))
+        path = store_cached_rays(tmp_path, 20, 0.266, 1 / 6, __version__,
+                                 rays)
+        key, support, masses = read_records(path)
+        assert key.tolist() == [20.0, 0.266, 1 / 6]
+        assert support.dtype == np.int64 and masses.dtype == np.float64
+        assert np.array_equal(support, rays.support)
+        assert np.array_equal(masses, rays.masses)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.with_suffix(".sha256").read_text() == digest + "\n"
+
+    def test_mean_only_key_holds_nan_rho(self, tmp_path):
+        rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
+        path = store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
+        key = read_records(path)[0]
+        assert key[:2].tolist() == [30.0, 0.21] and np.isnan(key[2])
+        assert load_cached_rays(tmp_path, 30, 0.21, 0.1, __version__) is None
 
     def test_missing_key_is_a_miss(self, tmp_path):
         assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
@@ -91,29 +207,58 @@ class TestRaySetCache:
     def test_corruption_is_a_miss(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
         store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
-        victim = next(tmp_path.glob("rayset_*.txt"))
-        victim.write_text(victim.read_text().replace("0", "1", 1))
+        victim = next(tmp_path.glob("rayset_*.bin"))
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
         assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
 
-    @pytest.mark.parametrize(
-        "line", BAD_RAY_LINES.values(), ids=list(BAD_RAY_LINES)
-    )
-    def test_invalid_rays_under_a_valid_sidecar_are_a_miss(
-        self, tmp_path, line
-    ):
-        args = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
-        plain = run(*args)
-        run(*args, "--cache", str(tmp_path))
-        victim = next(tmp_path.glob("rayset_*.txt"))
-        lines = victim.read_text().splitlines()
-        lines[3] = line
-        text = "\n".join(lines) + "\n"
-        victim.write_text(text)
-        victim.with_suffix(".sha256").write_text(
+    def test_a_text_entry_is_never_read(self, tmp_path):
+        rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
+        path = store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
+        text = format_ray_set(30, 0.21, None, rays)
+        path.unlink()
+        path.with_suffix(".txt").write_text(text)
+        path.with_suffix(".sha256").write_text(
             hashlib.sha256(text.encode()).hexdigest() + "\n"
         )
+        assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+
+    @pytest.mark.parametrize("damage", BAD_ENTRIES.values(),
+                             ids=list(BAD_ENTRIES))
+    def test_a_damaged_entry_is_a_miss(self, tmp_path, damage):
+        plain = run(*SMALL_CLASS)
+        run(*SMALL_CLASS, "--cache", str(tmp_path))
+        damage(next(tmp_path.glob("rayset_*.bin")))
         assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__) is None
-        cached = run(*args, "--cache", str(tmp_path))
+        cached = run(*SMALL_CLASS, "--cache", str(tmp_path))
+        assert cached.stdout_bytes == plain.stdout_bytes
+
+    def test_rewritten_records_are_still_a_hit(self, tmp_path):
+        # The control for the damaged entries: rewriting the records
+        # with write_entry alone keeps the entry valid.
+        run(*SMALL_CLASS, "--cache", str(tmp_path))
+        victim = next(tmp_path.glob("rayset_*.bin"))
+        write_entry(victim, read_records(victim))
+        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__)
+
+    @pytest.mark.parametrize(
+        "row", BAD_RAY_ROWS.values(), ids=list(BAD_RAY_ROWS)
+    )
+    def test_invalid_rays_under_a_valid_sidecar_are_a_miss(
+        self, tmp_path, row
+    ):
+        support_row, masses_row, check = row
+        plain = run(*SMALL_CLASS)
+        run(*SMALL_CLASS, "--cache", str(tmp_path))
+        victim = next(tmp_path.glob("rayset_*.bin"))
+        key, support, masses = read_records(victim)
+        support[2], masses[2] = support_row, masses_row
+        with pytest.raises(ValueError, match=check):
+            RaySet(4, MeanCorr(0.5, 0.25), support, masses)
+        write_entry(victim, (key, support, masses))
+        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__) is None
+        cached = run(*SMALL_CLASS, "--cache", str(tmp_path))
         assert cached.stdout_bytes == plain.stdout_bytes
 
     def test_version_bump_is_a_miss(self, tmp_path):
@@ -189,6 +334,13 @@ class TestCommands:
         rows = json.loads(result.stdout)
         assert rows[1] == {"order": "2", "lower": 0.069, "upper": 0.266}
 
+    def test_bounds_at_a_tiny_correlation_has_a_benchmark(self):
+        result = run("bounds", "--d", "30", "--p", "0.266", "--rho", "1e-6")
+        assert result.exit_code == 0
+        lines = result.stdout.strip().split("\n")
+        assert lines[0] == "alpha,var_min,var_max,es_min,es_max,beta_var"
+        assert all(line.split(",")[5] for line in lines[1:])
+
     def test_sweep_covers_the_grid(self):
         result = run(
             "sweep", "--d", "12", "--p", "0.25",
@@ -231,12 +383,27 @@ class TestCommands:
             "bounds", "--scenario", "A", "--rho", "1/2",
             "--cache", str(tmp_path),
         )
-        assert list(tmp_path.glob("rayset_*.txt"))
+        assert list(tmp_path.glob("rayset_*.bin"))
         warm = run(
             "bounds", "--scenario", "A", "--rho", "1/2",
             "--cache", str(tmp_path),
         )
         assert cold.stdout == warm.stdout
+
+
+class TestImport:
+    def test_the_cli_does_not_import_scipy(self):
+        src = str(Path(bernrays.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import bernrays.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestExitCodes:
@@ -284,6 +451,16 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert "candidate triples" in result.stderr
+
+    def test_a_mean_class_above_the_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
+        result = CliRunner().invoke(
+            cli.main, ["rays", "--d", "400", "--p", "0.282"]
+        )
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert "two-point rays" in result.stderr
 
     def test_reproduction_mismatch_has_its_own_code(self, tmp_path,
                                                     monkeypatch):
