@@ -24,7 +24,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, betamix, rays_corr, rays_mean, risk
+from . import __version__, betamix, enumerate_rays, rays_mean, risk
 from . import _reference_tables as ref
 from .errors import (
     BernraysError,
@@ -100,10 +100,7 @@ def _enumerate_cached(config: ScenarioConfig) -> RaySet:
                 err=True,
             )
             return rays
-    if spec.rho is None:
-        rays = rays_mean.enumerate_rays(spec)
-    else:
-        rays = rays_corr.enumerate_rays(spec)
+    rays = enumerate_rays(spec)
     if config.cache is not None:
         store_cached_rays(
             config.cache, spec.d, spec.p, spec.rho, __version__, rays

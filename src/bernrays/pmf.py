@@ -6,7 +6,8 @@ underlying exchangeable Bernoulli joint law. The bijection between them
 is binomial reweighting, evaluated with log-gamma differences so that
 dimensions in the thousands neither overflow nor lose the small masses.
 
-All tolerance constants referenced across the package live here.
+The tolerances of pmfs and their membership checks live here; the ray
+modules and ``risk`` define the tolerances of their own checks.
 """
 
 from __future__ import annotations
@@ -216,12 +217,6 @@ def _weighted_levels(d: int, f: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise Overflow("binomial reweighting overflowed")
     return out
-
-
-def validate(pmf: DefaultCountPmf) -> DefaultCountPmf:
-    """Re-run all construction checks on ``pmf`` and return it."""
-    _clean_probs(pmf.probs, pmf.d)
-    return pmf
 
 
 def to_count_pmf(summary: ExchangeablePmfSummary) -> DefaultCountPmf:

@@ -123,28 +123,11 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
         raise IndexOutOfRange(
             f"need 0 <= i < j < k <= {spec.d}, got ({i}, {j}, {k})"
         )
-    m = spec.mean_count
-    big_m = spec.second_moment_target
-    raw = (
-        (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
-        -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
-        (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
-    )
-    if min(raw) < -ZERO_MASS_TOL:
+    pts, raw = _solve_triples(spec, np.array([[i, j, k]]))
+    if not len(pts):
         return None
-    support = []
-    masses = []
-    for s, mass in zip((i, j, k), raw):
-        if mass > ZERO_MASS_TOL:
-            support.append(s)
-            masses.append(mass)
-    total = math.fsum(masses)
-    return RayDensity(
-        spec.d,
-        tuple(support),
-        tuple(mass / total for mass in masses),
-        MeanCorr(spec.p, spec.rho),
-    )
+    support, masses = _triple_rows(pts, raw)
+    return RaySet(spec.d, MeanCorr(spec.p, spec.rho), support, masses)[0]
 
 
 def _pair_ranges(spec: ClassSpec):
@@ -201,9 +184,46 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_triples(
+    spec: ClassSpec, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The triples of ``pts`` that carry a ray, with their raw masses.
+
+    ``pts`` is an ``(n, 3)`` array of strictly increasing indices. A
+    triple is kept when no mass is below ``-ZERO_MASS_TOL``.
+    """
+    m = spec.mean_count
+    big_m = spec.second_moment_target
+    i, j, k = pts.T.astype(float)
+    mass_i = (j * k - (j + k) * m + big_m) / ((j - i) * (k - i))
+    mass_j = -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j))
+    mass_k = (i * j - (i + j) * m + big_m) / ((k - i) * (k - j))
+    raw = np.column_stack((mass_i, mass_j, mass_k))
+    keep = (raw >= -ZERO_MASS_TOL).all(1)
+    return pts[keep], raw[keep]
+
+
+def _triple_rows(
+    pts: np.ndarray, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded support and mass rows of kept triples.
+
+    A mass within ``ZERO_MASS_TOL`` of zero drops its point; the kept
+    points move to the front, the last one repeats as padding, and the
+    masses are normalised with ``math.fsum``.
+    """
+    live = raw > ZERO_MASS_TOL
+    front = np.argsort(~live, axis=1, kind="stable")
+    support = np.take_along_axis(pts, front, 1)
+    masses = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
+    count = live.sum(1)
+    last = support[np.arange(len(support)), count - 1]
+    support = np.where(np.arange(3) < count[:, None], support, last[:, None])
+    return support, masses / _row_fsums(masses)[:, None]
+
+
 def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of every triple the interval sweep
-    keeps, with :func:`triple_ray`'s arithmetic.
+    """Padded support and mass rows of every triple the sweep keeps.
 
     Triples that drop a point come first, in lexicographic triple order,
     so the first of them per support is the one the merge keeps.
@@ -222,35 +242,22 @@ def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((0, 3), np.int64), np.empty((0, 3))
     pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
     pair, mid = _spans(lo, hi)
-    pts = np.column_stack((pair_i[pair], mid, pair_k[pair]))
-    m = spec.mean_count
-    big_m = spec.second_moment_target
-    i, j, k = pts.T.astype(float)
-    mass_i = (j * k - (j + k) * m + big_m) / ((j - i) * (k - i))
-    mass_j = -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j))
-    mass_k = (i * j - (i + j) * m + big_m) / ((k - i) * (k - j))
-    raw = np.column_stack((mass_i, mass_j, mass_k))
-    keep = (raw >= -ZERO_MASS_TOL).all(1)
-    pts, raw = pts[keep], raw[keep]
-    live = raw > ZERO_MASS_TOL
-    dropped = np.flatnonzero(~live.all(1))
+    pts, raw = _solve_triples(
+        spec, np.column_stack((pair_i[pair], mid, pair_k[pair]))
+    )
+    whole = (raw > ZERO_MASS_TOL).all(1)
+    dropped = np.flatnonzero(~whole)
     dropped = dropped[np.lexsort(pts[dropped].T[::-1])]
-    rows = np.concatenate((dropped, np.flatnonzero(live.all(1))))
-    pts, raw, live = pts[rows], raw[rows], live[rows]
-    # Move kept points to the front and repeat the last one as padding.
-    front = np.argsort(~live, axis=1, kind="stable")
-    support = np.take_along_axis(pts, front, 1)
-    masses = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
-    count = live.sum(1)
-    last = support[np.arange(len(support)), count - 1]
-    support = np.where(np.arange(3) < count[:, None], support, last[:, None])
-    return support, masses / _row_fsums(masses)[:, None]
+    rows = np.concatenate((dropped, np.flatnonzero(whole)))
+    # Rebinding frees the unsorted rows before the padding step.
+    pts, raw = pts[rows], raw[rows]
+    return _triple_rows(pts, raw)
 
 
 def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the mean-class rays whose second moment matches the
-    target: two-point rays with :func:`rays_mean.two_point_ray`'s
-    masses, then the point ray when the mean is an integer."""
+    target: two-point rays, then the point ray when the mean is an
+    integer."""
     base = ClassSpec(spec.d, spec.p)
     m = spec.mean_count
     big_m = spec.second_moment_target
@@ -265,12 +272,8 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     row, j2 = _spans(lo.astype(np.int64), hi.astype(np.int64))
     j1 = j1[row]
     match = np.abs((j1 + j2) * m - j1 * j2 - big_m) <= match_tol
-    support, masses = rays_mean._two_point_rows(base, j1[match], j2[match])
-    if base.integer_mean and abs(m * m - big_m) <= match_tol:
-        center = int(round(m))
-        support = np.vstack((support, [center] * 3))
-        masses = np.vstack((masses, [1.0, 0.0, 0.0]))
-    return support, masses
+    point = base.integer_mean and abs(m * m - big_m) <= match_tol
+    return rays_mean._mean_rows(base, j1[match], j2[match], point)
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:

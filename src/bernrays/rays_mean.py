@@ -11,7 +11,6 @@ sharp bounds on cross moments and on the pairwise correlation.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,27 +96,15 @@ class RayDensity:
             raise IndexOutOfRange(
                 f"a ray carries 1 to 3 support points, got {len(sup)}"
             )
-        if sup[0] < 0 or sup[-1] > self.d:
-            raise IndexOutOfRange(f"support {sup} escapes 0..{self.d}")
-        if any(a >= b for a, b in zip(sup, sup[1:])):
-            raise IndexOutOfRange(f"support {sup} is not strictly increasing")
-        if not all(m > 0.0 for m in mas):
-            raise NotNormalized(f"ray masses must be positive, got {mas}")
-        if abs(math.fsum(mas) - 1.0) > _SUM_TOL:
-            raise NotNormalized(f"ray masses sum to {math.fsum(mas)}")
-        target = self.d * self.class_tag.p
-        got = math.fsum(s * m for s, m in zip(sup, mas))
-        if abs(got - target) > _MEAN_SCALE * self.d:
-            raise MeanMismatch(f"ray mean {got} differs from target {target}")
-        if isinstance(self.class_tag, MeanCorr):
-            spec = ClassSpec(self.d, self.class_tag.p, self.class_tag.rho)
-            got2 = math.fsum(s * s * m for s, m in zip(sup, mas))
-            if (abs(got2 - spec.second_moment_target)
-                    > _SECOND_MOMENT_SCALE * self.d**2):
-                raise MeanMismatch(
-                    f"ray second moment {got2} differs from target "
-                    f"{spec.second_moment_target}"
-                )
+        support, masses = (np.array([row]) for row in _padded(sup, mas))
+        _check_rows(self.d, self.class_tag, support, masses, len(sup))
+
+    @classmethod
+    def _trusted(cls, *fields) -> "RayDensity":
+        """A ray from a row that has passed :func:`_check_rows` already."""
+        ray = object.__new__(cls)
+        ray.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return ray
 
     def to_pmf(self) -> DefaultCountPmf:
         """Densify into a full default-count pmf."""
@@ -127,16 +114,22 @@ class RayDensity:
         return DefaultCountPmf(self.d, probs)
 
 
-def _check_rows(
-    d: int, tag: ClassTag, support: np.ndarray, masses: np.ndarray
-) -> np.ndarray:
-    """Run :class:`RayDensity`'s checks on every padded row at once and
-    return the number of support points per row.
+def _padded(support: tuple, masses: tuple) -> tuple[tuple, tuple]:
+    """A ray's support and masses as one row of three columns."""
+    pad = 3 - len(support)
+    return support + support[-1:] * pad, masses + (0.0,) * pad
 
-    A column past the first is padding when it repeats the previous
-    support point with exactly zero mass; padding must be trailing. The
-    checks run in RayDensity's order, so a single bad row raises the
-    error class its RayDensity would raise.
+
+def _check_rows(
+    d: int, tag: ClassTag, support: np.ndarray, masses: np.ndarray,
+    count: int | None = None,
+) -> np.ndarray:
+    """Check padded rows at once; return the point count of each row.
+
+    A later column that repeats its predecessor with zero mass is
+    padding, which must be trailing; a ray's own row gives its ``count``
+    instead. The checks run in order (range, order, positivity, sum,
+    mean, second moment): a bad row raises the class of its first fail.
     """
     if support.shape != masses.shape:
         raise LengthMismatch(
@@ -147,8 +140,11 @@ def _check_rows(
             f"a ray carries 1 to 3 support points, got rows of shape "
             f"{support.shape[1:]}"
         )
-    pad = (support[:, 1:] == support[:, :-1]) & (masses[:, 1:] == 0.0)
-    live = np.column_stack((np.ones(len(support), bool), ~pad))
+    if count is None:
+        pad = (support[:, 1:] == support[:, :-1]) & (masses[:, 1:] == 0.0)
+        live = np.column_stack((np.ones(len(support), bool), ~pad))
+    else:
+        live = np.arange(3) < np.full((len(support), 1), count)
 
     def fail(error, bad, what):
         t = int(np.flatnonzero(bad)[0])
@@ -162,7 +158,7 @@ def _check_rows(
     if bad.any():
         fail(IndexOutOfRange, bad, f"escapes 0..{d}")
     bad = (live[:, 1:] & (support[:, 1:] <= support[:, :-1])).any(1)
-    bad |= pad[:, 0] & ~pad[:, 1]
+    bad |= ~live[:, 1] & live[:, 2]
     if bad.any():
         fail(IndexOutOfRange, bad, "is not strictly increasing")
     bad = (live & ~(masses > 0.0)).any(1)
@@ -189,10 +185,10 @@ class RaySet(Sequence):
     ``support`` is an ``(n, 3)`` int64 array and ``masses`` an
     ``(n, 3)`` float64 array; a ray with fewer than three points repeats
     its last point with zero mass, and ``sizes`` holds each ray's point
-    count. Every row passes the checks of :class:`RayDensity` once, on
-    construction, and the arrays are read-only. The set is a
-    ``Sequence[RayDensity]``: indexing builds the ray on demand, and
-    slicing gives a RaySet.
+    count. Every row passes the ray checks, which :class:`RayDensity`
+    shares, once on construction, and the arrays are read-only. The set is a
+    ``Sequence[RayDensity]``: indexing builds the ray on demand from its
+    row without checking it again, and slicing gives a RaySet.
     """
 
     def __init__(self, d: int, class_tag: ClassTag, support, masses):
@@ -222,9 +218,8 @@ class RaySet(Sequence):
             raise InvalidSpec("rays mix different dimensions")
         if any(ray.class_tag != tag for ray in rays):
             raise InvalidSpec("rays mix different classes")
-        support = [ray.support + ray.support[-1:] * (3 - len(ray.support))
-                   for ray in rays]
-        masses = [ray.masses + (0.0,) * (3 - len(ray.masses)) for ray in rays]
+        support, masses = zip(*(_padded(ray.support, ray.masses)
+                                 for ray in rays))
         return cls(d, tag, support, masses)
 
     def __len__(self) -> int:
@@ -236,7 +231,7 @@ class RaySet(Sequence):
                           self.masses[index])
         t = operator.index(index)
         k = self.sizes[t]
-        return RayDensity(
+        return RayDensity._trusted(
             self.d,
             tuple(self.support[t, :k].tolist()),
             tuple(self.masses[t, :k].tolist()),
@@ -263,17 +258,43 @@ class MomentBounds(NamedTuple):
     argmax: RayDensity
 
 
-def _renormalized(masses: Sequence[float]) -> tuple[float, ...]:
-    total = math.fsum(masses)
-    return tuple(m / total for m in masses)
-
-
 def _require_mean_only(spec: ClassSpec, op: str) -> None:
     if spec.rho is not None:
         raise InvalidSpec(
             f"{op} applies to the mean-constrained class; "
             "got a spec with a correlation target"
         )
+
+
+def _two_point_masses(pd: float, j1, j2):
+    """Masses at ``j1`` and ``j2`` of the two-point rays on ``(j1, j2)``,
+    for scalar or array indices alike."""
+    gap = j2 - j1
+    low = (j2 - pd) / gap
+    high = (pd - j1) / gap
+    total = low + high
+    return low / total, high / total
+
+
+def _mean_rows(
+    spec: ClassSpec, j1, j2, point: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded support and mass rows of the two-point rays on ``(j1, j2)``,
+    then of the point ray at the integer mean if ``point``."""
+    j1, j2 = np.asarray(j1, np.int64), np.asarray(j2, np.int64)
+    low, high = _two_point_masses(spec.mean_count, j1, j2)
+    support = np.column_stack((j1, j2, j2))
+    masses = np.column_stack((low, high, np.zeros(len(j1))))
+    if point:
+        k = int(round(spec.mean_count))
+        support = np.vstack((support, [k, k, k]))
+        masses = np.vstack((masses, [1.0, 0.0, 0.0]))
+    return support, masses
+
+
+def _mean_rays(spec: ClassSpec, j1, j2, point: bool = False) -> RaySet:
+    """The rows of :func:`_mean_rows` as a ray set of the mean class."""
+    return RaySet(spec.d, MeanOnly(spec.p), *_mean_rows(spec, j1, j2, point))
 
 
 def two_point_ray(spec: ClassSpec, j1: int, j2: int) -> RayDensity:
@@ -292,10 +313,7 @@ def two_point_ray(spec: ClassSpec, j1: int, j2: int) -> RayDensity:
         raise IndexOutOfRange(
             f"j2 must lie in {spec.min_upper_index}..{spec.d}, got {j2}"
         )
-    pd = spec.mean_count
-    gap = j2 - j1
-    masses = _renormalized(((j2 - pd) / gap, (pd - j1) / gap))
-    return RayDensity(spec.d, (j1, j2), masses, MeanOnly(spec.p))
+    return _mean_rays(spec, [j1], [j2])[0]
 
 
 def point_ray(spec: ClassSpec) -> RayDensity:
@@ -304,23 +322,7 @@ def point_ray(spec: ClassSpec) -> RayDensity:
         raise NonIntegerMean(
             f"mean count {spec.mean_count} is not an integer"
         )
-    k = int(round(spec.mean_count))
-    return RayDensity(spec.d, (k,), (1.0,), MeanOnly(spec.p))
-
-
-def _two_point_rows(
-    spec: ClassSpec, j1: np.ndarray, j2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of the two-point rays on ``(j1, j2)``,
-    with :func:`two_point_ray`'s arithmetic."""
-    pd = spec.mean_count
-    gap = j2 - j1
-    low = (j2 - pd) / gap
-    high = (pd - j1) / gap
-    total = low + high
-    support = np.column_stack((j1, j2, j2))
-    masses = np.column_stack((low / total, high / total, np.zeros(len(j1))))
-    return support, masses
+    return _mean_rays(spec, [], [], point=True)[0]
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:
@@ -344,14 +346,8 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
         )
     lower = np.arange(spec.max_lower_index + 1)
     upper = np.arange(spec.min_upper_index, spec.d + 1)
-    support, masses = _two_point_rows(
-        spec, np.repeat(lower, len(upper)), np.tile(upper, len(lower))
-    )
-    if spec.integer_mean:
-        k = int(round(spec.mean_count))
-        support = np.vstack((support, [k, k, k]))
-        masses = np.vstack((masses, [1.0, 0.0, 0.0]))
-    return RaySet(spec.d, MeanOnly(spec.p), support, masses)
+    return _mean_rays(spec, np.repeat(lower, len(upper)),
+                      np.tile(upper, len(lower)), point=spec.integer_mean)
 
 
 def decompose(
@@ -364,6 +360,7 @@ def decompose(
     mass is repeatedly paired with the smallest above-mean one, taking
     the largest weight that exhausts one of the two. Each step zeroes at
     least one residual entry, so at most ``d + 1`` terms are produced.
+    The terms are checked once, as one :class:`RaySet`.
 
     Parameters
     ----------
@@ -387,25 +384,27 @@ def decompose(
             f"pmf mean {got} differs from class mean {spec.mean_count}"
         )
     residual = [float(x) for x in pmf.probs]
-    terms: list[tuple[RayDensity, float]] = []
+    peeled = []
     if spec.integer_mean:
         k = int(round(spec.mean_count))
         if residual[k] > 0.0:
-            terms.append((point_ray(spec), residual[k]))
+            peeled.append(residual[k])
             residual[k] = 0.0
     lower = [j for j in range(spec.max_lower_index + 1) if residual[j] > 0.0]
     upper = [
         j for j in range(spec.min_upper_index, spec.d + 1) if residual[j] > 0.0
     ]
+    lows, highs, weights = [], [], []
     li = ui = 0
     while li < len(lower) and ui < len(upper):
         j1, j2 = lower[li], upper[ui]
-        ray = two_point_ray(spec, j1, j2)
-        m1, m2 = ray.masses
+        m1, m2 = _two_point_masses(spec.mean_count, j1, j2)
         lam1 = residual[j1] / m1
         lam2 = residual[j2] / m2
         lam = min(lam1, lam2)
-        terms.append((ray, lam))
+        lows.append(j1)
+        highs.append(j2)
+        weights.append(lam)
         if lam1 <= lam2:
             residual[j1] = 0.0
             residual[j2] = max(0.0, residual[j2] - lam * m2)
@@ -420,7 +419,10 @@ def decompose(
             if residual[j1] <= _RESIDUAL_EPS:
                 residual[j1] = 0.0
                 li += 1
-    return terms
+    rays = list(_mean_rays(spec, lows, highs, point=bool(peeled)))
+    # The point ray is the last row and the first term.
+    return list(zip(rays[-1:] + rays[:-1] if peeled else rays,
+                    peeled + weights))
 
 
 def _falling_ratio(support: np.ndarray, d: int, order: int) -> np.ndarray:
@@ -435,39 +437,40 @@ def _falling_ratio(support: np.ndarray, d: int, order: int) -> np.ndarray:
 def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:
     """Sharp bounds on the order-``order`` cross moment over the class.
 
-    Orders 1 and 2 use the closed forms (the order-2 minimum is attained
-    by the two-point ray hugging the mean, or by the point ray at an
-    integer mean; the maximum by the ray on ``{0, d}``). Higher orders
-    scan the full enumeration. Any correlation target on ``spec`` is
-    ignored: the bounds describe the mean-constrained class.
+    No order enumerates the class. A ray's cross moment is the chord of
+    ``(s)_order / (d)_order`` at the mean; that ratio is zero below
+    ``order`` and discretely convex, so the ray on ``{0, d}`` attains
+    the maximum and the ray hugging the mean (the point ray at an
+    integer mean) the minimum. When the ratio vanishes at ``j2m``, the
+    minimum is zero and ``(0, j2m)`` is its lexicographically first ray.
+    Orders 1 and 2 take their values from closed forms. Any correlation
+    target on ``spec`` is ignored: the bounds describe the
+    mean-constrained class.
     """
     if not 1 <= order <= spec.d:
         raise OrderOutOfRange(f"order must lie in 1..{spec.d}, got {order}")
     base = ClassSpec(spec.d, spec.p)
-    hull_ray = two_point_ray(base, 0, base.d)
+    j2 = base.min_upper_index
+    # Row 0 spans {0, d}; row 1 is the lowest chord at the mean.
+    if base.integer_mean and j2 >= order:
+        rays = _mean_rays(base, [0], [base.d], point=True)
+    else:
+        j1 = 0 if j2 < order else base.max_lower_index
+        rays = _mean_rays(base, [0, j1], [base.d, j2])
     if order == 1:
-        return MomentBounds(base.p, base.p, hull_ray, hull_ray)
+        return MomentBounds(base.p, base.p, rays[0], rays[0])
     if order == 2:
         d, pd = base.d, base.mean_count
         if base.integer_mean:
             lower = base.p * (pd - 1.0) / (d - 1.0)
-            argmin = point_ray(base)
         else:
             j = base.max_lower_index
             lower = (-j * (j + 1.0) + 2.0 * j * pd) / (d * (d - 1.0))
-            argmin = two_point_ray(base, j, j + 1)
-        return MomentBounds(lower, base.p, argmin, hull_ray)
-    rays = enumerate_rays(base)
+        return MomentBounds(lower, base.p, rays[1], rays[0])
     ratio = _falling_ratio(rays.support, base.d, order)
     # A batched matmul rounds each 3-term dot product like np.dot does.
     values = (ratio[:, None, :] @ rays.masses[:, :, None])[:, 0, 0]
-    lo, hi = values.min(), values.max()
-    return MomentBounds(
-        float(lo),
-        float(hi),
-        rays[rays.lex_first(values == lo)],
-        rays[rays.lex_first(values == hi)],
-    )
+    return MomentBounds(float(values[1]), float(values[0]), rays[1], rays[0])
 
 
 def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:

@@ -23,7 +23,12 @@ from bernrays import (
     rays_mean,
 )
 from bernrays import _reference_tables as ref
-from bernrays.errors import LengthMismatch
+from bernrays.errors import (
+    IndexOutOfRange,
+    LengthMismatch,
+    MeanMismatch,
+    NotNormalized,
+)
 from bernrays.rayset_io import (
     format_ray_set,
     load_cached_rays,
@@ -59,6 +64,22 @@ BAD_RAY_ROWS = {
     "mean": ([1, 3, 3], [0.40625, 0.59375, 0.0], "misses the mean"),
     "second moment": ([1, 3, 3], [0.5, 0.5, 0.0],
                       "misses the second moment"),
+}
+
+# Malformed ray lines under the header of (d=4, p=0.5, rho=1/4), with
+# the error parse_ray_set raises for each.
+BAD_RAY_LINES = {
+    "0:1;0:0": IndexOutOfRange,
+    "2:0.5;0:0.5": IndexOutOfRange,
+    "0:0.6;5:0.4": IndexOutOfRange,
+    "0:0.25;1:0.25;3:0.25;4:0.25": LengthMismatch,
+    "0;1": LengthMismatch,
+    "-1:0.5;3:0.5": LengthMismatch,
+    "0:abc": ValueError,
+    "0:1;4:0": NotNormalized,
+    "0:0.5;4:0.6": NotNormalized,
+    "1:0.40625;3:0.59375": MeanMismatch,
+    "1:0.5;3:0.5": MeanMismatch,
 }
 
 SMALL_CLASS = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
@@ -170,6 +191,12 @@ class TestRaySetFormat:
         clipped = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(LengthMismatch):
             parse_ray_set(clipped)
+
+    @pytest.mark.parametrize("line", list(BAD_RAY_LINES))
+    def test_a_malformed_line_raises(self, line):
+        with pytest.raises(ValueError) as caught:
+            parse_ray_set(f"4,0.5,0.25,1\n{line}\n")
+        assert type(caught.value) is BAD_RAY_LINES[line]
 
 
 class TestRaySetCache:
@@ -316,6 +343,16 @@ class TestCommands:
         assert result.exit_code == 0
         orders = [line.split(",")[0] for line in result.stdout.split()]
         assert orders == ["order", *map(str, range(1, d + 1)), "rho"]
+
+    def test_moments_need_no_enumeration_past_the_cap(self):
+        result = CliRunner().invoke(
+            cli.main, ["moments", "--d", "6000", "--p", "0.5"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert [line.split(",")[0] for line in result.stdout.split()] == [
+            "order", "1", "2", "3", "4", "rho"
+        ]
 
     def test_moments_without_a_pair_moment_is_infeasible(self):
         result = CliRunner().invoke(

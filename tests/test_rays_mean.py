@@ -126,6 +126,10 @@ class TestRayDensity:
         with pytest.raises(IndexOutOfRange):
             rays_mean.RayDensity(4, (3, 0), (0.5, 0.5), MeanOnly(0.375))
 
+    def test_a_repeat_with_zero_mass_is_not_padding(self):
+        with pytest.raises(IndexOutOfRange):
+            rays_mean.RayDensity(4, (2, 2), (1.0, 0.0), MeanOnly(0.5))
+
     def test_to_pmf_is_dense(self):
         ray = rays_mean.two_point_ray(ClassSpec(4, 0.5), 1, 3)
         y = ray.to_pmf()
@@ -179,6 +183,14 @@ class TestRaySet:
         other = rays_mean.enumerate_rays(ClassSpec(9, 0.4))
         with pytest.raises(InvalidSpec):
             RaySet.of([rays[0], other[0]])
+
+    def test_indexed_rays_equal_checked_rays(self, mean_rays, corr_rays):
+        for rays in [*mean_rays.values(), *corr_rays.values()]:
+            for ray in rays:
+                checked = rays_mean.RayDensity(
+                    rays.d, ray.support, ray.masses, rays.class_tag
+                )
+                assert ray == checked
 
     @pytest.mark.parametrize("name", sorted(BAD_RAYS))
     def test_a_bad_row_raises_what_its_ray_raises(self, name):
@@ -240,6 +252,11 @@ class TestDecompose:
             probs, _, _ = random_mixture(rng, rays)
             terms = rays_mean.decompose(DefaultCountPmf(7, probs), spec)
             assert len(terms) <= 8
+            for ray, _ in terms:
+                if len(ray.support) == 1:
+                    assert ray == rays_mean.point_ray(spec)
+                else:
+                    assert ray == rays_mean.two_point_ray(spec, *ray.support)
             rebuilt = np.zeros(8)
             for ray, weight in terms:
                 for point, mass in zip(ray.support, ray.masses):
@@ -279,13 +296,17 @@ class TestMomentBounds:
             p = float(rng.uniform(0.02, 0.98))
             spec = ClassSpec(d, p)
             rays = rays_mean.enumerate_rays(spec)
-            for order in (1, 2):
+            for order in range(1, min(d, 5) + 1):
                 bounds = rays_mean.moment_bounds(spec, order)
                 values = [
                     pmf.cross_moment(ray.to_pmf(), order) for ray in rays
                 ]
                 assert math.isclose(bounds.lower, min(values), abs_tol=1e-12)
                 assert math.isclose(bounds.upper, max(values), abs_tol=1e-12)
+                for ray, value in ((bounds.argmin, bounds.lower),
+                                   (bounds.argmax, bounds.upper)):
+                    attained = pmf.cross_moment(ray.to_pmf(), order)
+                    assert math.isclose(attained, value, abs_tol=1e-12)
 
     def test_higher_orders_bracket_an_exhaustive_grid(self):
         """Every pmf on a fine simplex grid obeys the bounds."""
