@@ -2,12 +2,16 @@
 
 Every numeric cell an output table carries comes from exactly one
 library call; this layer only parses flags, routes through the ray-set
-cache, applies display rounding, and serializes. Outputs are
+cache, applies display rounding, and serializes. Each command takes one
+path from flags to bytes: ``_resolve`` turns the class flags into a
+:class:`ScenarioConfig`, ``_enumerate_cached`` gets the class's rays, a
+row builder makes raw rows, ``_render`` serializes them and ``_emit`` or
+``_write`` sends the text to stdout or a file. Outputs are
 byte-deterministic for a given invocation: fixed float formats, LF line
 endings, sorted JSON keys, and no timestamps.
 
-Exit codes: 0 success, 2 infeasible or invalid input, 3 reproduction
-mismatch.
+Exit codes: 0 success, 2 infeasible or invalid input or an output or
+cache directory that cannot be written, 3 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -38,20 +42,19 @@ from .rayset_io import format_ray_set, load_cached_rays, store_cached_rays
 
 EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
+SWEEP_GRID = 12
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Resolved invocation parameters shared by the subcommands."""
+    """The class a command asks about, its confidence levels and the
+    ray-set cache directory, if any."""
 
     d: int
     p: float
     rho: float | None
     alphas: tuple[float, ...]
-    fmt: str = "csv"
-    out: Path | None = None
     cache: Path | None = None
-    grid: int = 12
 
     def class_spec(self) -> ClassSpec:
         return ClassSpec(self.d, self.p, self.rho)
@@ -212,9 +215,9 @@ def _sweep_grid(n: int) -> list[float]:
     return [float(top * Fraction(k, n - 1)) for k in range(n)]
 
 
-def _sweep_rows(config: ScenarioConfig) -> list[dict]:
+def _sweep_rows(config: ScenarioConfig, grid: int) -> list[dict]:
     rows = []
-    for rho in _sweep_grid(config.grid):
+    for rho in _sweep_grid(grid):
         point = replace(config, rho=rho)
         try:
             rays = _enumerate_cached(point)
@@ -233,39 +236,6 @@ def _sweep_rows(config: ScenarioConfig) -> list[dict]:
                 }
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Subcommand bodies, callable without click for tests and for reproduce.
-
-
-def cmd_rays(config: ScenarioConfig) -> tuple[int, str]:
-    """Enumerate the configured class; returns (count, serialized set)."""
-    rays = _enumerate_cached(config)
-    text = format_ray_set(config.d, config.p, config.rho, rays)
-    return len(rays), text
-
-
-def cmd_bounds(config: ScenarioConfig) -> str:
-    """Risk-bounds table across the configured alpha levels."""
-    rays = _enumerate_cached(config)
-    columns = BOUNDS_BETA_COLUMNS if config.rho is not None else BOUNDS_COLUMNS
-    return _render(_bounds_rows(config, rays), columns, config.fmt)
-
-
-def cmd_moments(config: ScenarioConfig) -> str:
-    """Moment-bound table (orders 1 to min(4, d) plus the rho row)."""
-    if config.rho is not None:
-        raise BernraysError(
-            "moments describes the mean-constrained class; drop --rho"
-        )
-    return _render(_moments_rows(config.class_spec()), MOMENTS_COLUMNS,
-                   config.fmt)
-
-
-def cmd_sweep(config: ScenarioConfig) -> str:
-    """Long-format dataset of bounds across the correlation grid."""
-    return _render(_sweep_rows(config), SWEEP_COLUMNS, config.fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +274,7 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
     )
     moments = _moments_rows(base.class_spec())
     mean = _bounds_rows(base, _enumerate_cached(base))
-    sweep = _sweep_rows(base)
+    sweep = _sweep_rows(base, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
          _reference_rows(columns, table[scenario]))
@@ -371,8 +341,6 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
     reference values was reproduced). Cells are compared as the emitted
     display strings.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"version": __version__, "tables": {}}
     total_diffs = 0
     for scenario, p in ref.SCENARIOS.items():
@@ -381,8 +349,7 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
             scenario, p, cache_dir
         ):
             text = _render(_project(rows, columns), columns, "csv")
-            path = out_dir / f"{name}.csv"
-            path.write_text(text, encoding="utf-8")
+            path = _write(out_dir, f"{name}.csv", text)
             checked = _project(checked, columns)
             diffs = _diff_rows(_stringify(checked), _stringify(expected), name)
             total_diffs += len(diffs)
@@ -399,7 +366,7 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
 
     manifest["status"] = "pass" if total_diffs == 0 else "fail"
     manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (out_dir / "manifest.json").write_text(manifest_text, encoding="utf-8")
+    _write(out_dir, "manifest.json", manifest_text)
     click.echo(
         f"manifest: {manifest['status']} "
         f"({len(manifest['tables'])} tables, {total_diffs} mismatches)"
@@ -408,7 +375,55 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Click wiring.
+# Click wiring. Each command resolves its flags, builds its rows and
+# writes them out itself; the group turns every library error and every
+# directory that cannot be written into one ``error:`` line and exit 2.
+
+
+def _resolve(
+    d: int,
+    p: float | None,
+    scenario: str | None,
+    rho_text: str | None,
+    alpha_text: str = "0.90,0.95,0.99",
+    cache: Path | None = None,
+) -> ScenarioConfig:
+    if (p is None) == (scenario is None):
+        raise click.UsageError("provide exactly one of --p or --scenario")
+    config = ScenarioConfig(
+        d=d,
+        p=p if p is not None else ref.SCENARIOS[scenario],
+        rho=parse_rho(rho_text) if rho_text is not None else None,
+        alphas=_parse_alphas(alpha_text),
+        cache=cache,
+    )
+    config.class_spec()
+    return config
+
+
+def _write(directory: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``directory / name``, creating the directory."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _emit(out: Path | None, name: str, text: str) -> None:
+    """Print ``text``, or write it to ``out / name`` and print the path."""
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        click.echo(str(_write(out, name, text)))
+
+
+class _Commands(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BernraysError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INFEASIBLE)
 
 
 _cache_option = click.option(
@@ -416,6 +431,23 @@ _cache_option = click.option(
     type=click.Path(file_okay=False, path_type=Path),
     default=None,
     help="Directory for the ray-set cache.",
+)
+
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(("csv", "json")),
+    default="csv",
+    show_default=True,
+    help="Output serialization.",
+)
+
+_alpha_option = click.option(
+    "--alpha",
+    "alpha_text",
+    default="0.90,0.95,0.99",
+    show_default=True,
+    help="Comma-separated confidence levels.",
 )
 
 
@@ -450,73 +482,7 @@ def _class_options(fn):
     return fn
 
 
-def _format_option(fn):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(("csv", "json")),
-        default="csv",
-        show_default=True,
-        help="Output serialization.",
-    )(fn)
-
-
-def _alpha_option(fn):
-    return click.option(
-        "--alpha",
-        "alpha_text",
-        default="0.90,0.95,0.99",
-        show_default=True,
-        help="Comma-separated confidence levels.",
-    )(fn)
-
-
-def _resolve(
-    d: int,
-    p: float | None,
-    scenario: str | None,
-    rho_text: str | None,
-    alpha_text: str = "0.90,0.95,0.99",
-    fmt: str = "csv",
-    out: Path | None = None,
-    cache: Path | None = None,
-    grid: int = 12,
-) -> ScenarioConfig:
-    if (p is None) == (scenario is None):
-        raise click.UsageError("provide exactly one of --p or --scenario")
-    config = ScenarioConfig(
-        d=d,
-        p=p if p is not None else ref.SCENARIOS[scenario],
-        rho=parse_rho(rho_text) if rho_text is not None else None,
-        alphas=_parse_alphas(alpha_text),
-        fmt=fmt,
-        out=out,
-        cache=cache,
-        grid=grid,
-    )
-    config.class_spec()
-    return config
-
-
-def _emit(config: ScenarioConfig, name: str, text: str) -> None:
-    if config.out is not None:
-        config.out.mkdir(parents=True, exist_ok=True)
-        path = config.out / name
-        path.write_text(text, encoding="utf-8")
-        click.echo(str(path))
-    else:
-        click.echo(text, nl=False)
-
-
-def _guarded(body):
-    try:
-        return body()
-    except BernraysError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-
-
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__, prog_name="bernrays")
 def main():
     """Extremal rays and sharp risk bounds for exchangeable defaults."""
@@ -526,20 +492,15 @@ def main():
 @_class_options
 def rays_command(d, p, scenario, rho_text, out, cache):
     """Enumerate extremal rays and emit the sparse ray-set file."""
-
-    def body():
-        config = _resolve(d, p, scenario, rho_text, out=out, cache=cache)
-        count, text = cmd_rays(config)
-        if config.out is not None:
-            config.out.mkdir(parents=True, exist_ok=True)
-            path = config.out / f"rays_{config.slug()}.txt"
-            path.write_text(text, encoding="utf-8")
-            click.echo(f"{count} rays -> {path}")
-        else:
-            click.echo(f"{count} rays", err=True)
-            click.echo(text, nl=False)
-
-    _guarded(body)
+    config = _resolve(d, p, scenario, rho_text, cache=cache)
+    rays = _enumerate_cached(config)
+    text = format_ray_set(config.d, config.p, config.rho, rays)
+    if out is None:
+        click.echo(f"{len(rays)} rays", err=True)
+        click.echo(text, nl=False)
+    else:
+        path = _write(out, f"rays_{config.slug()}.txt", text)
+        click.echo(f"{len(rays)} rays -> {path}")
 
 
 @main.command("bounds")
@@ -548,15 +509,10 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 @_format_option
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
     """Sharp VaR/ES bounds per confidence level."""
-
-    def body():
-        config = _resolve(
-            d, p, scenario, rho_text, alpha_text, fmt, out=out, cache=cache
-        )
-        _emit(config, f"bounds_{config.slug()}.{config.fmt}",
-              cmd_bounds(config))
-
-    _guarded(body)
+    config = _resolve(d, p, scenario, rho_text, alpha_text, cache)
+    rows = _bounds_rows(config, _enumerate_cached(config))
+    columns = BOUNDS_BETA_COLUMNS if config.rho is not None else BOUNDS_COLUMNS
+    _emit(out, f"bounds_{config.slug()}.{fmt}", _render(rows, columns, fmt))
 
 
 @main.command("moments")
@@ -564,15 +520,14 @@ def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
 @_format_option
 def moments_command(d, p, scenario, rho_text, fmt, out, cache):
     """Sharp cross-moment and correlation bounds (orders 1 to min(4, d))."""
-
-    def body():
-        config = _resolve(
-            d, p, scenario, rho_text, fmt=fmt, out=out, cache=cache
+    config = _resolve(d, p, scenario, rho_text)
+    if config.rho is not None:
+        raise BernraysError(
+            "moments describes the mean-constrained class; drop --rho"
         )
-        _emit(config, f"moments_{config.slug()}.{config.fmt}",
-              cmd_moments(config))
-
-    _guarded(body)
+    rows = _moments_rows(config.class_spec())
+    _emit(out, f"moments_{config.slug()}.{fmt}",
+          _render(rows, MOMENTS_COLUMNS, fmt))
 
 
 @main.command("sweep")
@@ -582,7 +537,7 @@ def moments_command(d, p, scenario, rho_text, fmt, out, cache):
 @click.option(
     "--grid",
     type=click.IntRange(min=2),
-    default=12,
+    default=SWEEP_GRID,
     show_default=True,
     help="Number of equispaced correlation grid points in [0, 11/12].",
 )
@@ -590,16 +545,9 @@ def sweep_command(d, p, scenario, rho_text, alpha_text, fmt, grid, out, cache):
     """Bounds across a correlation grid, long format for plotting."""
     if rho_text is not None:
         raise click.UsageError("sweep builds its own grid; drop --rho")
-
-    def body():
-        config = _resolve(
-            d, p, scenario, None, alpha_text, fmt,
-            out=out, cache=cache, grid=grid,
-        )
-        _emit(config, f"sweep_{config.slug()}.{config.fmt}",
-              cmd_sweep(config))
-
-    _guarded(body)
+    config = _resolve(d, p, scenario, None, alpha_text, cache)
+    _emit(out, f"sweep_{config.slug()}.{fmt}",
+          _render(_sweep_rows(config, grid), SWEEP_COLUMNS, fmt))
 
 
 @main.command("reproduce")
@@ -613,13 +561,8 @@ def sweep_command(d, p, scenario, rho_text, alpha_text, fmt, grid, out, cache):
 @_cache_option
 def reproduce_command(out, cache):
     """Regenerate all reference tables and verify every cell."""
-
-    def body():
-        mismatches = cmd_reproduce(out, cache)
-        if mismatches:
-            sys.exit(EXIT_MISMATCH)
-
-    _guarded(body)
+    if cmd_reproduce(out, cache):
+        sys.exit(EXIT_MISMATCH)
 
 
 if __name__ == "__main__":

@@ -77,18 +77,16 @@ def _compositions(total, bins):
 def random_mixture(rng, rays, max_terms=40):
     """Random convex combination of a random subset of ``rays``.
 
-    ``rays`` is any sequence of objects exposing ``d``, ``support`` and
-    ``masses``.  Returns ``(probs, weights, chosen)`` where ``probs``
-    is the dense mixture pmf on ``{0..d}``.
+    ``rays`` is a ``RaySet``. Returns ``(probs, weights, chosen)`` where
+    ``probs`` is the dense mixture pmf on ``{0..d}``, summed term by
+    term in the order the terms were drawn (padding adds zero mass).
     """
     take = int(min(len(rays), max_terms))
     chosen = rng.choice(len(rays), size=take, replace=False)
     weights = rng.dirichlet(np.ones(take))
-    probs = np.zeros(rays[0].d + 1)
-    for weight, index in zip(weights, chosen):
-        ray = rays[index]
-        for point, mass in zip(ray.support, ray.masses):
-            probs[point] += weight * mass
+    probs = np.zeros(rays.d + 1)
+    np.add.at(probs, rays.support[chosen],
+              weights[:, None] * rays.masses[chosen])
     return probs, weights, chosen
 
 

@@ -84,6 +84,45 @@ BAD_RAY_LINES = {
 
 SMALL_CLASS = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
 
+# For each table command: its arguments, then per format the name of the
+# file `--out` writes and the sha256 of its bytes, which stdout carries
+# too when `--out` is absent.
+TABLE_OUTPUTS = {
+    ("bounds", "--scenario", "B", "--rho", "1/6"): {
+        "csv": (
+            "bounds_d100_p0.266_rho0.166667.csv",
+            "782f992261f984638d37fc789e4ba36192444ad7799847d01b25d3d40d2b52f2",
+        ),
+        "json": (
+            "bounds_d100_p0.266_rho0.166667.json",
+            "6cb985160a71f88ee5940d2ce05b6ab984502d2d6dd34e098c26521b06ba6e5c",
+        ),
+    },
+    ("moments", "--scenario", "BBB"): {
+        "csv": (
+            "moments_d100_p0.017.csv",
+            "f1f2bed2f1274000e1e8c26fbd98df4d273cce1cbfd58b47a66d8c45bfaa96d3",
+        ),
+        "json": (
+            "moments_d100_p0.017.json",
+            "3f8636181d971e5e895d7ed51c9935f342fecf3e430d9c37c6deb9603833f575",
+        ),
+    },
+    ("sweep", "--d", "30", "--p", "0.266", "--grid", "4"): {
+        "csv": (
+            "sweep_d30_p0.266.csv",
+            "11455194687232094ad007e8a974f9c0ef9c79daa8b08e06d0be90514c048645",
+        ),
+        "json": (
+            "sweep_d30_p0.266.json",
+            "5c69b3ad3a53d63de12206a4347bfffa8ec2797c70e8fbf493c3fcd5a6609969",
+        ),
+    },
+}
+TABLE_CASES = [
+    (args, fmt) for args, formats in TABLE_OUTPUTS.items() for fmt in formats
+]
+
 
 def read_records(path):
     """The key, support and masses records of a cache file."""
@@ -428,6 +467,32 @@ class TestCommands:
         assert cold.stdout == warm.stdout
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("args, fmt", TABLE_CASES)
+    def test_out_writes_one_pinned_file_and_prints_its_path(
+        self, tmp_path, args, fmt
+    ):
+        name, digest = TABLE_OUTPUTS[args][fmt]
+        result = run(*args, "--format", fmt, "--out", str(tmp_path))
+        assert result.exit_code == 0
+        assert result.stdout == f"{tmp_path / name}\n"
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, fmt", TABLE_CASES)
+    def test_stdout_carries_the_pinned_bytes(self, args, fmt):
+        _, digest = TABLE_OUTPUTS[args][fmt]
+        result = run(*args, "--format", fmt)
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    def test_rays_out_prints_the_count_and_path(self, tmp_path):
+        result = run("rays", "--d", "20", "--p", "0.25", "--out",
+                     str(tmp_path))
+        path = tmp_path / "rays_d20_p0.25.txt"
+        assert result.stdout == f"76 rays -> {path}\n"
+
+
 class TestImport:
     def test_the_cli_does_not_import_scipy(self):
         src = str(Path(bernrays.__file__).parents[1])
@@ -498,6 +563,24 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert "two-point rays" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("bounds", "--scenario", "A", "--out"),
+         ("bounds", "--scenario", "A", "--cache"),
+         ("rays", "--scenario", "A", "--out"),
+         ("reproduce", "--out")],
+        ids=["bounds --out", "bounds --cache", "rays --out",
+             "reproduce --out"],
+    )
+    def test_a_directory_that_cannot_be_made_exits_2(self, tmp_path, args):
+        blocker = tmp_path / "f"
+        blocker.touch()
+        result = CliRunner().invoke(cli.main, [*args, str(blocker / "x")])
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_reproduction_mismatch_has_its_own_code(self, tmp_path,
                                                     monkeypatch):
