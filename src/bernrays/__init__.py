@@ -14,7 +14,7 @@ from .betamix import BetaMixParams
 from .errors import BernraysError
 from .pmf import ClassSpec, DefaultCountPmf, ExchangeablePmfSummary
 from .rays_corr import CorrSystemCoeffs, MembershipResult
-from .rays_mean import MeanCorr, MeanOnly, MomentBounds, RayDensity, RaySet
+from .rays_mean import MomentBounds, RayDensity, RaySet
 from .risk import EsEnvelope, RiskBounds
 
 __version__ = "0.1.0"
@@ -41,8 +41,6 @@ __all__ = [
     "DefaultCountPmf",
     "EsEnvelope",
     "ExchangeablePmfSummary",
-    "MeanCorr",
-    "MeanOnly",
     "MembershipResult",
     "MomentBounds",
     "RayDensity",

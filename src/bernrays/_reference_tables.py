@@ -16,12 +16,6 @@ DEFAULT_ALPHAS = (0.90, 0.95, 0.99)
 
 RHO_LABELS = ("1/6", "1/2", "5/6")
 
-# Mean-constrained class: extremal-ray counts per scenario.
-MEAN_RAY_COUNTS = {"A": 100, "BBB": 198, "B": 1998}
-
-# Correlation-constrained class at rho = 1/6, scenario B.
-CORR_RAY_COUNT_B_16 = 32372
-
 # Cross-moment bounds (orders 1-4) and the correlation range of the
 # mean-constrained class: row label -> (lower, upper), at 3 decimals.
 MOMENTS = {

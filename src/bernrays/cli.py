@@ -92,9 +92,7 @@ def _enumerate_cached(config: ScenarioConfig) -> RaySet:
     spec = config.class_spec()
     if config.cache is not None:
         start = time.perf_counter()
-        rays = load_cached_rays(
-            config.cache, spec.d, spec.p, spec.rho, __version__
-        )
+        rays = load_cached_rays(config.cache, spec, __version__)
         if rays is not None:
             elapsed = (time.perf_counter() - start) * 1e3
             click.echo(
@@ -105,9 +103,7 @@ def _enumerate_cached(config: ScenarioConfig) -> RaySet:
             return rays
     rays = enumerate_rays(spec)
     if config.cache is not None:
-        store_cached_rays(
-            config.cache, spec.d, spec.p, spec.rho, __version__, rays
-        )
+        store_cached_rays(config.cache, rays, __version__)
     return rays
 
 
@@ -180,19 +176,19 @@ def _moments_rows(spec: ClassSpec) -> list[dict]:
     return rows
 
 
-def _beta_var(config: ScenarioConfig, alpha: float) -> int | None:
-    if config.rho is None:
+def _beta_var(spec: ClassSpec, alpha: float) -> int | None:
+    if spec.rho is None:
         return None
     try:
-        params = betamix.calibrate(config.p, config.rho)
+        params = betamix.calibrate(spec.p, spec.rho)
     except InadmissibleCorrelation:
         return None
-    return betamix.var(params, config.d, alpha)
+    return betamix.var(params, spec.d, alpha)
 
 
-def _bounds_rows(config: ScenarioConfig, rays: RaySet) -> list[dict]:
+def _bounds_rows(rays: RaySet, alphas: tuple[float, ...]) -> list[dict]:
     rows = []
-    for alpha in config.alphas:
+    for alpha in alphas:
         bounds = risk.risk_bounds(rays, alpha)
         row = {
             "alpha": alpha,
@@ -201,8 +197,8 @@ def _bounds_rows(config: ScenarioConfig, rays: RaySet) -> list[dict]:
             "es_min": bounds.es_min,
             "es_max": bounds.es_max,
         }
-        if config.rho is not None:
-            row["beta_var"] = _beta_var(config, alpha)
+        if rays.spec.rho is not None:
+            row["beta_var"] = _beta_var(rays.spec, alpha)
         rows.append(row)
     return rows
 
@@ -218,21 +214,20 @@ def _sweep_grid(n: int) -> list[float]:
 def _sweep_rows(config: ScenarioConfig, grid: int) -> list[dict]:
     rows = []
     for rho in _sweep_grid(grid):
-        point = replace(config, rho=rho)
         try:
-            rays = _enumerate_cached(point)
+            rays = _enumerate_cached(replace(config, rho=rho))
         except InfeasibleMoment as exc:
             click.echo(f"sweep: skipping rho={rho:g}: {exc}", err=True)
             continue
         for alpha in config.alphas:
-            bounds = risk.risk_bounds(rays, alpha)
+            bounds = risk.var_bounds_scan(rays, alpha)
             rows.append(
                 {
                     "rho": rho,
                     "alpha": alpha,
                     "var_min": bounds.var_min,
                     "var_max": bounds.var_max,
-                    "beta_var": _beta_var(point, alpha),
+                    "beta_var": _beta_var(rays.spec, alpha),
                 }
             )
     return rows
@@ -273,7 +268,7 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
         cache=cache_dir,
     )
     moments = _moments_rows(base.class_spec())
-    mean = _bounds_rows(base, _enumerate_cached(base))
+    mean = _bounds_rows(_enumerate_cached(base), base.alphas)
     sweep = _sweep_rows(base, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
@@ -494,7 +489,7 @@ def rays_command(d, p, scenario, rho_text, out, cache):
     """Enumerate extremal rays and emit the sparse ray-set file."""
     config = _resolve(d, p, scenario, rho_text, cache=cache)
     rays = _enumerate_cached(config)
-    text = format_ray_set(config.d, config.p, config.rho, rays)
+    text = format_ray_set(rays)
     if out is None:
         click.echo(f"{len(rays)} rays", err=True)
         click.echo(text, nl=False)
@@ -510,7 +505,7 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
     """Sharp VaR/ES bounds per confidence level."""
     config = _resolve(d, p, scenario, rho_text, alpha_text, cache)
-    rows = _bounds_rows(config, _enumerate_cached(config))
+    rows = _bounds_rows(_enumerate_cached(config), config.alphas)
     columns = BOUNDS_BETA_COLUMNS if config.rho is not None else BOUNDS_COLUMNS
     _emit(out, f"bounds_{config.slug()}.{fmt}", _render(rows, columns, fmt))
 

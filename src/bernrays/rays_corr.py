@@ -38,7 +38,7 @@ from .pmf import (
     MEAN_RESIDUAL_SCALE,
     SECOND_MOMENT_RESIDUAL_SCALE,
 )
-from .rays_mean import MeanCorr, RayDensity, RaySet
+from .rays_mean import MAX_CANDIDATES, RayDensity, RaySet
 
 # A computed mass this close to zero marks a dropped support point; the
 # Cramer formulas at d ~ 100 accumulate roundoff near 1e-13.
@@ -55,12 +55,6 @@ _FEASIBILITY_TOL = 1e-12
 # by d**2: far above the float error of the mass numerators (about
 # 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
 _SWEEP_SLACK = 1e-9
-
-# Most index triples one enumeration may examine, and most two-point
-# rays a mean-class enumeration may build. Each candidate or ray holds
-# about 128 bytes of working arrays (indices, masses, temporaries), so
-# the cap keeps either near 1 GiB.
-MAX_CANDIDATES = 2**23
 
 # Rows per block when normalising kept triples with math.fsum.
 _FSUM_BLOCK = 2**16
@@ -127,7 +121,7 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
     if not len(pts):
         return None
     support, masses = _triple_rows(pts, raw)
-    return RaySet(spec.d, MeanCorr(spec.p, spec.rho), support, masses)[0]
+    return RaySet(spec, support, masses)[0]
 
 
 def _pair_ranges(spec: ClassSpec):
@@ -258,22 +252,21 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the mean-class rays whose second moment matches the
     target: two-point rays, then the point ray when the mean is an
     integer."""
-    base = ClassSpec(spec.d, spec.p)
     m = spec.mean_count
     big_m = spec.second_moment_target
     match_tol = _MATCH_SCALE * max(1.0, float(spec.d**2))
     # (j1 + j2) m - j1 j2 - M rises in j2 with slope m - j1 > 0.
-    j1 = np.arange(base.max_lower_index + 1)
+    j1 = np.arange(spec.max_lower_index + 1)
     slope = m - j1
     root = (big_m - j1 * m) / slope
     width = 2.0 * match_tol / slope
-    lo = np.maximum(np.floor(root - width) - 1.0, base.min_upper_index)
+    lo = np.maximum(np.floor(root - width) - 1.0, spec.min_upper_index)
     hi = np.minimum(np.ceil(root + width) + 1.0, spec.d)
     row, j2 = _spans(lo.astype(np.int64), hi.astype(np.int64))
     j1 = j1[row]
     match = np.abs((j1 + j2) * m - j1 * j2 - big_m) <= match_tol
-    point = base.integer_mean and abs(m * m - big_m) <= match_tol
-    return rays_mean._mean_rows(base, j1[match], j2[match], point)
+    point = spec.integer_mean and abs(m * m - big_m) <= match_tol
+    return rays_mean._mean_rows(spec, j1[match], j2[match], point)
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:
@@ -311,9 +304,7 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     support, masses = support[order], masses[order]
     first = np.ones(len(support), bool)
     first[1:] = (support[1:] != support[:-1]).any(1)
-    return RaySet(
-        spec.d, MeanCorr(spec.p, spec.rho), support[first], masses[first]
-    )
+    return RaySet(spec, support[first], masses[first])
 
 
 def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:

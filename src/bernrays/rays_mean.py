@@ -6,7 +6,10 @@ strictly below the mean and one strictly above, with masses fixed by the
 mean constraint, plus the degenerate point mass when ``d*p`` is itself
 an integer. This module enumerates those rays, decomposes any admissible
 pmf into a convex combination of them, and turns the enumeration into
-sharp bounds on cross moments and on the pairwise correlation.
+sharp bounds on cross moments and on the pairwise correlation. It also
+holds :class:`RaySet` and :class:`RayDensity`, the ray types of both
+classes: each carries the :class:`ClassSpec` its rays are extremal for,
+and one validator checks the rows of either class against it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,12 @@ from .errors import (
 )
 from .pmf import ClassSpec, DefaultCountPmf
 
+# Most index triples one correlated enumeration may examine, and most
+# two-point rays a mean-class enumeration may build. Each candidate or
+# ray holds about 128 bytes of working arrays (indices, masses,
+# temporaries), so the cap keeps either near 1 GiB.
+MAX_CANDIDATES = 2**23
+
 # Masses this close to one another at a pairing step are exhausted together.
 _RESIDUAL_EPS = 1e-15
 
@@ -45,43 +54,23 @@ _SECOND_MOMENT_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
-class MeanOnly:
-    """Tag for rays of the class constrained by the mean alone."""
-
-    p: float
-
-
-@dataclass(frozen=True)
-class MeanCorr:
-    """Tag for rays of the class constrained by mean and correlation."""
-
-    p: float
-    rho: float
-
-
-ClassTag = Union[MeanOnly, MeanCorr]
-
-
-@dataclass(frozen=True)
 class RayDensity:
     """An extremal pmf of an admissible class, stored sparsely.
 
     Parameters
     ----------
-    d : int
-        Dimension; support indices live in ``{0, ..., d}``.
+    spec : ClassSpec
+        The class the ray is extremal for; support indices live in
+        ``{0, ..., spec.d}``.
     support : tuple of int
         One to three strictly increasing indices.
     masses : tuple of float
         Positive masses aligned with ``support``, summing to one.
-    class_tag : MeanOnly or MeanCorr
-        The class the ray is extremal for.
     """
 
-    d: int
+    spec: ClassSpec
     support: tuple[int, ...]
     masses: tuple[float, ...]
-    class_tag: ClassTag
 
     def __post_init__(self):
         sup = tuple(int(s) for s in self.support)
@@ -97,7 +86,7 @@ class RayDensity:
                 f"a ray carries 1 to 3 support points, got {len(sup)}"
             )
         support, masses = (np.array([row]) for row in _padded(sup, mas))
-        _check_rows(self.d, self.class_tag, support, masses, len(sup))
+        _check_rows(self.spec, support, masses, len(sup))
 
     @classmethod
     def _trusted(cls, *fields) -> "RayDensity":
@@ -108,10 +97,10 @@ class RayDensity:
 
     def to_pmf(self) -> DefaultCountPmf:
         """Densify into a full default-count pmf."""
-        probs = np.zeros(self.d + 1)
+        probs = np.zeros(self.spec.d + 1)
         for s, m in zip(self.support, self.masses):
             probs[s] = m
-        return DefaultCountPmf(self.d, probs)
+        return DefaultCountPmf(self.spec.d, probs)
 
 
 def _padded(support: tuple, masses: tuple) -> tuple[tuple, tuple]:
@@ -121,7 +110,7 @@ def _padded(support: tuple, masses: tuple) -> tuple[tuple, tuple]:
 
 
 def _check_rows(
-    d: int, tag: ClassTag, support: np.ndarray, masses: np.ndarray,
+    spec: ClassSpec, support: np.ndarray, masses: np.ndarray,
     count: int | None = None,
 ) -> np.ndarray:
     """Check padded rows at once; return the point count of each row.
@@ -154,6 +143,7 @@ def _check_rows(
             f"{tuple(masses[t, :k].tolist())}) {what}"
         )
 
+    d = spec.d
     bad = (support[:, 0] < 0) | (support[:, 2] > d)
     if bad.any():
         fail(IndexOutOfRange, bad, f"escapes 0..{d}")
@@ -167,11 +157,12 @@ def _check_rows(
     bad = np.abs(masses.sum(1) - 1.0) > _SUM_TOL
     if bad.any():
         fail(NotNormalized, bad, "has masses that do not sum to 1")
-    bad = np.abs((support * masses).sum(1) - d * tag.p) > _MEAN_SCALE * d
+    mean = spec.mean_count
+    bad = np.abs((support * masses).sum(1) - mean) > _MEAN_SCALE * d
     if bad.any():
-        fail(MeanMismatch, bad, f"misses the mean {d * tag.p}")
-    if isinstance(tag, MeanCorr):
-        target = ClassSpec(d, tag.p, tag.rho).second_moment_target
+        fail(MeanMismatch, bad, f"misses the mean {mean}")
+    target = spec.second_moment_target
+    if target is not None:
         bad = np.abs((support * support * masses).sum(1) - target)
         bad = bad > _SECOND_MOMENT_SCALE * d**2
         if bad.any():
@@ -185,20 +176,21 @@ class RaySet(Sequence):
     ``support`` is an ``(n, 3)`` int64 array and ``masses`` an
     ``(n, 3)`` float64 array; a ray with fewer than three points repeats
     its last point with zero mass, and ``sizes`` holds each ray's point
-    count. Every row passes the ray checks, which :class:`RayDensity`
+    count, and ``spec`` the class every ray is extremal for. Every row
+    passes the ray checks against ``spec``, which :class:`RayDensity`
     shares, once on construction, and the arrays are read-only. The set is a
     ``Sequence[RayDensity]``: indexing builds the ray on demand from its
     row without checking it again, and slicing gives a RaySet.
     """
 
-    def __init__(self, d: int, class_tag: ClassTag, support, masses):
+    def __init__(self, spec: ClassSpec, support, masses):
         support = np.array(support, dtype=np.int64)
         masses = np.array(masses, dtype=np.float64)
-        sizes = _check_rows(d, class_tag, support, masses)
+        sizes = _check_rows(spec, support, masses)
         for array in (support, masses, sizes):
             array.setflags(write=False)
-        self.d = d
-        self.class_tag = class_tag
+        self.spec = spec
+        self.d = spec.d
         self.support = support
         self.masses = masses
         self.sizes = sizes
@@ -213,33 +205,29 @@ class RaySet(Sequence):
             return rays
         if len(rays) == 0:
             raise EmptyRaySet("no rays to pack")
-        d, tag = rays[0].d, rays[0].class_tag
-        if any(ray.d != d for ray in rays):
-            raise InvalidSpec("rays mix different dimensions")
-        if any(ray.class_tag != tag for ray in rays):
+        spec = rays[0].spec
+        if any(ray.spec != spec for ray in rays):
             raise InvalidSpec("rays mix different classes")
         support, masses = zip(*(_padded(ray.support, ray.masses)
                                  for ray in rays))
-        return cls(d, tag, support, masses)
+        return cls(spec, support, masses)
 
     def __len__(self) -> int:
         return len(self.support)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return RaySet(self.d, self.class_tag, self.support[index],
-                          self.masses[index])
+            return RaySet(self.spec, self.support[index], self.masses[index])
         t = operator.index(index)
         k = self.sizes[t]
         return RayDensity._trusted(
-            self.d,
+            self.spec,
             tuple(self.support[t, :k].tolist()),
             tuple(self.masses[t, :k].tolist()),
-            self.class_tag,
         )
 
     def __repr__(self) -> str:
-        return f"RaySet(d={self.d}, class_tag={self.class_tag!r}, n={len(self)})"
+        return f"RaySet(spec={self.spec!r}, n={len(self)})"
 
     def lex_first(self, where: np.ndarray) -> int:
         """Index of the row with the lexicographically smallest support
@@ -293,8 +281,10 @@ def _mean_rows(
 
 
 def _mean_rays(spec: ClassSpec, j1, j2, point: bool = False) -> RaySet:
-    """The rows of :func:`_mean_rows` as a ray set of the mean class."""
-    return RaySet(spec.d, MeanOnly(spec.p), *_mean_rows(spec, j1, j2, point))
+    """The rows of :func:`_mean_rows` as a ray set of the mean class
+    ``(spec.d, spec.p)``, whatever correlation ``spec`` names."""
+    rows = _mean_rows(spec, j1, j2, point)
+    return RaySet(ClassSpec(spec.d, spec.p), *rows)
 
 
 def two_point_ray(spec: ClassSpec, j1: int, j2: int) -> RayDensity:
@@ -332,17 +322,15 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     (present iff ``d*p`` is an integer) last. The count is
     ``(j1M + 1) * (d - j2m + 1)`` plus one for the point ray, where
     ``j1M``/``j2m`` are the extreme support indices adjacent to the mean.
-    A class with more two-point rays than ``rays_corr.MAX_CANDIDATES``
-    raises :class:`ClassTooLarge` before any array is built.
+    A class with more two-point rays than ``MAX_CANDIDATES`` raises
+    :class:`ClassTooLarge` before any array is built.
     """
-    from . import rays_corr  # rays_corr imports this module
-
     _require_mean_only(spec, "enumerate_rays")
     count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
-    if count > rays_corr.MAX_CANDIDATES:
+    if count > MAX_CANDIDATES:
         raise ClassTooLarge(
             f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
-            f"more than {rays_corr.MAX_CANDIDATES}"
+            f"more than {MAX_CANDIDATES}"
         )
     lower = np.arange(spec.max_lower_index + 1)
     upper = np.arange(spec.min_upper_index, spec.d + 1)
@@ -449,25 +437,24 @@ def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:
     """
     if not 1 <= order <= spec.d:
         raise OrderOutOfRange(f"order must lie in 1..{spec.d}, got {order}")
-    base = ClassSpec(spec.d, spec.p)
-    j2 = base.min_upper_index
+    j2 = spec.min_upper_index
     # Row 0 spans {0, d}; row 1 is the lowest chord at the mean.
-    if base.integer_mean and j2 >= order:
-        rays = _mean_rays(base, [0], [base.d], point=True)
+    if spec.integer_mean and j2 >= order:
+        rays = _mean_rays(spec, [0], [spec.d], point=True)
     else:
-        j1 = 0 if j2 < order else base.max_lower_index
-        rays = _mean_rays(base, [0, j1], [base.d, j2])
+        j1 = 0 if j2 < order else spec.max_lower_index
+        rays = _mean_rays(spec, [0, j1], [spec.d, j2])
     if order == 1:
-        return MomentBounds(base.p, base.p, rays[0], rays[0])
+        return MomentBounds(spec.p, spec.p, rays[0], rays[0])
     if order == 2:
-        d, pd = base.d, base.mean_count
-        if base.integer_mean:
-            lower = base.p * (pd - 1.0) / (d - 1.0)
+        d, pd = spec.d, spec.mean_count
+        if spec.integer_mean:
+            lower = spec.p * (pd - 1.0) / (d - 1.0)
         else:
-            j = base.max_lower_index
+            j = spec.max_lower_index
             lower = (-j * (j + 1.0) + 2.0 * j * pd) / (d * (d - 1.0))
-        return MomentBounds(lower, base.p, rays[1], rays[0])
-    ratio = _falling_ratio(rays.support, base.d, order)
+        return MomentBounds(lower, spec.p, rays[1], rays[0])
+    ratio = _falling_ratio(rays.support, spec.d, order)
     # A batched matmul rounds each 3-term dot product like np.dot does.
     values = (ratio[:, None, :] @ rays.masses[:, :, None])[:, 0, 0]
     return MomentBounds(float(values[1]), float(values[0]), rays[1], rays[0])

@@ -1,9 +1,15 @@
 """Sparse ray-set serialization and the on-disk ray-set cache.
 
-Text format, written by ``rays`` and read by :func:`parse_ray_set`: one
-header line ``d,p,rho,count`` (the rho field is empty for mean-only
-classes), then one line per ray of ``;``-joined ``index:mass`` pairs
-with 17 significant digits, which round-trips doubles exactly.
+Both forms record the class of the ray set's ``spec`` and rebuild the
+set with that class when read, so a header or key and the rays under it
+cannot name different classes.
+
+Text format, written by :func:`format_ray_set` (the ``rays`` output)
+and read by :func:`parse_ray_set`: one header line ``d,p,rho,count``
+(the rho field is empty for mean-only classes), then one line per ray of
+``;``-joined ``index:mass`` pairs with 17 significant digits, which
+round-trips doubles exactly. The header must name a valid
+:class:`ClassSpec`, or parsing raises :class:`InvalidSpec`.
 
 The cache stores binary arrays instead: one ``rayset_<key digest>.bin``
 file per (d, p, rho, package version) key holding three consecutive
@@ -28,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, LengthMismatch
-from .rays_mean import MeanCorr, MeanOnly, RayDensity, RaySet
+from .pmf import ClassSpec
+from .rays_mean import RayDensity, RaySet
 
 # Line templates by ray size; str.format ignores the unused trailing cells.
 _LINE_FORMATS = {
@@ -46,15 +53,15 @@ _RAY_LINE = re.compile(rf"^{_PAIR}(?:;{_PAIR})?(?:;{_PAIR})?$", re.MULTILINE)
 _BLOCK_CHARS = 2**18
 
 
-def format_ray_set(
-    d: int, p: float, rho: float | None, rays: Sequence[RayDensity]
-) -> str:
+def format_ray_set(rays: Sequence[RayDensity]) -> str:
+    """The text form of ``rays``, headed by the class of ``rays.spec``."""
     rays = RaySet.of(rays)
-    rho_field = "" if rho is None else format(rho, ".17g")
+    spec = rays.spec
+    rho_field = "" if spec.rho is None else format(spec.rho, ".17g")
     columns = []
     for c in range(3):
         columns += [rays.support[:, c].tolist(), rays.masses[:, c].tolist()]
-    lines = [f"{d},{p:.17g},{rho_field},{len(rays)}"]
+    lines = [f"{spec.d},{spec.p:.17g},{rho_field},{len(rays)}"]
     lines += [_LINE_FORMATS[k].format(*row)
               for k, row in zip(rays.sizes.tolist(), zip(*columns))]
     return "\n".join(lines) + "\n"
@@ -82,16 +89,16 @@ def _read_rows(rows: list, support: np.ndarray, masses: np.ndarray) -> None:
             support[~present, c] = support[~present, c - 1]
 
 
-def parse_ray_set(text: str) -> tuple[int, float, float | None, RaySet]:
+def parse_ray_set(text: str) -> RaySet:
+    """The ray set of :func:`format_ray_set` text, of the header's class."""
     text = text.strip("\n")
     split = text.find("\n")
     header = text if split < 0 else text[:split]
     fields = header.split(",")
     if len(fields) != 4:
         raise LengthMismatch(f"malformed ray-set header: {header!r}")
-    d = int(fields[0])
-    p = float(fields[1])
-    rho = float(fields[2]) if fields[2] else None
+    spec = ClassSpec(int(fields[0]), float(fields[1]),
+                     float(fields[2]) if fields[2] else None)
     count = int(fields[3])
     carried = text.count("\n")
     if carried != count:
@@ -113,14 +120,11 @@ def parse_ray_set(text: str) -> tuple[int, float, float | None, RaySet]:
         start = end + 1
     if done != count:
         raise LengthMismatch("a ray line is not 1 to 3 index:mass pairs")
-    tag = MeanOnly(p) if rho is None else MeanCorr(p, rho)
-    return d, p, rho, RaySet(d, tag, support, masses)
+    return RaySet(spec, support, masses)
 
 
-def _cache_file(
-    cache_dir: Path, d: int, p: float, rho: float | None, version: str
-) -> Path:
-    key = f"{d},{p!r},{rho!r},{version}"
+def _cache_file(cache_dir: Path, spec: ClassSpec, version: str) -> Path:
+    key = f"{spec.d},{spec.p!r},{spec.rho!r},{version}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"rayset_{digest}.bin"
 
@@ -144,10 +148,10 @@ def _read_record(data: bytes, stream: io.BytesIO, dtype) -> np.ndarray:
 
 
 def load_cached_rays(
-    cache_dir: Path, d: int, p: float, rho: float | None, version: str
+    cache_dir: Path, spec: ClassSpec, version: str
 ) -> RaySet | None:
-    """Return the cached enumeration for the key, or None on any doubt."""
-    path = _cache_file(cache_dir, d, p, rho, version)
+    """Return the cached enumeration of ``spec``, or None on any doubt."""
+    path = _cache_file(cache_dir, spec, version)
     try:
         data = path.read_bytes()
         digest = path.with_suffix(".sha256").read_text(encoding="utf-8")
@@ -159,28 +163,26 @@ def load_cached_rays(
         masses = _read_record(data, stream, np.float64)
         if stream.tell() != len(data) or key.shape != (3,):
             return None
+        rho = spec.rho
         same_rho = math.isnan(key[2]) if rho is None else key[2] == rho
-        if key[0] != d or key[1] != p or not same_rho:
+        if key[0] != spec.d or key[1] != spec.p or not same_rho:
             return None
         # RaySet checks the shapes and validates every ray.
-        tag = MeanOnly(p) if rho is None else MeanCorr(p, rho)
-        return RaySet(d, tag, support, masses)
+        return RaySet(spec, support, masses)
     except (OSError, ValueError, ArithmeticError):
         return None
 
 
 def store_cached_rays(
-    cache_dir: Path,
-    d: int,
-    p: float,
-    rho: float | None,
-    version: str,
-    rays: Sequence[RayDensity],
+    cache_dir: Path, rays: Sequence[RayDensity], version: str
 ) -> Path:
+    """Write ``rays`` as the cache entry of ``rays.spec``; return its path."""
     rays = RaySet.of(rays)
-    path = _cache_file(cache_dir, d, p, rho, version)
+    spec = rays.spec
+    path = _cache_file(cache_dir, spec, version)
     path.parent.mkdir(parents=True, exist_ok=True)
-    key = np.array([d, p, math.nan if rho is None else rho])
+    rho = math.nan if spec.rho is None else spec.rho
+    key = np.array([spec.d, spec.p, rho])
     with path.open("wb") as handle:
         for array in (key, rays.support, rays.masses):
             np.save(handle, array, allow_pickle=False)

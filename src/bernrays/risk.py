@@ -209,16 +209,14 @@ def es_envelope(
     """
     alpha = _check_alpha(alpha)
     if isinstance(source, ClassSpec):
-        p = source.p
-        d = source.d
-        if source.rho is None:
-            lower = float(var_bounds_mean_closed_form(source, alpha)[0])
+        spec = source
+        if spec.rho is None:
+            lower = float(var_bounds_mean_closed_form(spec, alpha)[0])
         else:
-            rays = enumerate_corr_rays(source)
+            rays = enumerate_corr_rays(spec)
             lower = float(var_bounds_scan(rays, alpha).var_min)
     else:
         source = _check_rays(source)
-        d = source.d
-        p = source.class_tag.p
+        spec = source.spec
         lower = float(var_bounds_scan(source, alpha).var_min)
-    return EsEnvelope(lower, float(d), 1.0 - p <= alpha)
+    return EsEnvelope(lower, float(spec.d), 1.0 - spec.p <= alpha)

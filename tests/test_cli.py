@@ -15,7 +15,6 @@ from click.testing import CliRunner
 import bernrays
 from bernrays import (
     ClassSpec,
-    MeanCorr,
     RaySet,
     __version__,
     cli,
@@ -25,6 +24,7 @@ from bernrays import (
 from bernrays import _reference_tables as ref
 from bernrays.errors import (
     IndexOutOfRange,
+    InvalidSpec,
     LengthMismatch,
     MeanMismatch,
     NotNormalized,
@@ -83,6 +83,7 @@ BAD_RAY_LINES = {
 }
 
 SMALL_CLASS = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
+SMALL_SPEC = ClassSpec(4, 0.5, 0.25)
 
 # For each table command: its arguments, then per format the name of the
 # file `--out` writes and the sha256 of its bytes, which stdout carries
@@ -202,12 +203,24 @@ BAD_ENTRIES = {
 }
 
 
+# One mean-only and one correlated class, for the round trips.
+ROUNDTRIP_SPECS = {
+    "mean": ClassSpec(10, 0.31),
+    "corr": ClassSpec(20, 0.266, 1 / 6),
+}
+
+
 class TestRaySetFormat:
-    def test_roundtrip_is_exact(self):
-        rays = rays_corr.enumerate_rays(ClassSpec(20, 0.266, 1 / 6))
-        text = format_ray_set(20, 0.266, 1 / 6, rays)
-        d, p, rho, parsed = parse_ray_set(text)
-        assert (d, p, rho) == (20, 0.266, 1 / 6)
+    @pytest.mark.parametrize("name", list(ROUNDTRIP_SPECS))
+    def test_roundtrip_is_exact(self, name):
+        spec = ROUNDTRIP_SPECS[name]
+        rays = bernrays.enumerate_rays(spec)
+        text = format_ray_set(rays)
+        parsed = parse_ray_set(text)
+        assert parsed.spec == rays.spec == spec
+        assert (parsed.d, parsed.spec.p, parsed.spec.rho) == (
+            spec.d, spec.p, spec.rho
+        )
         assert len(parsed) == len(rays)
         for got, want in zip(parsed, rays):
             assert got.support == want.support
@@ -215,18 +228,17 @@ class TestRaySetFormat:
 
     def test_mean_only_header_has_an_empty_rho_field(self):
         rays = rays_mean.enumerate_rays(ClassSpec(10, 0.31))
-        text = format_ray_set(10, 0.31, None, rays)
+        text = format_ray_set(rays)
         fields = text.splitlines()[0].split(",")
         assert fields[0] == "10"
         assert float(fields[1]) == 0.31
         assert fields[2] == ""
         assert fields[3] == str(len(rays))
-        _, _, rho, _ = parse_ray_set(text)
-        assert rho is None
+        assert parse_ray_set(text).spec.rho is None
 
     def test_header_count_must_match(self):
         rays = rays_mean.enumerate_rays(ClassSpec(10, 0.31))
-        text = format_ray_set(10, 0.31, None, rays)
+        text = format_ray_set(rays)
         clipped = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(LengthMismatch):
             parse_ray_set(clipped)
@@ -237,21 +249,31 @@ class TestRaySetFormat:
             parse_ray_set(f"4,0.5,0.25,1\n{line}\n")
         assert type(caught.value) is BAD_RAY_LINES[line]
 
+    @pytest.mark.parametrize("header", ["4,0,,1", "0,0.5,,1"])
+    def test_a_header_naming_an_invalid_class_raises(self, header):
+        # The point mass at 0 meets the mean 0 that either header implies.
+        with pytest.raises(InvalidSpec):
+            parse_ray_set(f"{header}\n0:1\n")
+
 
 class TestRaySetCache:
     def test_store_then_load(self, tmp_path):
-        rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
-        store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
-        assert len(list(tmp_path.glob("rayset_*.bin"))) == 1
-        assert len(list(tmp_path.glob("rayset_*.sha256"))) == 1
-        back = load_cached_rays(tmp_path, 30, 0.21, None, __version__)
-        assert back is not None
-        assert [r.support for r in back] == [r.support for r in rays]
+        for name, spec in (("mean", ClassSpec(30, 0.21)),
+                           ("corr", ROUNDTRIP_SPECS["corr"])):
+            entry = tmp_path / name
+            rays = bernrays.enumerate_rays(spec)
+            store_cached_rays(entry, rays, __version__)
+            assert len(list(entry.glob("rayset_*.bin"))) == 1
+            assert len(list(entry.glob("rayset_*.sha256"))) == 1
+            back = load_cached_rays(entry, spec, __version__)
+            assert back is not None
+            assert back.spec == rays.spec == spec
+            assert [r.support for r in back] == [r.support for r in rays]
+            assert np.array_equal(back.masses, rays.masses)
 
     def test_entry_is_three_npy_records(self, tmp_path):
         rays = rays_corr.enumerate_rays(ClassSpec(20, 0.266, 1 / 6))
-        path = store_cached_rays(tmp_path, 20, 0.266, 1 / 6, __version__,
-                                 rays)
+        path = store_cached_rays(tmp_path, rays, __version__)
         key, support, masses = read_records(path)
         assert key.tolist() == [20.0, 0.266, 1 / 6]
         assert support.dtype == np.int64 and masses.dtype == np.float64
@@ -262,33 +284,37 @@ class TestRaySetCache:
 
     def test_mean_only_key_holds_nan_rho(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
-        path = store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
+        path = store_cached_rays(tmp_path, rays, __version__)
         key = read_records(path)[0]
         assert key[:2].tolist() == [30.0, 0.21] and np.isnan(key[2])
-        assert load_cached_rays(tmp_path, 30, 0.21, 0.1, __version__) is None
+        assert load_cached_rays(tmp_path, ClassSpec(30, 0.21, 0.1),
+                                __version__) is None
 
     def test_missing_key_is_a_miss(self, tmp_path):
-        assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+        assert load_cached_rays(tmp_path, ClassSpec(30, 0.21),
+                                __version__) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
-        store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
+        store_cached_rays(tmp_path, rays, __version__)
         victim = next(tmp_path.glob("rayset_*.bin"))
         data = bytearray(victim.read_bytes())
         data[len(data) // 2] ^= 0xFF
         victim.write_bytes(bytes(data))
-        assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+        assert load_cached_rays(tmp_path, ClassSpec(30, 0.21),
+                                __version__) is None
 
     def test_a_text_entry_is_never_read(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
-        path = store_cached_rays(tmp_path, 30, 0.21, None, __version__, rays)
-        text = format_ray_set(30, 0.21, None, rays)
+        path = store_cached_rays(tmp_path, rays, __version__)
+        text = format_ray_set(rays)
         path.unlink()
         path.with_suffix(".txt").write_text(text)
         path.with_suffix(".sha256").write_text(
             hashlib.sha256(text.encode()).hexdigest() + "\n"
         )
-        assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+        assert load_cached_rays(tmp_path, ClassSpec(30, 0.21),
+                                __version__) is None
 
     @pytest.mark.parametrize("damage", BAD_ENTRIES.values(),
                              ids=list(BAD_ENTRIES))
@@ -296,7 +322,7 @@ class TestRaySetCache:
         plain = run(*SMALL_CLASS)
         run(*SMALL_CLASS, "--cache", str(tmp_path))
         damage(next(tmp_path.glob("rayset_*.bin")))
-        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__) is None
+        assert load_cached_rays(tmp_path, SMALL_SPEC, __version__) is None
         cached = run(*SMALL_CLASS, "--cache", str(tmp_path))
         assert cached.stdout_bytes == plain.stdout_bytes
 
@@ -306,7 +332,7 @@ class TestRaySetCache:
         run(*SMALL_CLASS, "--cache", str(tmp_path))
         victim = next(tmp_path.glob("rayset_*.bin"))
         write_entry(victim, read_records(victim))
-        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__)
+        assert load_cached_rays(tmp_path, SMALL_SPEC, __version__)
 
     @pytest.mark.parametrize(
         "row", BAD_RAY_ROWS.values(), ids=list(BAD_RAY_ROWS)
@@ -321,16 +347,17 @@ class TestRaySetCache:
         key, support, masses = read_records(victim)
         support[2], masses[2] = support_row, masses_row
         with pytest.raises(ValueError, match=check):
-            RaySet(4, MeanCorr(0.5, 0.25), support, masses)
+            RaySet(SMALL_SPEC, support, masses)
         write_entry(victim, (key, support, masses))
-        assert load_cached_rays(tmp_path, 4, 0.5, 0.25, __version__) is None
+        assert load_cached_rays(tmp_path, SMALL_SPEC, __version__) is None
         cached = run(*SMALL_CLASS, "--cache", str(tmp_path))
         assert cached.stdout_bytes == plain.stdout_bytes
 
     def test_version_bump_is_a_miss(self, tmp_path):
         rays = rays_mean.enumerate_rays(ClassSpec(30, 0.21))
-        store_cached_rays(tmp_path, 30, 0.21, None, "0.0.0", rays)
-        assert load_cached_rays(tmp_path, 30, 0.21, None, __version__) is None
+        store_cached_rays(tmp_path, rays, "0.0.0")
+        assert load_cached_rays(tmp_path, ClassSpec(30, 0.21),
+                                __version__) is None
 
 
 class TestCommands:
@@ -340,8 +367,9 @@ class TestCommands:
         )
         assert result.exit_code == 0
         path = next(tmp_path.glob("rays_*.txt"))
-        d, p, rho, rays = parse_ray_set(path.read_text())
-        assert (d, p, rho) == (20, 0.25, None)
+        rays = parse_ray_set(path.read_text())
+        assert rays.spec == ClassSpec(20, 0.25)
+        assert (rays.d, rays.spec.p, rays.spec.rho) == (20, 0.25, None)
         assert len(rays) == len(rays_mean.enumerate_rays(ClassSpec(20, 0.25)))
 
     def test_rays_streams_to_stdout(self):
@@ -555,7 +583,7 @@ class TestExitCodes:
         assert "candidate triples" in result.stderr
 
     def test_a_mean_class_above_the_cap_exits_2(self, monkeypatch):
-        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
+        monkeypatch.setattr(rays_mean, "MAX_CANDIDATES", 1000)
         result = CliRunner().invoke(
             cli.main, ["rays", "--d", "400", "--p", "0.282"]
         )

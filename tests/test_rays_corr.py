@@ -15,7 +15,6 @@ from bernrays import (
     ClassSpec,
     CorrSystemCoeffs,
     DefaultCountPmf,
-    MeanCorr,
     pmf,
     rays_corr,
     rays_mean,
@@ -146,7 +145,7 @@ class TestEnumerate:
         supports = [ray.support for ray in rays]
         assert supports == sorted(supports)
         assert len(supports) == len(set(supports))
-        assert all(isinstance(r.class_tag, MeanCorr) for r in rays)
+        assert all(r.spec == ClassSpec(100, 0.266, 1 / 6) for r in rays)
         assert all(len(r.support) <= 3 for r in rays)
 
     def test_infeasible_correlation(self):
@@ -240,8 +239,7 @@ class TestMembership:
 
     def test_every_ray_is_a_member(self, corr_rays):
         for (name, label), rays in corr_rays.items():
-            spec = rays[0].class_tag
-            target = ClassSpec(100, spec.p, spec.rho)
+            target = rays[0].spec
             for ray in rays[:: max(1, len(rays) // 50)]:
                 assert rays_corr.membership(ray.to_pmf(), target)
 

@@ -10,8 +10,6 @@ import scipy.stats
 from bernrays import (
     ClassSpec,
     DefaultCountPmf,
-    MeanCorr,
-    MeanOnly,
     RaySet,
     pmf,
     rays_corr,
@@ -106,7 +104,7 @@ class TestEnumerate:
         for rays in mean_rays.values():
             for ray in rays:
                 assert len(ray.support) <= 2
-                assert isinstance(ray.class_tag, MeanOnly)
+                assert ray.spec.rho is None
 
     def test_rejects_correlation_spec(self):
         with pytest.raises(InvalidSpec):
@@ -116,19 +114,19 @@ class TestEnumerate:
 class TestRayDensity:
     def test_masses_must_be_normalized(self):
         with pytest.raises(NotNormalized):
-            rays_mean.RayDensity(4, (0, 3), (0.5, 0.6), MeanOnly(0.5))
+            rays_mean.RayDensity(ClassSpec(4, 0.5), (0, 3), (0.5, 0.6))
 
     def test_mean_must_match_the_tag(self):
         with pytest.raises(MeanMismatch):
-            rays_mean.RayDensity(4, (0, 4), (0.9, 0.1), MeanOnly(0.5))
+            rays_mean.RayDensity(ClassSpec(4, 0.5), (0, 4), (0.9, 0.1))
 
     def test_support_must_be_increasing(self):
         with pytest.raises(IndexOutOfRange):
-            rays_mean.RayDensity(4, (3, 0), (0.5, 0.5), MeanOnly(0.375))
+            rays_mean.RayDensity(ClassSpec(4, 0.375), (3, 0), (0.5, 0.5))
 
     def test_a_repeat_with_zero_mass_is_not_padding(self):
         with pytest.raises(IndexOutOfRange):
-            rays_mean.RayDensity(4, (2, 2), (1.0, 0.0), MeanOnly(0.5))
+            rays_mean.RayDensity(ClassSpec(4, 0.5), (2, 2), (1.0, 0.0))
 
     def test_to_pmf_is_dense(self):
         ray = rays_mean.two_point_ray(ClassSpec(4, 0.5), 1, 3)
@@ -188,16 +186,16 @@ class TestRaySet:
         for rays in [*mean_rays.values(), *corr_rays.values()]:
             for ray in rays:
                 checked = rays_mean.RayDensity(
-                    rays.d, ray.support, ray.masses, rays.class_tag
+                    rays.spec, ray.support, ray.masses
                 )
                 assert ray == checked
 
     @pytest.mark.parametrize("name", sorted(BAD_RAYS))
     def test_a_bad_row_raises_what_its_ray_raises(self, name):
         support, masses, error = BAD_RAYS[name]
-        tag = MeanCorr(0.5, 0.25)
+        spec = ClassSpec(4, 0.5, 0.25)
         with pytest.raises(error) as from_ray:
-            rays_mean.RayDensity(4, support, masses, tag)
+            rays_mean.RayDensity(spec, support, masses)
         good = rays_corr.enumerate_rays(ClassSpec(4, 0.5, 0.25))
         rows = good.support.copy()
         cells = good.masses.copy()
@@ -205,7 +203,7 @@ class TestRaySet:
         rows[2] = support + support[-1:] * pad
         cells[2] = masses + (0.0,) * pad
         with pytest.raises(error) as from_set:
-            RaySet(4, tag, rows, cells)
+            RaySet(spec, rows, cells)
         assert type(from_set.value) is type(from_ray.value) is error
 
 
