@@ -80,8 +80,7 @@ def pmf(params: BetaMixParams, d: int) -> DefaultCountPmf:
     ``a`` as small as a few 1e-4 the gamma function itself is far
     outside floating range while these logs stay tame.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidSpec(f"d must be a positive integer, got {d}")
+    d = pmf_mod._check_d(d)
     a, b = params.a, params.b
     log_first = math.fsum(math.log1p(-a / (a + b + k)) for k in range(d))
     j = np.arange(d, dtype=float)

@@ -4,7 +4,7 @@ Every numeric cell an output table carries comes from exactly one
 library call; this layer only parses flags, routes through the ray-set
 cache, applies display rounding, and serializes. Each command takes one
 path from flags to bytes: ``_resolve`` turns the class flags into a
-:class:`ScenarioConfig`, ``_enumerate_cached`` gets the class's rays, a
+:class:`~bernrays.pmf.ClassSpec`, ``_enumerate_cached`` gets its rays, a
 row builder makes raw rows, ``_render`` serializes them and ``_emit`` or
 ``_write`` sends the text to stdout or a file. Outputs are
 byte-deterministic for a given invocation: fixed float formats, LF line
@@ -22,7 +22,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,25 +44,12 @@ EXIT_MISMATCH = 3
 SWEEP_GRID = 12
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """The class a command asks about, its confidence levels and the
-    ray-set cache directory, if any."""
-
-    d: int
-    p: float
-    rho: float | None
-    alphas: tuple[float, ...]
-    cache: Path | None = None
-
-    def class_spec(self) -> ClassSpec:
-        return ClassSpec(self.d, self.p, self.rho)
-
-    def slug(self) -> str:
-        tag = f"d{self.d}_p{self.p:g}"
-        if self.rho is not None:
-            tag += f"_rho{self.rho:g}"
-        return tag
+def _slug(spec: ClassSpec) -> str:
+    """The class's tag in output and log file names."""
+    tag = f"d{spec.d}_p{spec.p:g}"
+    if spec.rho is not None:
+        tag += f"_rho{spec.rho:g}"
+    return tag
 
 
 def parse_rho(text: str) -> float:
@@ -86,24 +72,23 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         raise InvalidSpec(f"alphas must be numbers, got {text!r}") from exc
 
 
-def _enumerate_cached(config: ScenarioConfig) -> RaySet:
-    """Enumerate the configured class, by way of the cache when one is
+def _enumerate_cached(spec: ClassSpec, cache: Path | None) -> RaySet:
+    """Enumerate ``spec``, by way of the cache directory when one is
     given. Cache hits log their timing to stderr; stdout stays clean."""
-    spec = config.class_spec()
-    if config.cache is not None:
+    if cache is not None:
         start = time.perf_counter()
-        rays = load_cached_rays(config.cache, spec, __version__)
+        rays = load_cached_rays(cache, spec, __version__)
         if rays is not None:
             elapsed = (time.perf_counter() - start) * 1e3
             click.echo(
-                f"cache: reused {len(rays)} rays for {config.slug()} "
+                f"cache: reused {len(rays)} rays for {_slug(spec)} "
                 f"in {elapsed:.1f} ms",
                 err=True,
             )
             return rays
     rays = enumerate_rays(spec)
-    if config.cache is not None:
-        store_cached_rays(config.cache, rays, __version__)
+    if cache is not None:
+        store_cached_rays(cache, rays, __version__)
     return rays
 
 
@@ -211,15 +196,17 @@ def _sweep_grid(n: int) -> list[float]:
     return [float(top * Fraction(k, n - 1)) for k in range(n)]
 
 
-def _sweep_rows(config: ScenarioConfig, grid: int) -> list[dict]:
+def _sweep_rows(
+    spec: ClassSpec, alphas: tuple[float, ...], cache: Path | None, grid: int
+) -> list[dict]:
     rows = []
     for rho in _sweep_grid(grid):
         try:
-            rays = _enumerate_cached(replace(config, rho=rho))
+            rays = _enumerate_cached(ClassSpec(spec.d, spec.p, rho), cache)
         except InfeasibleMoment as exc:
             click.echo(f"sweep: skipping rho={rho:g}: {exc}", err=True)
             continue
-        for alpha in config.alphas:
+        for alpha in alphas:
             bounds = risk.var_bounds_scan(rays, alpha)
             rows.append(
                 {
@@ -260,16 +247,10 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
     per-rho table is the sweep rows at its rho and every class is
     enumerated once.
     """
-    base = ScenarioConfig(
-        d=ref.DEFAULT_D,
-        p=p,
-        rho=None,
-        alphas=ref.DEFAULT_ALPHAS,
-        cache=cache_dir,
-    )
-    moments = _moments_rows(base.class_spec())
-    mean = _bounds_rows(_enumerate_cached(base), base.alphas)
-    sweep = _sweep_rows(base, SWEEP_GRID)
+    spec = ClassSpec(ref.DEFAULT_D, p)
+    moments = _moments_rows(spec)
+    mean = _bounds_rows(_enumerate_cached(spec, cache_dir), ref.DEFAULT_ALPHAS)
+    sweep = _sweep_rows(spec, ref.DEFAULT_ALPHAS, cache_dir, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
          _reference_rows(columns, table[scenario]))
@@ -380,20 +361,19 @@ def _resolve(
     p: float | None,
     scenario: str | None,
     rho_text: str | None,
-    alpha_text: str = "0.90,0.95,0.99",
-    cache: Path | None = None,
-) -> ScenarioConfig:
+    alpha_text: str | None = None,
+) -> tuple[ClassSpec, tuple[float, ...]]:
+    """The class the flags name and the confidence levels, if any.
+
+    The first fault wins, checked in this order: the usage check, then
+    ``--rho``, then ``--alpha``, then the class's own checks.
+    """
     if (p is None) == (scenario is None):
         raise click.UsageError("provide exactly one of --p or --scenario")
-    config = ScenarioConfig(
-        d=d,
-        p=p if p is not None else ref.SCENARIOS[scenario],
-        rho=parse_rho(rho_text) if rho_text is not None else None,
-        alphas=_parse_alphas(alpha_text),
-        cache=cache,
-    )
-    config.class_spec()
-    return config
+    rho = parse_rho(rho_text) if rho_text is not None else None
+    alphas = _parse_alphas(alpha_text) if alpha_text is not None else ()
+    p = p if p is not None else ref.SCENARIOS[scenario]
+    return ClassSpec(d, p, rho), alphas
 
 
 def _write(directory: Path, name: str, text: str) -> Path:
@@ -487,14 +467,14 @@ def main():
 @_class_options
 def rays_command(d, p, scenario, rho_text, out, cache):
     """Enumerate extremal rays and emit the sparse ray-set file."""
-    config = _resolve(d, p, scenario, rho_text, cache=cache)
-    rays = _enumerate_cached(config)
+    spec, _ = _resolve(d, p, scenario, rho_text)
+    rays = _enumerate_cached(spec, cache)
     text = format_ray_set(rays)
     if out is None:
         click.echo(f"{len(rays)} rays", err=True)
         click.echo(text, nl=False)
     else:
-        path = _write(out, f"rays_{config.slug()}.txt", text)
+        path = _write(out, f"rays_{_slug(spec)}.txt", text)
         click.echo(f"{len(rays)} rays -> {path}")
 
 
@@ -504,10 +484,10 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 @_format_option
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
     """Sharp VaR/ES bounds per confidence level."""
-    config = _resolve(d, p, scenario, rho_text, alpha_text, cache)
-    rows = _bounds_rows(_enumerate_cached(config), config.alphas)
-    columns = BOUNDS_BETA_COLUMNS if config.rho is not None else BOUNDS_COLUMNS
-    _emit(out, f"bounds_{config.slug()}.{fmt}", _render(rows, columns, fmt))
+    spec, alphas = _resolve(d, p, scenario, rho_text, alpha_text)
+    rows = _bounds_rows(_enumerate_cached(spec, cache), alphas)
+    columns = BOUNDS_BETA_COLUMNS if spec.rho is not None else BOUNDS_COLUMNS
+    _emit(out, f"bounds_{_slug(spec)}.{fmt}", _render(rows, columns, fmt))
 
 
 @main.command("moments")
@@ -515,13 +495,13 @@ def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
 @_format_option
 def moments_command(d, p, scenario, rho_text, fmt, out, cache):
     """Sharp cross-moment and correlation bounds (orders 1 to min(4, d))."""
-    config = _resolve(d, p, scenario, rho_text)
-    if config.rho is not None:
+    spec, _ = _resolve(d, p, scenario, rho_text)
+    if spec.rho is not None:
         raise BernraysError(
             "moments describes the mean-constrained class; drop --rho"
         )
-    rows = _moments_rows(config.class_spec())
-    _emit(out, f"moments_{config.slug()}.{fmt}",
+    rows = _moments_rows(spec)
+    _emit(out, f"moments_{_slug(spec)}.{fmt}",
           _render(rows, MOMENTS_COLUMNS, fmt))
 
 
@@ -540,9 +520,9 @@ def sweep_command(d, p, scenario, rho_text, alpha_text, fmt, grid, out, cache):
     """Bounds across a correlation grid, long format for plotting."""
     if rho_text is not None:
         raise click.UsageError("sweep builds its own grid; drop --rho")
-    config = _resolve(d, p, scenario, None, alpha_text, cache)
-    _emit(out, f"sweep_{config.slug()}.{fmt}",
-          _render(_sweep_rows(config, grid), SWEEP_COLUMNS, fmt))
+    spec, alphas = _resolve(d, p, scenario, None, alpha_text)
+    _emit(out, f"sweep_{_slug(spec)}.{fmt}",
+          _render(_sweep_rows(spec, alphas, cache, grid), SWEEP_COLUMNS, fmt))
 
 
 @main.command("reproduce")

@@ -48,6 +48,12 @@ MEAN_RESIDUAL_SCALE = 1e-9
 SECOND_MOMENT_RESIDUAL_SCALE = 1e-9
 
 
+def _check_d(d) -> int:
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InvalidSpec(f"d must be a positive integer, got {d}")
+    return int(d)
+
+
 def _clean_probs(values, d: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != d + 1:
@@ -84,9 +90,7 @@ class DefaultCountPmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise InvalidSpec(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_d(self.d))
         object.__setattr__(self, "probs", _clean_probs(self.probs, self.d))
 
 
@@ -103,9 +107,7 @@ class ExchangeablePmfSummary:
     f: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise InvalidSpec(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_d(self.d))
         arr = np.asarray(self.f, dtype=float)
         if arr.ndim != 1 or arr.shape[0] != self.d + 1:
             raise LengthMismatch(
@@ -140,9 +142,7 @@ class ClassSpec:
     rho: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise InvalidSpec(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_d(self.d))
         p = float(self.p)
         if not (0.0 < p < 1.0) or not math.isfinite(p):
             raise InvalidSpec(f"p must lie strictly inside (0, 1), got {p}")
@@ -244,14 +244,27 @@ def mean(pmf: DefaultCountPmf) -> float:
     return math.fsum((j * x for j, x in enumerate(pmf.probs.tolist())))
 
 
+def _falling_ratio(support: np.ndarray, d: int, order: int) -> np.ndarray:
+    """``(s)_order / (d)_order`` per support value ``s``.
+
+    The ratio is a product of per-step ratios ``(s-t)/(d-t)``, each in
+    ``[0, 1]``, so no overflow is possible at any ``d``; it is zero for
+    ``s < order``.
+    """
+    out = np.ones(support.shape)
+    s = support.astype(float)
+    for t in range(order):
+        out *= (s - t) / (d - t)
+    return np.maximum(out, 0.0)
+
+
 def cross_moment(pmf: DefaultCountPmf, order: int) -> float:
     """Cross moment ``E[X_1 * ... * X_order]`` of the Bernoulli margins.
 
     For an exchangeable law with count pmf ``p`` this equals the
     normalised falling-factorial moment
-    ``sum_k (k)_order / (d)_order * p[k]``. The falling-factorial ratio
-    is accumulated as a product of per-step ratios ``(k-t)/(d-t)``,
-    each in ``[0, 1]``, so no overflow is possible at any ``d``.
+    ``sum_k (k)_order / (d)_order * p[k]``, with the ratio from
+    :func:`_falling_ratio`.
 
     Parameters
     ----------
@@ -266,11 +279,7 @@ def cross_moment(pmf: DefaultCountPmf, order: int) -> float:
     """
     if not 1 <= order <= pmf.d:
         raise OrderOutOfRange(f"order must lie in 1..{pmf.d}, got {order}")
-    k = np.arange(pmf.d + 1, dtype=float)
-    ratio = np.ones(pmf.d + 1)
-    for t in range(order):
-        ratio *= (k - t) / (pmf.d - t)
-    ratio[: order] = 0.0
+    ratio = _falling_ratio(np.arange(pmf.d + 1), pmf.d, order)
     return math.fsum((ratio * pmf.probs).tolist())
 
 

@@ -133,8 +133,15 @@ def _pair_ranges(spec: ClassSpec):
     of ``(m - i)(k - m) - s2``, and the other two are nonnegative exactly
     for ``j`` in ``[m - s2/(k - m), m + s2/(m - i)]``. The slack and the
     one-index widening keep every triple the float keep-test accepts.
+    A ``d`` above ``MAX_CANDIDATES`` raises :class:`ClassTooLarge`: its
+    per-index arrays alone would outgrow the cap's memory budget.
     """
     d = spec.d
+    if d > MAX_CANDIDATES:
+        raise ClassTooLarge(
+            f"class (d={d}, p={spec.p:g}, rho={spec.rho:g}) is too large: "
+            f"d exceeds the cap of {MAX_CANDIDATES} candidate triples"
+        )
     m = spec.mean_count
     s2 = spec.second_moment_target - m * m
     slack = _SWEEP_SLACK * d * d
@@ -156,7 +163,8 @@ def _pair_ranges(spec: ClassSpec):
 
 def candidate_count(spec: ClassSpec) -> int:
     """Exact number of index triples the sweep of :func:`enumerate_rays`
-    examines, in O(d^2) time and O(d) memory."""
+    examines, in O(d^2) time and O(d) memory; a ``d`` above
+    ``MAX_CANDIDATES`` raises :class:`ClassTooLarge`."""
     _require_corr(spec, "candidate_count")
     return sum(int((hi - lo + 1).sum()) for *_, lo, hi in _pair_ranges(spec))
 

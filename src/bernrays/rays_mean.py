@@ -33,7 +33,7 @@ from .errors import (
     NotNormalized,
     OrderOutOfRange,
 )
-from .pmf import ClassSpec, DefaultCountPmf
+from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 
 # Most index triples one correlated enumeration may examine, and most
 # two-point rays a mean-class enumeration may build. Each candidate or
@@ -411,15 +411,6 @@ def decompose(
     # The point ray is the last row and the first term.
     return list(zip(rays[-1:] + rays[:-1] if peeled else rays,
                     peeled + weights))
-
-
-def _falling_ratio(support: np.ndarray, d: int, order: int) -> np.ndarray:
-    """``(s)_order / (d)_order`` per support value, as nested ratios."""
-    out = np.ones(support.shape)
-    s = support.astype(float)
-    for t in range(order):
-        out *= (s - t) / (d - t)
-    return np.maximum(out, 0.0)
 
 
 def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:

@@ -84,6 +84,15 @@ def _check_rays(rays: Sequence[RayDensity]) -> RaySet:
     return RaySet.of(rays)
 
 
+def _scan(
+    rays: Sequence[RayDensity], alpha: float
+) -> tuple[float, RaySet, np.ndarray]:
+    """The checked level, the rays as a set and each ray's VaR."""
+    alpha = _check_alpha(alpha)
+    rays = _check_rays(rays)
+    return alpha, rays, _scan_vars(rays.support, rays.masses, alpha)
+
+
 def _extrema(
     alpha: float, rays: RaySet, values: np.ndarray, es: np.ndarray | None
 ) -> RiskBounds:
@@ -106,10 +115,7 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     Ties among attaining rays resolve to the lexicographically smallest
     support, independent of the input order.
     """
-    alpha = _check_alpha(alpha)
-    rays = _check_rays(rays)
-    values = _scan_vars(rays.support, rays.masses, alpha)
-    return _extrema(alpha, rays, values, None)
+    return _extrema(*_scan(rays, alpha), None)
 
 
 def _floor_strict(x: float) -> int:
@@ -180,18 +186,14 @@ def es_bounds_scan(
     sharp over the whole class (see :func:`es_envelope` for the proved
     class-wide bound).
     """
-    alpha = _check_alpha(alpha)
-    rays = _check_rays(rays)
-    values = _scan_vars(rays.support, rays.masses, alpha)
+    _, rays, values = _scan(rays, alpha)
     es = _scan_es(rays.support, rays.masses, values)
     return float(es.min()), float(es.max())
 
 
 def risk_bounds(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     """One-pass VaR and ES scan bundled into a :class:`RiskBounds`."""
-    alpha = _check_alpha(alpha)
-    rays = _check_rays(rays)
-    values = _scan_vars(rays.support, rays.masses, alpha)
+    alpha, rays, values = _scan(rays, alpha)
     return _extrema(
         alpha, rays, values, _scan_es(rays.support, rays.masses, values)
     )

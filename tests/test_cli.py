@@ -4,6 +4,7 @@ byte determinism, the ray-set cache, and exit codes."""
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -571,6 +572,24 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--p", "2", "--rho", "abc"),
+          "error: not a decimal or a fraction: 'abc'"),
+         (("--p", "2", "--alpha", "abc"),
+          "error: alphas must be numbers, got 'abc'"),
+         (("--p", "0.5", "--d", "1", "--rho", "0.5", "--alpha", "x"),
+          "error: alphas must be numbers, got 'x'"),
+         (("--rho", "abc", "--alpha", "abc"),
+          "Error: provide exactly one of --p or --scenario")],
+        ids=["rho before p", "alpha before p", "alpha before d",
+             "usage before rho and alpha"],
+    )
+    def test_the_first_fault_in_check_order_wins(self, args, message):
+        result = CliRunner().invoke(cli.main, ["bounds", *args])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == message
+
     def test_a_class_above_the_candidate_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
         result = CliRunner().invoke(
@@ -580,6 +599,33 @@ class TestExitCodes:
         assert result.exit_code == cli.EXIT_INFEASIBLE
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
+        assert "candidate triples" in result.stderr
+
+    def test_a_huge_d_is_refused_before_any_per_index_array(self):
+        # Under a 2 GiB address-space cap a d-sized int64 array is refused
+        # outright, so an allocation before the cap check shows up as a
+        # traceback and exit 1 without using real memory.
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(bernrays.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from bernrays.cli import main; main(prog_name='bernrays')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "bounds", "--d", "1000000000",
+             "--p", "0.5", "--rho", "0.5"],
+            capture_output=True, text=True, preexec_fn=limit,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     OMP_NUM_THREADS="1"),
+        )
+        assert result.returncode == cli.EXIT_INFEASIBLE
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
         assert "candidate triples" in result.stderr
 
     def test_a_mean_class_above_the_cap_exits_2(self, monkeypatch):
@@ -646,9 +692,9 @@ class TestReproduce:
         requests = []
         enumerate_cached = cli._enumerate_cached
 
-        def counting(config):
-            requests.append((config.d, config.p, config.rho))
-            return enumerate_cached(config)
+        def counting(spec, cache):
+            requests.append((spec.d, spec.p, spec.rho))
+            return enumerate_cached(spec, cache)
 
         monkeypatch.setattr(cli, "_enumerate_cached", counting)
         result = CliRunner().invoke(

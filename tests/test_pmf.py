@@ -143,6 +143,29 @@ class TestMoments:
                     rel_tol=1e-10, abs_tol=1e-13,
                 )
 
+    def test_cross_moment_matches_the_zeroed_falling_ratio_bit_for_bit(self):
+        """The shared ratio helper gives the bits of the original loop,
+        which zeroed the ratio below ``order`` by assignment."""
+
+        def reference(y, order):
+            k = np.arange(y.d + 1, dtype=float)
+            ratio = np.ones(y.d + 1)
+            for t in range(order):
+                ratio *= (k - t) / (y.d - t)
+            ratio[:order] = 0.0
+            return math.fsum((ratio * y.probs).tolist())
+
+        rng = np.random.default_rng(2019)
+        for _ in range(3000):
+            d = int(rng.integers(1, 300))
+            weights = rng.exponential(size=d + 1)
+            weights *= rng.random(d + 1) < rng.random()
+            weights[int(rng.integers(d + 1))] += 1.0
+            y = DefaultCountPmf(d, weights / weights.sum())
+            for order in {int(rng.integers(1, d + 1)), min(2, d)}:
+                got = pmf.cross_moment(y, order)
+                assert got.hex() == reference(y, order).hex()
+
     def test_cross_moment_order_must_be_in_range(self):
         y = DefaultCountPmf(2, [0.25, 0.5, 0.25])
         for order in (0, -1, 3):
