@@ -13,7 +13,7 @@ from . import betamix, pmf, rays_corr, rays_mean, risk
 from .betamix import BetaMixParams
 from .errors import BernraysError
 from .pmf import ClassSpec, DefaultCountPmf, ExchangeablePmfSummary
-from .rays_corr import CorrSystemCoeffs, MembershipResult
+from .rays_corr import MembershipResult
 from .rays_mean import MomentBounds, RayDensity, RaySet
 from .risk import EsEnvelope, RiskBounds
 
@@ -37,7 +37,6 @@ __all__ = [
     "BernraysError",
     "BetaMixParams",
     "ClassSpec",
-    "CorrSystemCoeffs",
     "DefaultCountPmf",
     "EsEnvelope",
     "ExchangeablePmfSummary",

@@ -51,6 +51,9 @@ SECOND_MOMENT_RESIDUAL_SCALE = 1e-9
 def _check_d(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidSpec(f"d must be a positive integer, got {d}")
+    # Support indices are int64 throughout.
+    if d > np.iinfo(np.int64).max:
+        raise InvalidSpec(f"d must be at most 2**63 - 1, got {d}")
     return int(d)
 
 

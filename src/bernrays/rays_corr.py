@@ -61,31 +61,6 @@ _FSUM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
-class CorrSystemCoeffs:
-    """Centered constraint rows for the two-moment system.
-
-    ``alpha[j] = j - m`` and ``beta[j] = j**2 - M``; a pmf satisfies the
-    class constraints iff both dot products with its probabilities
-    vanish. Rows are read-only arrays of length ``d + 1``.
-    """
-
-    d: int
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def from_spec(cls, spec: ClassSpec) -> "CorrSystemCoeffs":
-        if spec.rho is None:
-            raise InvalidSpec("CorrSystemCoeffs requires a correlation target")
-        j = np.arange(spec.d + 1, dtype=float)
-        alpha = j - spec.mean_count
-        beta = j * j - spec.second_moment_target
-        alpha.setflags(write=False)
-        beta.setflags(write=False)
-        return cls(spec.d, alpha, beta)
-
-
-@dataclass(frozen=True)
 class MembershipResult:
     """Outcome of a class-membership test, with signed residuals."""
 
@@ -117,10 +92,9 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
         raise IndexOutOfRange(
             f"need 0 <= i < j < k <= {spec.d}, got ({i}, {j}, {k})"
         )
-    pts, raw = _solve_triples(spec, np.array([[i, j, k]]))
-    if not len(pts):
+    support, masses = _solve_triples(spec, np.array([[i, j, k]]))
+    if not len(support):
         return None
-    support, masses = _triple_rows(pts, raw)
     return RaySet(spec, support, masses)[0]
 
 
@@ -189,46 +163,43 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
 def _solve_triples(
     spec: ClassSpec, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The triples of ``pts`` that carry a ray, with their raw masses.
+    """Padded support and mass rows of the triples of ``pts`` that carry
+    a ray, in the order of ``pts``.
 
     ``pts`` is an ``(n, 3)`` array of strictly increasing indices. A
-    triple is kept when no mass is below ``-ZERO_MASS_TOL``.
+    triple is kept when no mass is below ``-ZERO_MASS_TOL``. A mass
+    within ``ZERO_MASS_TOL`` of zero drops its point; the kept points
+    move to the front, the last one repeats as padding, and the masses
+    are normalised with ``math.fsum``.
     """
     m = spec.mean_count
     big_m = spec.second_moment_target
     i, j, k = pts.T.astype(float)
-    mass_i = (j * k - (j + k) * m + big_m) / ((j - i) * (k - i))
-    mass_j = -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j))
-    mass_k = (i * j - (i + j) * m + big_m) / ((k - i) * (k - j))
-    raw = np.column_stack((mass_i, mass_j, mass_k))
+    raw = np.column_stack((
+        (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
+        -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
+        (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
+    ))
+    del i, j, k  # like the rebinding below, this frees superseded arrays
     keep = (raw >= -ZERO_MASS_TOL).all(1)
-    return pts[keep], raw[keep]
-
-
-def _triple_rows(
-    pts: np.ndarray, raw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of kept triples.
-
-    A mass within ``ZERO_MASS_TOL`` of zero drops its point; the kept
-    points move to the front, the last one repeats as padding, and the
-    masses are normalised with ``math.fsum``.
-    """
+    pts, raw = pts[keep], raw[keep]
     live = raw > ZERO_MASS_TOL
     front = np.argsort(~live, axis=1, kind="stable")
-    support = np.take_along_axis(pts, front, 1)
-    masses = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
+    pts = np.take_along_axis(pts, front, 1)
+    raw = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
     count = live.sum(1)
-    last = support[np.arange(len(support)), count - 1]
-    support = np.where(np.arange(3) < count[:, None], support, last[:, None])
-    return support, masses / _row_fsums(masses)[:, None]
+    last = pts[np.arange(len(pts)), count - 1]
+    support = np.where(np.arange(3) < count[:, None], pts, last[:, None])
+    return support, raw / _row_fsums(raw)[:, None]
 
 
 def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of every triple the sweep keeps.
-
-    Triples that drop a point come first, in lexicographic triple order,
-    so the first of them per support is the one the merge keeps.
+    """Padded support and mass rows of every triple the sweep keeps, in
+    ``(i, k, j)`` order, which is all the merge in :func:`enumerate_rays`
+    needs: only rows with at most two live points share a support, the
+    triples padded to ``{a < b}`` (``(x, a, b)``, ``(a, x, b)`` and
+    ``(a, b, x)``) rank alike in ``(i, k, j)`` and lexicographic order,
+    and one-point rows are equal bit for bit.
     """
     ranges = []
     total = 0
@@ -244,16 +215,8 @@ def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((0, 3), np.int64), np.empty((0, 3))
     pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
     pair, mid = _spans(lo, hi)
-    pts, raw = _solve_triples(
-        spec, np.column_stack((pair_i[pair], mid, pair_k[pair]))
-    )
-    whole = (raw > ZERO_MASS_TOL).all(1)
-    dropped = np.flatnonzero(~whole)
-    dropped = dropped[np.lexsort(pts[dropped].T[::-1])]
-    rows = np.concatenate((dropped, np.flatnonzero(whole)))
-    # Rebinding frees the unsorted rows before the padding step.
-    pts, raw = pts[rows], raw[rows]
-    return _triple_rows(pts, raw)
+    pts = np.column_stack((pair_i[pair], mid, pair_k[pair]))
+    return _solve_triples(spec, pts)
 
 
 def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +247,8 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     the mean class is checked first. The result merges the matching
     two-point mean-class rays, the point ray when both targets allow it,
     and every admissible triple, deduplicated by support set (in that
-    order of precedence) and sorted lexicographically. The triple sweep
+    order of precedence, and among triples the lexicographically first;
+    see :func:`_sweep_triples`) and sorted lexicographically. The sweep
     examines only the middle indices that the outer pair ``(i, k)``
     admits, so it costs O(d^2 + n) for ``n`` rays; a class needing more
     than ``MAX_CANDIDATES`` triples raises :class:`ClassTooLarge` before
@@ -307,7 +271,7 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
         np.concatenate(parts)
         for parts in zip(_matching_mean_rays(spec), triples)
     )
-    # lexsort is stable: the first row per support keeps its precedence.
+    # A stable sort: the first row per support keeps its precedence.
     order = np.lexsort(support.T[::-1])
     support, masses = support[order], masses[order]
     first = np.ones(len(support), bool)
@@ -319,15 +283,15 @@ def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:
     """Test whether ``pmf`` satisfies both class constraints.
 
     Residuals are the dot products of the pmf with the centered
-    constraint rows; membership requires the mean residual within
+    constraint rows ``j - m`` and ``j**2 - M``; membership requires the mean residual within
     ``1e-9 * d`` and the second-moment residual within ``1e-9 * d**2``.
     """
     _require_corr(spec, "membership")
     if pmf.d != spec.d:
         raise InvalidSpec(f"pmf has d={pmf.d}, spec has d={spec.d}")
-    coeffs = CorrSystemCoeffs.from_spec(spec)
-    r1 = float(np.dot(coeffs.alpha, pmf.probs))
-    r2 = float(np.dot(coeffs.beta, pmf.probs))
+    j = np.arange(spec.d + 1, dtype=float)
+    r1 = float(np.dot(j - spec.mean_count, pmf.probs))
+    r2 = float(np.dot(j * j - spec.second_moment_target, pmf.probs))
     ok = (
         abs(r1) <= MEAN_RESIDUAL_SCALE * spec.d
         and abs(r2) <= SECOND_MOMENT_RESIDUAL_SCALE * spec.d**2

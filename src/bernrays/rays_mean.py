@@ -163,8 +163,8 @@ def _check_rows(
         fail(MeanMismatch, bad, f"misses the mean {mean}")
     target = spec.second_moment_target
     if target is not None:
-        bad = np.abs((support * support * masses).sum(1) - target)
-        bad = bad > _SECOND_MOMENT_SCALE * d**2
+        second = (np.square(support, dtype=float) * masses).sum(1)
+        bad = np.abs(second - target) > _SECOND_MOMENT_SCALE * d**2
         if bad.any():
             fail(MeanMismatch, bad, f"misses the second moment {target}")
     return live.sum(1)
@@ -228,13 +228,6 @@ class RaySet(Sequence):
 
     def __repr__(self) -> str:
         return f"RaySet(spec={self.spec!r}, n={len(self)})"
-
-    def lex_first(self, where: np.ndarray) -> int:
-        """Index of the row with the lexicographically smallest support
-        among those ``where`` selects."""
-        rows = np.flatnonzero(where)
-        s = self.support[rows]
-        return int(rows[np.lexsort((s[:, 2], s[:, 1], s[:, 0]))[0]])
 
 
 class MomentBounds(NamedTuple):

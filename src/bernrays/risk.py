@@ -74,7 +74,11 @@ def _scan_vars(
 
 
 def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
-    t = rays.lex_first(where)
+    """The lexicographically smallest support among the rows ``where``
+    selects."""
+    rows = np.flatnonzero(where)
+    s = rays.support[rows]
+    t = rows[np.lexsort((s[:, 2], s[:, 1], s[:, 0]))[0]]
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 

@@ -628,6 +628,28 @@ class TestExitCodes:
         assert len(result.stderr.splitlines()) == 1
         assert "candidate triples" in result.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [["moments"], ["bounds", "--rho", "0.5"], ["rays", "--rho", "0.5"],
+         ["sweep"]],
+        ids=["moments", "bounds", "rays", "sweep"],
+    )
+    def test_a_d_past_int64_exits_2(self, command):
+        result = CliRunner().invoke(
+            cli.main,
+            [*command, "--d", "100000000000000000000", "--p", "0.5"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: d must be at most 2**63 - 1, got 100000000000000000000\n"
+        )
+
+    def test_the_largest_int64_d_still_gives_moments(self):
+        result = CliRunner().invoke(
+            cli.main, ["moments", "--d", str(2**63 - 1), "--p", "0.5"]
+        )
+        assert result.exit_code == 0, result.output
+
     def test_a_mean_class_above_the_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(rays_mean, "MAX_CANDIDATES", 1000)
         result = CliRunner().invoke(

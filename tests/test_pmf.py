@@ -296,6 +296,12 @@ class TestClassSpec:
         # mu2 = rho p q + p^2 = 0.3125, so E[S^2] = 2 + 12 * 0.3125
         assert math.isclose(spec.second_moment_target, 5.75, rel_tol=1e-15)
 
+    def test_d_must_fit_int64(self):
+        assert ClassSpec(2**63 - 1, 0.5).d == 2**63 - 1
+        for make in (ClassSpec, ExchangeablePmfSummary, DefaultCountPmf):
+            with pytest.raises(InvalidSpec, match="at most 2"):
+                make(2**63, 0.5)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidSpec):
             ClassSpec(0, 0.5)

@@ -2,6 +2,7 @@
 solver, the full enumeration against a brute-force vertex oracle, and
 the membership test."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from bernrays import (
     ClassSpec,
-    CorrSystemCoeffs,
     DefaultCountPmf,
     pmf,
     rays_corr,
@@ -59,6 +59,12 @@ class TestTripleRay:
         ray = rays_corr.triple_ray(ClassSpec(4, 0.5, 1.0), 0, 2, 4)
         assert ray.support == (0, 4)
         np.testing.assert_allclose(ray.masses, [0.5, 0.5], atol=1e-12)
+
+    def test_an_index_whose_square_wraps_int64(self):
+        d = 4 * 10**9
+        ray = rays_corr.triple_ray(ClassSpec(d, 0.5, 1.0), 0, 1, d)
+        assert ray.support == (0, d)
+        assert ray.masses == (0.5, 0.5)
 
     def test_solutions_hit_both_targets(self):
         rng = np.random.default_rng(61)
@@ -214,6 +220,29 @@ class TestIntervalSweep:
         supports = [ray.support for ray in rays_corr.enumerate_rays(spec)]
         assert set(supports) == exact_ray_supports(spec)
 
+    # sha256 of the little-endian int64 support and float64 mass bytes at
+    # d = 200, past the reach of the O(d^3) all-triples oracle. At p =
+    # rho = 0.5, 398 kept triples drop a point; on the lower edge (rho
+    # None) all 19900 kept triples collapse onto the point ray.
+    @pytest.mark.parametrize(
+        "p, rho, count, digest",
+        [(0.266, 1 / 6, 254375, "9ec41f5b7ff237dfdd722bbf029edca6"
+                                "28088784ec0f14db2b5e2ad581ca0921"),
+         (0.5, 0.5, 197384, "94a29ff99c29840ac1bb99fc995da313"
+                            "efec7478e2a2e2458c5477803edf20c1"),
+         (0.3, None, 1, "1d4031d94dcf0ce9b1549134e3376cd3"
+                        "755de04bd5385b3170711af094ccb641")],
+        ids=["dense", "dropped-points", "lower-edge"],
+    )
+    def test_d_200_arrays_match_pinned_digests(self, p, rho, count, digest):
+        if rho is None:
+            rho = rays_mean.correlation_bounds(ClassSpec(200, p))[0]
+        rays = rays_corr.enumerate_rays(ClassSpec(200, p, rho))
+        data = (rays.support.astype("<i8").tobytes()
+                + rays.masses.astype("<f8").tobytes())
+        assert len(rays) == count
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_candidate_count_bounds_the_rays(self):
         spec = ClassSpec(100, 0.266, 1 / 6)
         count = rays_corr.candidate_count(spec)
@@ -272,17 +301,18 @@ class TestMembership:
 
 class TestSystemCoeffs:
     def test_rows_are_centered_constraints(self):
+        # A point mass at j reads off both constraint rows at j exactly.
         spec = ClassSpec(4, 0.5, 0.25)
-        coeffs = CorrSystemCoeffs.from_spec(spec)
-        np.testing.assert_allclose(coeffs.alpha, np.arange(5) - 2.0)
-        np.testing.assert_allclose(
-            coeffs.beta, np.arange(5) ** 2 - 5.75
-        )
+        for j in range(5):
+            result = rays_corr.membership(
+                DefaultCountPmf(4, np.eye(5)[j]), spec
+            )
+            assert result.mean_residual == j - 2.0
+            assert result.second_moment_residual == j * j - 5.75
 
     def test_member_pmf_annihilates_both_rows(self):
         spec = ClassSpec(4, 0.5, 0.25)
-        coeffs = CorrSystemCoeffs.from_spec(spec)
         ray = rays_corr.triple_ray(spec, 0, 2, 4)
-        probs = ray.to_pmf().probs
-        assert abs(np.dot(coeffs.alpha, probs)) < 1e-12
-        assert abs(np.dot(coeffs.beta, probs)) < 1e-12
+        result = rays_corr.membership(ray.to_pmf(), spec)
+        assert abs(result.mean_residual) < 1e-12
+        assert abs(result.second_moment_residual) < 1e-12

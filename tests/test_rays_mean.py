@@ -128,6 +128,13 @@ class TestRayDensity:
         with pytest.raises(IndexOutOfRange):
             rays_mean.RayDensity(ClassSpec(4, 0.5), (2, 2), (1.0, 0.0))
 
+    def test_second_moment_check_does_not_wrap_int64(self):
+        # 4e9 squared is past the int64 range; the true second moment
+        # 0.5 * (4e9)**2 is the class target exactly.
+        d = 4 * 10**9
+        ray = rays_mean.RayDensity(ClassSpec(d, 0.5, 1.0), (0, d), (0.5, 0.5))
+        assert ray.support == (0, d)
+
     def test_to_pmf_is_dense(self):
         ray = rays_mean.two_point_ray(ClassSpec(4, 0.5), 1, 3)
         y = ray.to_pmf()
