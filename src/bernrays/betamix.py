@@ -56,9 +56,7 @@ def calibrate(p: float, rho: float) -> BetaMixParams:
         If ``rho`` is not strictly inside (0, 1); the mixture family
         cannot represent zero, negative, or perfect correlation.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidSpec(f"p must lie strictly inside (0, 1), got {p}")
+    p = pmf_mod._check_open_unit(p, "p")
     rho = float(rho)
     if not (0.0 < rho < 1.0):
         raise InadmissibleCorrelation(

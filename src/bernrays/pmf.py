@@ -4,7 +4,9 @@ Two equivalent representations are supported: the pmf of the default
 count on ``{0, ..., d}``, and the per-level weight vector of the
 underlying exchangeable Bernoulli joint law. The bijection between them
 is binomial reweighting, evaluated with log-gamma differences so that
-dimensions in the thousands neither overflow nor lose the small masses.
+dimensions in the thousands neither overflow nor lose the small masses;
+one function reweights in either direction, and both forms share one
+validator, the level weights checked through their reweighted total.
 
 The tolerances of pmfs and their membership checks live here; the ray
 modules and ``risk`` define the tolerances of their own checks.
@@ -57,21 +59,38 @@ def _check_d(d) -> int:
     return int(d)
 
 
-def _clean_probs(values, d: int) -> np.ndarray:
+def _check_open_unit(x, name: str) -> float:
+    """``x`` as a float strictly inside (0, 1); NaN and infinities fail
+    the comparison too."""
+    x = float(x)
+    if not 0.0 < x < 1.0:
+        raise InvalidSpec(f"{name} must lie strictly inside (0, 1), got {x}")
+    return x
+
+
+def _clean_probs(values, d: int, levels: bool = False) -> np.ndarray:
+    """The ``d + 1`` probabilities of a count pmf, or with ``levels`` the
+    level weights of a law, checked and read-only.
+
+    Entries must be finite and at least ``-NEG_MASS_TOL``; those below
+    zero become zero. The probabilities, or the level weights times
+    ``binom(d, j)``, must total one within ``NORM_TOL``.
+    """
+    what = "level weights" if levels else "probabilities"
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != d + 1:
         raise LengthMismatch(
-            f"expected {d + 1} probabilities for d={d}, got shape {arr.shape}"
+            f"expected {d + 1} {what} for d={d}, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
-        raise Overflow("probabilities must be finite")
+        raise Overflow(f"{what} must be finite")
     low = float(arr.min(initial=0.0))
     if low < -NEG_MASS_TOL:
         raise NegativeMass(f"mass {low} below -{NEG_MASS_TOL}")
     arr = np.where(arr < 0.0, 0.0, arr)
-    total = math.fsum(arr.tolist())
+    total = math.fsum((_reweighted(d, arr, 1) if levels else arr).tolist())
     if abs(total - 1.0) > NORM_TOL:
-        raise NotNormalized(f"probabilities sum to {total}")
+        raise NotNormalized(f"{what} sum to {total}")
     arr.setflags(write=False)
     return arr
 
@@ -111,23 +130,7 @@ class ExchangeablePmfSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_d(self.d))
-        arr = np.asarray(self.f, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != self.d + 1:
-            raise LengthMismatch(
-                f"expected {self.d + 1} level weights for d={self.d}, "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise Overflow("level weights must be finite")
-        low = float(arr.min(initial=0.0))
-        if low < -NEG_MASS_TOL:
-            raise NegativeMass(f"level weight {low} below -{NEG_MASS_TOL}")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        total = math.fsum(_weighted_levels(self.d, arr).tolist())
-        if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalized(f"level weights aggregate to {total}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "f", arr)
+        object.__setattr__(self, "f", _clean_probs(self.f, self.d, True))
 
 
 @dataclass(frozen=True)
@@ -146,13 +149,10 @@ class ClassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_d(self.d))
-        p = float(self.p)
-        if not (0.0 < p < 1.0) or not math.isfinite(p):
-            raise InvalidSpec(f"p must lie strictly inside (0, 1), got {p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_open_unit(self.p, "p"))
         if self.rho is not None:
             rho = float(self.rho)
-            if not math.isfinite(rho) or not (-1.0 < rho <= 1.0):
+            if not -1.0 < rho <= 1.0:
                 raise InvalidSpec(f"rho must lie in (-1, 1], got {rho}")
             if self.d < 2:
                 raise InvalidSpec("a correlation target requires d >= 2")
@@ -211,35 +211,28 @@ def log_binomial(d: int) -> np.ndarray:
     return log_factorial[d] - log_factorial - log_factorial[::-1]
 
 
-def _weighted_levels(d: int, f: np.ndarray) -> np.ndarray:
-    """Terms ``binom(d, j) * f[j]`` computed in log space."""
+def _reweighted(d: int, x: np.ndarray, power: int) -> np.ndarray:
+    """Terms ``binom(d, j)**power * x[j]`` for ``power`` of 1 or -1,
+    as ``exp(log x + power * log binom)``, so the binomial factor never
+    materialises; zero entries stay exactly zero."""
     out = np.zeros(d + 1)
-    pos = f > 0.0
+    pos = x > 0.0
     if np.any(pos):
-        out[pos] = np.exp(log_binomial(d)[pos] + np.log(f[pos]))
+        out[pos] = np.exp(np.log(x[pos]) + power * log_binomial(d)[pos])
     if not np.all(np.isfinite(out)):
         raise Overflow("binomial reweighting overflowed")
     return out
 
 
 def to_count_pmf(summary: ExchangeablePmfSummary) -> DefaultCountPmf:
-    """Map level weights to the default-count pmf.
-
-    ``probs[j] = binom(d, j) * f[j]``, evaluated as
-    ``exp(log binom + log f)`` so the binomial factor never materialises.
-    """
-    return DefaultCountPmf(summary.d, _weighted_levels(summary.d, summary.f))
+    """Map level weights to the default-count pmf,
+    ``probs[j] = binom(d, j) * f[j]``."""
+    return DefaultCountPmf(summary.d, _reweighted(summary.d, summary.f, 1))
 
 
 def from_count_pmf(pmf: DefaultCountPmf) -> ExchangeablePmfSummary:
     """Inverse of :func:`to_count_pmf`; zero masses stay exactly zero."""
-    f = np.zeros(pmf.d + 1)
-    pos = pmf.probs > 0.0
-    if np.any(pos):
-        f[pos] = np.exp(np.log(pmf.probs[pos]) - log_binomial(pmf.d)[pos])
-    if not np.all(np.isfinite(f)):
-        raise Overflow("inverse binomial reweighting overflowed")
-    return ExchangeablePmfSummary(pmf.d, f)
+    return ExchangeablePmfSummary(pmf.d, _reweighted(pmf.d, pmf.probs, -1))
 
 
 def mean(pmf: DefaultCountPmf) -> float:
@@ -299,13 +292,6 @@ def correlation(pmf: DefaultCountPmf, p: float) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise InvalidSpec(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return alpha
-
-
 def var(pmf: DefaultCountPmf, alpha: float) -> int:
     """Lower ``alpha``-quantile of the count.
 
@@ -314,7 +300,7 @@ def var(pmf: DefaultCountPmf, alpha: float) -> int:
     ``alpha - CDF_TIE_TOL``, so a cdf value equal to ``alpha`` up to
     roundoff covers the quantile.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_open_unit(alpha, "alpha")
     threshold = alpha - CDF_TIE_TOL
     acc = 0.0
     comp = 0.0

@@ -376,30 +376,21 @@ def decompose(
         j for j in range(spec.min_upper_index, spec.d + 1) if residual[j] > 0.0
     ]
     lows, highs, weights = [], [], []
-    li = ui = 0
-    while li < len(lower) and ui < len(upper):
-        j1, j2 = lower[li], upper[ui]
-        m1, m2 = _two_point_masses(spec.mean_count, j1, j2)
-        lam1 = residual[j1] / m1
-        lam2 = residual[j2] / m2
-        lam = min(lam1, lam2)
-        lows.append(j1)
-        highs.append(j2)
+    at = [0, 0]
+    while at[0] < len(lower) and at[1] < len(upper):
+        pair = (lower[at[0]], upper[at[1]])
+        masses = _two_point_masses(spec.mean_count, *pair)
+        lam = min(residual[j] / m for j, m in zip(pair, masses))
+        lows.append(pair[0])
+        highs.append(pair[1])
         weights.append(lam)
-        if lam1 <= lam2:
-            residual[j1] = 0.0
-            residual[j2] = max(0.0, residual[j2] - lam * m2)
-            li += 1
-            if residual[j2] <= _RESIDUAL_EPS:
-                residual[j2] = 0.0
-                ui += 1
-        else:
-            residual[j2] = 0.0
-            residual[j1] = max(0.0, residual[j1] - lam * m1)
-            ui += 1
-            if residual[j1] <= _RESIDUAL_EPS:
-                residual[j1] = 0.0
-                li += 1
+        # The side lam exhausts keeps at most 2.3e-16 (r - (r/m)*m
+        # rounds twice, r <= 1), so it moves on; the other side moves on
+        # too when as little is left.
+        for side, (j, m) in enumerate(zip(pair, masses)):
+            residual[j] -= lam * m
+            if residual[j] <= _RESIDUAL_EPS:
+                at[side] += 1
     rays = list(_mean_rays(spec, lows, highs, point=bool(peeled)))
     # The point ray is the last row and the first term.
     return list(zip(rays[-1:] + rays[:-1] if peeled else rays,
@@ -449,8 +440,10 @@ def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:
 
     The maximum is 1 (comonotonic margins are always admissible); the
     minimum maps the order-2 moment minimum through
-    ``rho = (mu2 - p^2) / (p(1-p))``.
+    ``rho = (mu2 - p^2) / (p(1-p))``. A pair of names needs ``d >= 2``.
     """
+    if spec.d < 2:
+        raise InvalidSpec("a correlation range requires d >= 2")
     mu2_low = moment_bounds(spec, 2).lower
     q = 1.0 - spec.p
     rho_min = (mu2_low - spec.p * spec.p) / (spec.p * q)

@@ -17,10 +17,10 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyRaySet, InvalidSpec
-from .pmf import CDF_TIE_TOL, ClassSpec, _check_alpha
+from .errors import EmptyRaySet
+from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
 from .rays_corr import enumerate_rays as enumerate_corr_rays
-from .rays_mean import RayDensity, RaySet
+from .rays_mean import RayDensity, RaySet, _require_mean_only
 
 # Slack for boundary decisions in the closed-form index arithmetic:
 # quantities like pd/(1-alpha) land exactly on integers for round table
@@ -92,7 +92,7 @@ def _scan(
     rays: Sequence[RayDensity], alpha: float
 ) -> tuple[float, RaySet, np.ndarray]:
     """The checked level, the rays as a set and each ray's VaR."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_open_unit(alpha, "alpha")
     rays = _check_rays(rays)
     return alpha, rays, _scan_vars(rays.support, rays.masses, alpha)
 
@@ -122,15 +122,6 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     return _extrema(*_scan(rays, alpha), None)
 
 
-def _floor_strict(x: float) -> int:
-    """Largest integer strictly below ``x``, with an epsilon guard so a
-    value within 1e-9 of an integer counts as that integer."""
-    f = math.floor(x)
-    if x - f <= _INDEX_TOL:
-        return int(f) - 1
-    return int(f)
-
-
 def _ceil_guarded(x: float) -> int:
     """Smallest integer at or above ``x``, treating a value within 1e-9
     above an integer as that integer."""
@@ -157,16 +148,12 @@ def var_bounds_mean_closed_form(
     - ``j1p > j1M``: minimum ``j1M + 1`` (the integer mean itself when
       there is one, attained by the point ray); maximum ``d``.
     """
-    if spec.rho is not None:
-        raise InvalidSpec(
-            "the closed form covers the mean-constrained class; "
-            "scan enumerated rays for a correlation target"
-        )
-    alpha = _check_alpha(alpha)
+    _require_mean_only(spec, "var_bounds_mean_closed_form")
+    alpha = _check_open_unit(alpha, "alpha")
     pd = spec.mean_count
     pivot = (spec.p - (1.0 - alpha)) * spec.d / alpha
     if pivot <= _INDEX_TOL:
-        return 0, _floor_strict(pd / (1.0 - alpha))
+        return 0, _ceil_guarded(pd / (1.0 - alpha)) - 1
     if pivot <= spec.max_lower_index + _INDEX_TOL:
         return _ceil_guarded(pivot), spec.d
     return spec.max_lower_index + 1, spec.d
@@ -213,7 +200,7 @@ def es_envelope(
     enumerated ray sequence. The upper bound ``d`` is attained by the
     ray on ``{0, d}`` exactly when ``1 - p <= alpha``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_open_unit(alpha, "alpha")
     if isinstance(source, ClassSpec):
         spec = source
         if spec.rho is None:

@@ -644,6 +644,16 @@ class TestExitCodes:
             "error: d must be at most 2**63 - 1, got 100000000000000000000\n"
         )
 
+    def test_moments_of_one_name_exit_2_without_a_traceback(self):
+        result = CliRunner().invoke(
+            cli.main, ["moments", "--d", "1", "--p", "0.5"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: a correlation range requires d >= 2\n"
+        )
+        assert "Traceback" not in result.output
+
     def test_the_largest_int64_d_still_gives_moments(self):
         result = CliRunner().invoke(
             cli.main, ["moments", "--d", str(2**63 - 1), "--p", "0.5"]

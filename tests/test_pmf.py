@@ -55,6 +55,22 @@ class TestValidation:
         with pytest.raises(Overflow):
             DefaultCountPmf(1, [np.inf, 0.0])
 
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [([0.5, 0.5], LengthMismatch,
+          "expected 3 probabilities for d=2, got shape (2,)"),
+         ([np.nan, 0.5, 0.5], Overflow, "probabilities must be finite"),
+         ([0.5, 0.6, -0.1], NegativeMass, "mass -0.1 below -1e-12"),
+         ([0.125] * 3, NotNormalized, "probabilities sum to 0.375")],
+        ids=["length", "finite", "negative", "normalized"],
+    )
+    def test_both_forms_fail_alike(self, values, error, message):
+        with pytest.raises(error) as caught:
+            DefaultCountPmf(2, values)
+        assert str(caught.value) == message
+        with pytest.raises(error):
+            ExchangeablePmfSummary(2, values)
+
     def test_probs_are_read_only(self):
         y = DefaultCountPmf(1, [0.5, 0.5])
         with pytest.raises(ValueError):

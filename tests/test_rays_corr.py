@@ -3,6 +3,7 @@ solver, the full enumeration against a brute-force vertex oracle, and
 the membership test."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -242,6 +243,34 @@ class TestIntervalSweep:
                 + rays.masses.astype("<f8").tobytes())
         assert len(rays) == count
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "d, mean, i, k", [(7, 2, 1, 7), (20, 10, 2, 12), (26, 15, 13, 16)]
+    )
+    def test_triples_alone_keep_the_lexicographically_first(
+        self, monkeypatch, d, mean, i, k
+    ):
+        # With the count variance at (m - i)(k - m), every triple (i, j, k)
+        # drops j and lands on {i, k}, whose matching mean row is removed
+        # here, so only the precedence among triple rows decides.
+        m, p = float(mean), mean / d
+        pair = ((m - i) * (k - m) + m * m - m) / (d * (d - 1))
+        spec = ClassSpec(d, p, (pair - p * p) / (p * (1.0 - p)))
+        first, tied = {}, {}
+        for triple in itertools.combinations(range(d + 1), 3):
+            ray = rays_corr.triple_ray(spec, *triple)
+            if ray is not None:
+                first.setdefault(ray.support, ray)
+                tied.setdefault(ray.support, set()).add(ray.masses)
+        assert any(len(masses) > 1 for masses in tied.values())
+        monkeypatch.setattr(
+            rays_corr, "_matching_mean_rays",
+            lambda spec: (np.empty((0, 3), np.int64), np.empty((0, 3))),
+        )
+        want = rays_mean.RaySet.of([first[s] for s in sorted(first)])
+        got = rays_corr.enumerate_rays(spec)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.masses, want.masses)
 
     def test_candidate_count_bounds_the_rays(self):
         spec = ClassSpec(100, 0.266, 1 / 6)

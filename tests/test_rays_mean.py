@@ -339,6 +339,11 @@ class TestCorrelationBounds:
         assert math.isclose(low, -1.0, abs_tol=1e-12)
         assert high == 1.0
 
+    def test_one_name_has_no_correlation_range(self):
+        with pytest.raises(InvalidSpec) as caught:
+            rays_mean.correlation_bounds(ClassSpec(1, 0.5))
+        assert str(caught.value) == "a correlation range requires d >= 2"
+
     def test_minimum_is_attained_by_the_moment_argmin(self):
         rng = np.random.default_rng(59)
         for _ in range(50):
