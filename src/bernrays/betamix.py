@@ -70,9 +70,11 @@ def pmf(params: BetaMixParams, d: int) -> DefaultCountPmf:
     """Beta-binomial count pmf on ``{0, ..., d}``.
 
     ``probs[j] = binom(d, j) * B(a+j, b+d-j) / B(a, b)``, evaluated in
-    log space from ``probs[0] = prod_{k<d} (1 - a/(a+b+k))`` and the
-    ratios ``probs[j+1]/probs[j] = (d-j)/(j+1) * (a+j)/(b+d-1-j)``.
-    Every term is O(1) in size, so nothing cancels: a difference of
+    log space from ``probs[0] = prod_{k<d} (b+k)/(a+b+k)`` and the
+    ratios ``probs[j+1]/probs[j] = (d-j)/(j+1) * (a+j)/(b+(d-1-j))``.
+    Each factor is a ratio of sums of positive terms, so nothing
+    cancels even near ``p = 1``, where ``b`` is tiny: ``1 - a/(a+b+k)``
+    would cancel there and ``b+d-1-j`` would lose ``b``. A difference of
     log-beta values would lose about ``(a+b) * eps`` to rounding, which
     breaks normalisation once ``rho`` is near 1e-6. With calibrated
     ``a`` as small as a few 1e-4 the gamma function itself is far
@@ -80,9 +82,9 @@ def pmf(params: BetaMixParams, d: int) -> DefaultCountPmf:
     """
     d = pmf_mod._check_d(d)
     a, b = params.a, params.b
-    log_first = math.fsum(math.log1p(-a / (a + b + k)) for k in range(d))
+    log_first = math.fsum(math.log((b + k) / (a + b + k)) for k in range(d))
     j = np.arange(d, dtype=float)
-    steps = np.log((d - j) / (j + 1.0)) + np.log((a + j) / (b + d - 1.0 - j))
+    steps = np.log((d - j) / (j + 1.0)) + np.log((a + j) / (b + (d - 1.0 - j)))
     log_probs = np.concatenate(([0.0], np.cumsum(steps))) + log_first
     return DefaultCountPmf(d, np.exp(log_probs))
 

@@ -2,8 +2,9 @@
 
 Every numeric cell an output table carries comes from exactly one
 library call; this layer only parses flags, routes through the ray-set
-cache, applies display rounding, and serializes. Each command takes one
-path from flags to bytes: ``_resolve`` turns the class flags into a
+cache, applies display rounding (one rule per column, read by both CSV
+and JSON), and serializes. Each command takes one path from flags to
+bytes: ``_resolve`` turns the class flags into a
 :class:`~bernrays.pmf.ClassSpec`, ``_enumerate_cached`` gets its rays, a
 row builder makes raw rows, ``_render`` serializes them and ``_emit`` or
 ``_write`` sends the text to stdout or a file. Outputs are
@@ -95,24 +96,17 @@ def _enumerate_cached(spec: ClassSpec, cache: Path | None) -> RaySet:
 # ---------------------------------------------------------------------------
 # Table construction: raw rows first, display formatting second.
 
+# Decimal places of the rounded columns, in CSV cells and JSON numbers.
+_DECIMALS = {"lower": 3, "upper": 3, "es_min": 1, "es_max": 1}
+
 _FORMATTERS = {
     "order": str,
     "alpha": lambda a: f"{a:g}",
     "rho": lambda r: f"{r:.17g}",
-    "lower": lambda x: f"{x:.3f}",
-    "upper": lambda x: f"{x:.3f}",
     "var_min": lambda v: str(int(v)),
     "var_max": lambda v: str(int(v)),
     "beta_var": lambda v: "" if v is None else str(int(v)),
-    "es_min": lambda x: f"{x:.1f}",
-    "es_max": lambda x: f"{x:.1f}",
-}
-
-_JSON_ROUNDERS = {
-    "lower": lambda x: round(x, 3),
-    "upper": lambda x: round(x, 3),
-    "es_min": lambda x: round(x, 1),
-    "es_max": lambda x: round(x, 1),
+    **{key: (lambda x, n=n: f"{x:.{n}f}") for key, n in _DECIMALS.items()},
 }
 
 
@@ -127,14 +121,17 @@ def _render(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
         payload = [
             {
-                key: _JSON_ROUNDERS.get(key, lambda v: v)(value)
+                key: (round(value, _DECIMALS[key])
+                      if key in _DECIMALS else value)
                 for key, value in row.items()
             }
             for row in rows
         ]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(
+        buffer, fieldnames=columns, lineterminator="\n", extrasaction="ignore"
+    )
     writer.writeheader()
     writer.writerows(_stringify(rows))
     return buffer.getvalue()
@@ -222,10 +219,6 @@ def _sweep_rows(
 
 # ---------------------------------------------------------------------------
 # Reproduction gate.
-
-
-def _project(rows: list[dict], columns: tuple[str, ...]) -> list[dict]:
-    return [{key: row[key] for key in columns} for row in rows]
 
 
 def _reference_rows(columns: tuple[str, ...], table: dict, *prefix):
@@ -324,15 +317,14 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
         for name, columns, rows, checked, expected in _scenario_tables(
             scenario, p, cache_dir
         ):
-            text = _render(_project(rows, columns), columns, "csv")
+            text = _render(rows, columns, "csv")
             path = _write(out_dir, f"{name}.csv", text)
-            checked = _project(checked, columns)
             diffs = _diff_rows(_stringify(checked), _stringify(expected), name)
             total_diffs += len(diffs)
             manifest["tables"][name] = {
                 "file": path.name,
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "checked_cells": sum(len(row) for row in checked),
+                "checked_cells": len(checked) * len(columns),
                 "mismatches": diffs,
             }
             status = "OK" if not diffs else f"{len(diffs)} MISMATCHES"

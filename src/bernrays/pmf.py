@@ -180,10 +180,7 @@ class ClassSpec:
     @property
     def min_upper_index(self) -> int:
         """Smallest support index strictly above the mean count."""
-        pd = self.mean_count
-        if self.integer_mean:
-            return int(round(pd)) + 1
-        return int(math.floor(pd)) + 1
+        return self.max_lower_index + 1 + self.integer_mean
 
     @property
     def pair_moment_target(self) -> float | None:

@@ -257,10 +257,8 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     _require_corr(spec, "enumerate_rays")
     mu2 = spec.pair_moment_target
     mean_bounds = rays_mean.moment_bounds(spec, 2)
-    if (
-        mu2 < mean_bounds.lower - _FEASIBILITY_TOL
-        or mu2 > mean_bounds.upper + _FEASIBILITY_TOL
-    ):
+    # The upper bound, p, holds for every rho <= 1 that ClassSpec admits.
+    if mu2 < mean_bounds.lower - _FEASIBILITY_TOL:
         raise InfeasibleMoment(
             f"pair moment {mu2} outside attainable range "
             f"[{mean_bounds.lower}, {mean_bounds.upper}]"

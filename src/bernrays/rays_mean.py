@@ -36,9 +36,11 @@ from .errors import (
 from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 
 # Most index triples one correlated enumeration may examine, and most
-# two-point rays a mean-class enumeration may build. Each candidate or
-# ray holds about 128 bytes of working arrays (indices, masses,
-# temporaries), so the cap keeps either near 1 GiB.
+# two-point rays a mean-class enumeration may build. By tracemalloc peak
+# a candidate holds about 231 bytes of working arrays and a mean-class
+# ray about 150 (2,081,837 candidates of (400, 0.266, 1/6): 459 MiB;
+# 1,000,001 rays of (2000, 0.5): 143 MiB), so at the cap a correlated
+# enumeration peaks near 1.8 GiB and a mean-class one near 1.2 GiB.
 MAX_CANDIDATES = 2**23
 
 # Masses this close to one another at a pairing step are exhausted together.
@@ -47,10 +49,9 @@ _RESIDUAL_EPS = 1e-15
 # Ray checks shared by RayDensity and RaySet: the masses sum to one
 # within _SUM_TOL, the mean is within _MEAN_SCALE * d of d*p and, for
 # the correlated class, the raw second moment is within
-# _SECOND_MOMENT_SCALE * d**2 of its target.
+# pmf.SECOND_MOMENT_RESIDUAL_SCALE * d**2 of its target.
 _SUM_TOL = 1e-12
 _MEAN_SCALE = 1e-10
-_SECOND_MOMENT_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,8 @@ def _check_rows(
     target = spec.second_moment_target
     if target is not None:
         second = (np.square(support, dtype=float) * masses).sum(1)
-        bad = np.abs(second - target) > _SECOND_MOMENT_SCALE * d**2
+        tol = pmf_mod.SECOND_MOMENT_RESIDUAL_SCALE * d**2
+        bad = np.abs(second - target) > tol
         if bad.any():
             fail(MeanMismatch, bad, f"misses the second moment {target}")
     return live.sum(1)

@@ -82,18 +82,14 @@ def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
-def _check_rays(rays: Sequence[RayDensity]) -> RaySet:
-    if len(rays) == 0:
-        raise EmptyRaySet("risk scan over an empty ray collection")
-    return RaySet.of(rays)
-
-
 def _scan(
     rays: Sequence[RayDensity], alpha: float
 ) -> tuple[float, RaySet, np.ndarray]:
     """The checked level, the rays as a set and each ray's VaR."""
     alpha = _check_open_unit(alpha, "alpha")
-    rays = _check_rays(rays)
+    if len(rays) == 0:
+        raise EmptyRaySet("risk scan over an empty ray collection")
+    rays = RaySet.of(rays)
     return alpha, rays, _scan_vars(rays.support, rays.masses, alpha)
 
 
@@ -159,15 +155,6 @@ def var_bounds_mean_closed_form(
     return spec.max_lower_index + 1, spec.d
 
 
-def _scan_es(
-    support: np.ndarray, masses: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    tail = support >= values[:, None]
-    num = np.sum(support * masses * tail, axis=1)
-    den = np.sum(masses * tail, axis=1)
-    return num / den
-
-
 def es_bounds_scan(
     rays: Sequence[RayDensity], alpha: float
 ) -> tuple[float, float]:
@@ -177,17 +164,17 @@ def es_bounds_scan(
     sharp over the whole class (see :func:`es_envelope` for the proved
     class-wide bound).
     """
-    _, rays, values = _scan(rays, alpha)
-    es = _scan_es(rays.support, rays.masses, values)
-    return float(es.min()), float(es.max())
+    bounds = risk_bounds(rays, alpha)
+    return bounds.es_min, bounds.es_max
 
 
 def risk_bounds(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     """One-pass VaR and ES scan bundled into a :class:`RiskBounds`."""
     alpha, rays, values = _scan(rays, alpha)
-    return _extrema(
-        alpha, rays, values, _scan_es(rays.support, rays.masses, values)
-    )
+    tail = rays.support >= values[:, None]
+    num = np.sum(rays.support * rays.masses * tail, axis=1)
+    den = np.sum(rays.masses * tail, axis=1)
+    return _extrema(alpha, rays, values, num / den)
 
 
 def es_envelope(
@@ -201,15 +188,12 @@ def es_envelope(
     ray on ``{0, d}`` exactly when ``1 - p <= alpha``.
     """
     alpha = _check_open_unit(alpha, "alpha")
-    if isinstance(source, ClassSpec):
+    if isinstance(source, ClassSpec) and source.rho is None:
         spec = source
-        if spec.rho is None:
-            lower = float(var_bounds_mean_closed_form(spec, alpha)[0])
-        else:
-            rays = enumerate_corr_rays(spec)
-            lower = float(var_bounds_scan(rays, alpha).var_min)
+        lower = var_bounds_mean_closed_form(spec, alpha)[0]
     else:
-        source = _check_rays(source)
-        spec = source.spec
-        lower = float(var_bounds_scan(source, alpha).var_min)
-    return EsEnvelope(lower, float(spec.d), 1.0 - spec.p <= alpha)
+        if isinstance(source, ClassSpec):
+            source = enumerate_corr_rays(source)
+        _, rays, values = _scan(source, alpha)
+        spec, lower = rays.spec, values.min()
+    return EsEnvelope(float(lower), float(spec.d), 1.0 - spec.p <= alpha)

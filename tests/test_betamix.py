@@ -107,6 +107,17 @@ class TestPmf:
             want = np.array(mpmath_pmf(params.a, params.b, d))
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-300)
 
+    # Near p = 1 the calibrated b is far below a, and below one at high
+    # rho: 1 - a/(a+b) and b + d - 1 - j both lose b to rounding.
+    @pytest.mark.parametrize("rho", [1 / 6, 1 / 2, 0.999999])
+    @pytest.mark.parametrize("p", [0.9999, 0.99999, 1 - 1e-9])
+    @pytest.mark.parametrize("d", [2, 100])
+    def test_matches_the_oracle_near_certain_default(self, p, rho, d):
+        params = betamix.calibrate(p, rho)
+        got = betamix.pmf(params, d).probs
+        want = np.array(mpmath_pmf(params.a, params.b, d))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_stays_normalized_at_tiny_correlation(self):
         for rho in (1e-6, 1e-9, 1e-12):
             y = betamix.pmf(betamix.calibrate(0.266, rho), 30)

@@ -446,6 +446,21 @@ class TestCommands:
         assert lines[0] == "alpha,var_min,var_max,es_min,es_max,beta_var"
         assert all(line.split(",")[5] for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "args",
+        [("sweep", "--p", "0.9999"),
+         ("bounds", "--p", "0.99999", "--rho", "0.5")],
+        ids=["sweep", "bounds"],
+    )
+    def test_a_benchmark_near_certain_default_is_computed(self, args):
+        result = CliRunner().invoke(cli.main, list(args))
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        rows = result.stdout.strip().split("\n")[1:]
+        # beta_var is blank at rho = 0 and d = 100 wherever 0 < rho < 1.
+        cells = {row.rsplit(",", 1)[1] for row in rows}
+        assert "100" in cells and cells <= {"", "100"}
+
     def test_sweep_covers_the_grid(self):
         result = run(
             "sweep", "--d", "12", "--p", "0.25",
@@ -520,6 +535,75 @@ class TestOutputFiles:
                      str(tmp_path))
         path = tmp_path / "rays_d20_p0.25.txt"
         assert result.stdout == f"76 rays -> {path}\n"
+
+
+# Raw rows with every column at a rounding edge, and what each format
+# shows for them: as binary floats 0.0125, 0.0005 and -0.0105 lie just
+# past a half at 3 decimals, 2.25 on one (half to even) and 26.65 just
+# short of one at 1 decimal. JSON payloads are compared as emitted
+# text, so the sign of a zero counts.
+DISPLAY_ROWS = {
+    cli.MOMENTS_COLUMNS: [
+        {"order": "1", "lower": 0.0125, "upper": 0.0005},
+        {"order": "rho", "lower": -0.0105, "upper": 2.25},
+    ],
+    cli.BOUNDS_BETA_COLUMNS: [
+        {"alpha": 0.9999995, "var_min": 0, "var_max": 26, "es_min": 2.25,
+         "es_max": 26.65, "beta_var": None},
+        {"alpha": 0.95, "var_min": 3, "var_max": 100, "es_min": 0.0125,
+         "es_max": -0.0105, "beta_var": 7},
+    ],
+    cli.SWEEP_COLUMNS: [
+        {"rho": 1 / 6, "alpha": 0.9999995, "var_min": 1, "var_max": 2,
+         "beta_var": None},
+        {"rho": 0.0, "alpha": 0.99, "var_min": 5, "var_max": 6,
+         "beta_var": 5},
+    ],
+}
+DISPLAY_CSV = {
+    cli.MOMENTS_COLUMNS: "order,lower,upper\n1,0.013,0.001\nrho,-0.011,2.250\n",
+    cli.BOUNDS_BETA_COLUMNS: (
+        "alpha,var_min,var_max,es_min,es_max,beta_var\n"
+        "1,0,26,2.2,26.6,\n"
+        "0.95,3,100,0.0,-0.0,7\n"
+    ),
+    cli.SWEEP_COLUMNS: (
+        "rho,alpha,var_min,var_max,beta_var\n"
+        "0.16666666666666666,1,1,2,\n"
+        "0,0.99,5,6,5\n"
+    ),
+}
+DISPLAY_JSON = {
+    cli.MOMENTS_COLUMNS: [
+        {"order": "1", "lower": 0.013, "upper": 0.001},
+        {"order": "rho", "lower": -0.011, "upper": 2.25},
+    ],
+    cli.BOUNDS_BETA_COLUMNS: [
+        {"alpha": 0.9999995, "var_min": 0, "var_max": 26, "es_min": 2.2,
+         "es_max": 26.6, "beta_var": None},
+        {"alpha": 0.95, "var_min": 3, "var_max": 100, "es_min": 0.0,
+         "es_max": -0.0, "beta_var": 7},
+    ],
+    cli.SWEEP_COLUMNS: [
+        {"rho": 1 / 6, "alpha": 0.9999995, "var_min": 1, "var_max": 2,
+         "beta_var": None},
+        {"rho": 0.0, "alpha": 0.99, "var_min": 5, "var_max": 6,
+         "beta_var": 5},
+    ],
+}
+
+
+class TestDisplayRules:
+    @pytest.mark.parametrize("columns", list(DISPLAY_ROWS))
+    def test_csv_cells_are_pinned(self, columns):
+        text = cli._render(DISPLAY_ROWS[columns], columns, "csv")
+        assert text == DISPLAY_CSV[columns]
+
+    @pytest.mark.parametrize("columns", list(DISPLAY_ROWS))
+    def test_json_values_are_pinned(self, columns):
+        text = cli._render(DISPLAY_ROWS[columns], columns, "json")
+        expected = json.dumps(DISPLAY_JSON[columns], sort_keys=True, indent=2)
+        assert text == expected + "\n"
 
 
 class TestImport:

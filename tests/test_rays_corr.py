@@ -126,6 +126,23 @@ class TestEnumerate:
                     ray.masses, expected[ray.support], atol=1e-9
                 )
 
+    # enumerate_rays tests the pair moment against the lower bound only:
+    # the upper one, p, holds for every rho that ClassSpec admits.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 10**6),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(-1.0, 1.0, exclude_min=True),
+    )
+    def test_no_admitted_class_exceeds_the_upper_bound(self, d, p, rho):
+        spec = ClassSpec(d, p, rho)
+        upper = rays_mean.moment_bounds(ClassSpec(d, p), 2).upper
+        assert spec.pair_moment_target <= upper + rays_corr._FEASIBILITY_TOL
+        pd = spec.mean_count
+        above = round(pd) + 1 if spec.integer_mean else math.floor(pd) + 1
+        assert spec.min_upper_index == above
+        assert above == spec.max_lower_index + 1 + spec.integer_mean
+
     def test_comonotone_class_has_a_single_ray(self):
         for d, p in ((2, 0.5), (6, 0.3), (50, 0.017)):
             rays = rays_corr.enumerate_rays(ClassSpec(d, p, 1.0))
