@@ -30,12 +30,7 @@ import click
 
 from . import __version__, betamix, enumerate_rays, rays_mean, risk
 from . import _reference_tables as ref
-from .errors import (
-    BernraysError,
-    InadmissibleCorrelation,
-    InfeasibleMoment,
-    InvalidSpec,
-)
+from .errors import BernraysError, InadmissibleCorrelation, InvalidSpec
 from .pmf import ClassSpec
 from .rays_mean import RaySet
 from .rayset_io import format_ray_set, load_cached_rays, store_cached_rays
@@ -96,7 +91,8 @@ def _enumerate_cached(spec: ClassSpec, cache: Path | None) -> RaySet:
 # ---------------------------------------------------------------------------
 # Table construction: raw rows first, display formatting second.
 
-# Decimal places of the rounded columns, in CSV cells and JSON numbers.
+# Decimal places of the rounded columns. Such a cell shows
+# round(x, n) + 0.0 in both formats, so a zero never carries a sign.
 _DECIMALS = {"lower": 3, "upper": 3, "es_min": 1, "es_max": 1}
 
 _FORMATTERS = {
@@ -110,24 +106,25 @@ _FORMATTERS = {
 }
 
 
+def _shown(rows: list[dict]) -> list[dict]:
+    """``rows`` with every rounded column at the value its cell shows."""
+    return [
+        {key: round(value, _DECIMALS[key]) + 0.0 if key in _DECIMALS
+         else value for key, value in row.items()}
+        for row in rows
+    ]
+
+
 def _stringify(rows: list[dict]) -> list[dict]:
     return [
         {key: _FORMATTERS[key](value) for key, value in row.items()}
-        for row in rows
+        for row in _shown(rows)
     ]
 
 
 def _render(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
-        payload = [
-            {
-                key: (round(value, _DECIMALS[key])
-                      if key in _DECIMALS else value)
-                for key, value in row.items()
-            }
-            for row in rows
-        ]
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_shown(rows), sort_keys=True, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer, fieldnames=columns, lineterminator="\n", extrasaction="ignore"
@@ -159,8 +156,6 @@ def _moments_rows(spec: ClassSpec) -> list[dict]:
 
 
 def _beta_var(spec: ClassSpec, alpha: float) -> int | None:
-    if spec.rho is None:
-        return None
     try:
         params = betamix.calibrate(spec.p, spec.rho)
     except InadmissibleCorrelation:
@@ -198,11 +193,7 @@ def _sweep_rows(
 ) -> list[dict]:
     rows = []
     for rho in _sweep_grid(grid):
-        try:
-            rays = _enumerate_cached(ClassSpec(spec.d, spec.p, rho), cache)
-        except InfeasibleMoment as exc:
-            click.echo(f"sweep: skipping rho={rho:g}: {exc}", err=True)
-            continue
+        rays = _enumerate_cached(ClassSpec(spec.d, spec.p, rho), cache)
         for alpha in alphas:
             bounds = risk.var_bounds_scan(rays, alpha)
             rows.append(

@@ -1,17 +1,25 @@
 """Command-line surface: argument handling, serialization formats,
 byte determinism, the ray-set cache, and exit codes."""
 
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import bernrays
 from bernrays import (
@@ -169,6 +177,13 @@ def _negative_shape(path):
     write_signed(path, buffer.getvalue() + masses.tobytes())
 
 
+def _npy_version_2(path):
+    buffer = io.BytesIO()
+    for array in read_records(path):
+        np.lib.format.write_array(buffer, array, version=(2, 0))
+    write_signed(path, buffer.getvalue())
+
+
 def _with_record(slot, change):
     def mutate(path):
         records = read_records(path)
@@ -201,6 +216,7 @@ BAD_ENTRIES = {
     "key without rho": _with_record(0, lambda a: a * [1.0, 1.0, np.nan]),
     "pickled masses": _with_record(2, lambda a: a.astype(object)),
     "negative shape": _negative_shape,
+    "npy version 2.0": _npy_version_2,
 }
 
 
@@ -243,6 +259,11 @@ class TestRaySetFormat:
         clipped = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(LengthMismatch):
             parse_ray_set(clipped)
+
+    @pytest.mark.parametrize("header", ["4,0.5,0.25", "4,0.5,0.25,1,1"])
+    def test_a_header_of_other_than_four_fields_raises(self, header):
+        with pytest.raises(LengthMismatch):
+            parse_ray_set(f"{header}\n0:0.25;2:0.5;4:0.25\n")
 
     @pytest.mark.parametrize("line", list(BAD_RAY_LINES))
     def test_a_malformed_line_raises(self, line):
@@ -421,6 +442,8 @@ class TestCommands:
         assert [line.split(",")[0] for line in result.stdout.split()] == [
             "order", "1", "2", "3", "4", "rho"
         ]
+        # rho_min = -1/5999 rounds to zero from below and shows unsigned.
+        assert result.stdout.split()[-1] == "rho,0.000,1.000"
 
     def test_moments_without_a_pair_moment_is_infeasible(self):
         result = CliRunner().invoke(
@@ -541,7 +564,8 @@ class TestOutputFiles:
 # shows for them: as binary floats 0.0125, 0.0005 and -0.0105 lie just
 # past a half at 3 decimals, 2.25 on one (half to even) and 26.65 just
 # short of one at 1 decimal. JSON payloads are compared as emitted
-# text, so the sign of a zero counts.
+# text, so the sign of a zero counts: -0.0105 shows as an unsigned zero
+# at 1 decimal.
 DISPLAY_ROWS = {
     cli.MOMENTS_COLUMNS: [
         {"order": "1", "lower": 0.0125, "upper": 0.0005},
@@ -565,7 +589,7 @@ DISPLAY_CSV = {
     cli.BOUNDS_BETA_COLUMNS: (
         "alpha,var_min,var_max,es_min,es_max,beta_var\n"
         "1,0,26,2.2,26.6,\n"
-        "0.95,3,100,0.0,-0.0,7\n"
+        "0.95,3,100,0.0,0.0,7\n"
     ),
     cli.SWEEP_COLUMNS: (
         "rho,alpha,var_min,var_max,beta_var\n"
@@ -582,7 +606,7 @@ DISPLAY_JSON = {
         {"alpha": 0.9999995, "var_min": 0, "var_max": 26, "es_min": 2.2,
          "es_max": 26.6, "beta_var": None},
         {"alpha": 0.95, "var_min": 3, "var_max": 100, "es_min": 0.0,
-         "es_max": -0.0, "beta_var": 7},
+         "es_max": 0.0, "beta_var": 7},
     ],
     cli.SWEEP_COLUMNS: [
         {"rho": 1 / 6, "alpha": 0.9999995, "var_min": 1, "var_max": 2,
@@ -712,6 +736,20 @@ class TestExitCodes:
         assert len(result.stderr.splitlines()) == 1
         assert "candidate triples" in result.stderr
 
+    def test_readmes_huge_correlated_d_exits_2_at_once(self):
+        # README's example: the d guard refuses the class before the
+        # sweep builds any per-index array.
+        start = time.perf_counter()
+        result = CliRunner().invoke(
+            cli.main, ["bounds", "--d", "1000000000", "--p", "0.5",
+                       "--rho", "0.5"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "d exceeds the cap" in result.stderr
+
     @pytest.mark.parametrize(
         "command",
         [["moments"], ["bounds", "--rho", "0.5"], ["rays", "--rho", "0.5"],
@@ -826,3 +864,137 @@ class TestReproduce:
         )
         assert len(requests) == 13
         assert len(set(requests)) == 13
+
+
+class TestSweepGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 2**63 - 1), st.integers(2, 24), st.data())
+    def test_every_grid_point_is_feasible(self, d, n, data):
+        # rho = 0 gives the pair moment p**2, which the binomial law of
+        # the mean class attains, so every grid point is feasible.
+        if data.draw(st.booleans(), label="integer mean"):
+            p = data.draw(st.integers(1, d - 1), label="d * p") / d
+            assume(p < 1.0)
+        else:
+            p = data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True), label="p")
+        floor = (rays_mean.moment_bounds(ClassSpec(d, p), 2).lower
+                 - rays_corr._FEASIBILITY_TOL)
+        for rho in cli._sweep_grid(n):
+            assert ClassSpec(d, p, rho).pair_moment_target >= floor
+
+
+# Edge vocabularies for the CLI contract, every one accepted by click's
+# own parser (its usage errors print a usage block of their own). "OUT",
+# "CACHE" and "BLOCKED" stand for two fresh directories and a path under
+# a file.
+CONTRACT_FLAGS = {
+    "--d": ["1", "2", "3", "4", "12", "30", "6000", "1000000000",
+            str(2**63 - 1), str(2**63)],
+    "--p": ["0.5", "0.266", "0.003", "0.25", "1e-300",
+            "0.9999999999999999", "0.99999", "0", "1", "-0.1", "1.5", "nan",
+            "inf"],
+    "--scenario": sorted(ref.SCENARIOS),
+    "--rho": ["0", "1/6", "1/2", "11/12", "1", "-1", "-1/5999", "1e-300",
+              "1e-6", "0.999999", "nan", "abc", "1/0", ""],
+    "--alpha": ["0.9", "0.5,0.99", "0.9999995", "0", "1", "-0.5", "nan",
+                "1e-320", "", "0.9,", "abc"],
+    "--grid": ["2", "3", "12"],
+    "--format": ["csv", "json"],
+    "--out": ["OUT", "BLOCKED"],
+    "--cache": ["CACHE", "BLOCKED"],
+}
+CONTRACT_COMMANDS = {
+    "rays": ("--d", "--rho", "--out", "--cache"),
+    "bounds": ("--d", "--rho", "--alpha", "--format", "--out", "--cache"),
+    "moments": ("--d", "--rho", "--format", "--out", "--cache"),
+    "sweep": ("--d", "--alpha", "--grid", "--format", "--out", "--cache"),
+}
+# stderr lines that may come before an error: cache hits and reproduce's
+# per-scenario timing.
+LOG_LINE = re.compile(r"cache: reused |scenario \w+: ")
+SIGNED_ZERO = re.compile(r"-0(\.0*)?")
+
+
+@st.composite
+def invocations(draw):
+    """An argv of one command with edge values for its flags."""
+    command = draw(st.sampled_from([*CONTRACT_COMMANDS, "reproduce"]))
+    if command == "reproduce":
+        out = draw(st.sampled_from(CONTRACT_FLAGS["--out"]))
+        argv, flags = ["reproduce", "--out", out], ("--cache",)
+    else:
+        which = draw(st.sampled_from(["--p", "--scenario"]))
+        argv = [command, which, draw(st.sampled_from(CONTRACT_FLAGS[which]))]
+        flags = CONTRACT_COMMANDS[command]
+    for flag in flags:
+        value = draw(st.none() | st.sampled_from(CONTRACT_FLAGS[flag]))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+def _invoke(argv, root):
+    """Run ``argv`` with its placeholder paths under ``root``; return the
+    result and the bytes of the files its ``--out`` holds."""
+    out = root / "out"
+    paths = {"OUT": str(out), "CACHE": str(root / "cache"),
+             "BLOCKED": str(root / "file" / "x")}
+    result = CliRunner().invoke(cli.main, [paths.get(a, a) for a in argv])
+    files = {}
+    if out.is_dir():
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+    return result, files
+
+
+def _table(result, files, fmt):
+    """The text of a table in ``fmt``, from stdout or the ``--out`` file."""
+    written = [data for name, data in files.items() if name.endswith(fmt)]
+    return written[0].decode() if written else result.stdout
+
+
+class TestContract:
+    @settings(max_examples=100, deadline=None)
+    @given(invocations())
+    @example(["moments", "--p", "0.5", "--d", "6000"])
+    @example(["moments", "--p", "0.5", "--d", "6000", "--format", "json"])
+    def test_every_invocation_keeps_the_contract(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            rays_mean, "MAX_CANDIDATES", 4096
+        ), mock.patch.object(rays_corr, "MAX_CANDIDATES", 4096):
+            root = Path(tmp)
+            (root / "file").touch()
+            result, files = _invoke(argv, root)
+            codes = {0, 2, 3} if argv[0] == "reproduce" else {0, 2}
+            assert result.exit_code in codes, result.exc_info
+            assert "Traceback" not in result.output
+            if result.exit_code == 2:
+                *logs, last = result.stderr.splitlines()
+                assert last.startswith("error: ")
+                assert all(LOG_LINE.match(line) for line in logs), logs
+            if result.exit_code != 0:
+                return
+            again, again_files = _invoke(argv, root)
+            assert again.exit_code == 0
+            assert again.stdout_bytes == result.stdout_bytes
+            assert again_files == files
+            if argv[0] not in ("bounds", "moments", "sweep"):
+                return
+            # A repeated --format takes the last value.
+            fmt = "json" if "json" in argv else "csv"
+            other = "csv" if fmt == "json" else "json"
+            twin, twin_files = _invoke([*argv, "--format", other], root)
+            assert twin.exit_code == 0
+            texts = {fmt: _table(result, files, fmt),
+                     other: _table(twin, twin_files, other)}
+        csv_rows = list(csv.DictReader(io.StringIO(texts["csv"])))
+        json_rows = json.loads(texts["json"])
+        assert len(csv_rows) == len(json_rows)
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert csv_row.keys() == json_row.keys()
+            for key, cell in csv_row.items():
+                assert cell == cli._FORMATTERS[key](json_row[key])
+                assert not SIGNED_ZERO.fullmatch(cell)
+                value = json_row[key]
+                if isinstance(value, float) and value == 0.0:
+                    assert math.copysign(1.0, value) == 1.0

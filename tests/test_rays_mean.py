@@ -19,6 +19,7 @@ from bernrays.errors import (
     EmptyRaySet,
     IndexOutOfRange,
     InvalidSpec,
+    LengthMismatch,
     MeanMismatch,
     NonIntegerMean,
     NotNormalized,
@@ -128,6 +129,19 @@ class TestRayDensity:
         with pytest.raises(IndexOutOfRange):
             rays_mean.RayDensity(ClassSpec(4, 0.5), (2, 2), (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "support, masses, error",
+        [((0, 4), (0.5, 0.25, 0.25), LengthMismatch),
+         ((), (), IndexOutOfRange),
+         ((0, 1, 3, 4), (0.25, 0.25, 0.25, 0.25), IndexOutOfRange)],
+        ids=["unequal lengths", "no point", "four points"],
+    )
+    def test_a_ray_is_one_to_three_aligned_points(
+        self, support, masses, error
+    ):
+        with pytest.raises(error):
+            rays_mean.RayDensity(ClassSpec(4, 0.5), support, masses)
+
     def test_second_moment_check_does_not_wrap_int64(self):
         # 4e9 squared is past the int64 range; the true second moment
         # 0.5 * (4e9)**2 is the class target exactly.
@@ -170,6 +184,11 @@ class TestRaySet:
             rays[5]
         with pytest.raises(ValueError):
             rays.masses[0, 0] = 0.5
+
+    def test_rows_of_two_columns_raise(self):
+        rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
+        with pytest.raises(IndexOutOfRange):
+            RaySet(rays.spec, rays.support[:, :2], rays.masses[:, :2])
 
     def test_pads_short_rays(self):
         rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
@@ -272,6 +291,11 @@ class TestDecompose:
         probs = scipy.stats.binom.pmf(np.arange(5), 4, 0.3)
         with pytest.raises(MeanMismatch):
             rays_mean.decompose(DefaultCountPmf(4, probs), ClassSpec(4, 0.5))
+
+    def test_rejects_a_pmf_of_another_d(self):
+        probs = scipy.stats.binom.pmf(np.arange(6), 5, 0.5)
+        with pytest.raises(LengthMismatch):
+            rays_mean.decompose(DefaultCountPmf(5, probs), ClassSpec(4, 0.5))
 
 
 class TestMomentBounds:
