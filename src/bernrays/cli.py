@@ -335,8 +335,8 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # Click wiring. Each command resolves its flags, builds its rows and
-# writes them out itself; the group turns every library error and every
-# directory that cannot be written into one ``error:`` line and exit 2.
+# writes them out itself; the group turns a usage or library error, or
+# a directory that cannot be written, into one ``error:`` line, exit 2.
 
 
 def _resolve(
@@ -349,7 +349,7 @@ def _resolve(
     """The class the flags name and the confidence levels, if any.
 
     The first fault wins, checked in this order: the usage check, then
-    ``--rho``, then ``--alpha``, then the class's own checks.
+    ``--rho``, then ``--alpha``, then the class's checks of d, p and rho.
     """
     if (p is None) == (scenario is None):
         raise click.UsageError("provide exactly one of --p or --scenario")
@@ -379,9 +379,11 @@ class _Commands(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
         except (BernraysError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
+        sys.exit(EXIT_INFEASIBLE)
 
 
 _cache_option = click.option(
@@ -398,6 +400,11 @@ _format_option = click.option(
     default="csv",
     show_default=True,
     help="Output serialization.",
+)
+
+_rho_option = click.option(
+    "--rho", "rho_text", default=None,
+    help="Pairwise correlation target; accepts fractions like 1/6.",
 )
 
 _alpha_option = click.option(
@@ -418,12 +425,6 @@ def _class_options(fn):
         help="Write output into this directory instead of stdout.",
     )(fn)
     fn = click.option(
-        "--rho",
-        "rho_text",
-        default=None,
-        help="Pairwise correlation target; accepts fractions like 1/6.",
-    )(fn)
-    fn = click.option(
         "--scenario",
         type=click.Choice(sorted(ref.SCENARIOS)),
         default=None,
@@ -434,7 +435,7 @@ def _class_options(fn):
         help="Marginal default probability.",
     )(fn)
     fn = click.option(
-        "--d", "d", type=click.IntRange(min=1), default=ref.DEFAULT_D,
+        "--d", "d", type=int, default=ref.DEFAULT_D,
         show_default=True, help="Portfolio size.",
     )(fn)
     return fn
@@ -448,6 +449,7 @@ def main():
 
 @main.command("rays")
 @_class_options
+@_rho_option
 def rays_command(d, p, scenario, rho_text, out, cache):
     """Enumerate extremal rays and emit the sparse ray-set file."""
     spec, _ = _resolve(d, p, scenario, rho_text)
@@ -463,6 +465,7 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 
 @main.command("bounds")
 @_class_options
+@_rho_option
 @_alpha_option
 @_format_option
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
@@ -476,13 +479,9 @@ def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
 @main.command("moments")
 @_class_options
 @_format_option
-def moments_command(d, p, scenario, rho_text, fmt, out, cache):
+def moments_command(d, p, scenario, fmt, out, cache):
     """Sharp cross-moment and correlation bounds (orders 1 to min(4, d))."""
-    spec, _ = _resolve(d, p, scenario, rho_text)
-    if spec.rho is not None:
-        raise BernraysError(
-            "moments describes the mean-constrained class; drop --rho"
-        )
+    spec, _ = _resolve(d, p, scenario, None)
     rows = _moments_rows(spec)
     _emit(out, f"moments_{_slug(spec)}.{fmt}",
           _render(rows, MOMENTS_COLUMNS, fmt))
@@ -499,10 +498,8 @@ def moments_command(d, p, scenario, rho_text, fmt, out, cache):
     show_default=True,
     help="Number of equispaced correlation grid points in [0, 11/12].",
 )
-def sweep_command(d, p, scenario, rho_text, alpha_text, fmt, grid, out, cache):
+def sweep_command(d, p, scenario, alpha_text, fmt, grid, out, cache):
     """Bounds across a correlation grid, long format for plotting."""
-    if rho_text is not None:
-        raise click.UsageError("sweep builds its own grid; drop --rho")
     spec, alphas = _resolve(d, p, scenario, None, alpha_text)
     _emit(out, f"sweep_{_slug(spec)}.{fmt}",
           _render(_sweep_rows(spec, alphas, cache, grid), SWEEP_COLUMNS, fmt))

@@ -211,11 +211,13 @@ def log_binomial(d: int) -> np.ndarray:
 def _reweighted(d: int, x: np.ndarray, power: int) -> np.ndarray:
     """Terms ``binom(d, j)**power * x[j]`` for ``power`` of 1 or -1,
     as ``exp(log x + power * log binom)``, so the binomial factor never
-    materialises; zero entries stay exactly zero."""
+    materialises; zero entries stay exactly zero. An overflowing term
+    raises :class:`Overflow` rather than warning."""
     out = np.zeros(d + 1)
     pos = x > 0.0
     if np.any(pos):
-        out[pos] = np.exp(np.log(x[pos]) + power * log_binomial(d)[pos])
+        with np.errstate(over="ignore"):
+            out[pos] = np.exp(np.log(x[pos]) + power * log_binomial(d)[pos])
     if not np.all(np.isfinite(out)):
         raise Overflow("binomial reweighting overflowed")
     return out

@@ -211,8 +211,6 @@ def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
                 f"more than {MAX_CANDIDATES} candidate triples"
             )
         ranges.append(found)
-    if not ranges:
-        return np.empty((0, 3), np.int64), np.empty((0, 3))
     pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
     pair, mid = _spans(lo, hi)
     pts = np.column_stack((pair_i[pair], mid, pair_k[pair]))

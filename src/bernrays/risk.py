@@ -184,16 +184,17 @@ def es_envelope(
 
     ``source`` is either a ClassSpec (mean-only specs use the closed
     form; correlation specs enumerate their rays) or an already
-    enumerated ray sequence. The upper bound ``d`` is attained by the
-    ray on ``{0, d}`` exactly when ``1 - p <= alpha``.
+    enumerated ray sequence. The upper bound ``d`` is attained exactly
+    when the source's VaR maximum is ``d``: a member's ES is ``d`` exactly
+    when its VaR is, and ``P(S = d)`` is linear in the pmf.
     """
     alpha = _check_open_unit(alpha, "alpha")
     if isinstance(source, ClassSpec) and source.rho is None:
         spec = source
-        lower = var_bounds_mean_closed_form(spec, alpha)[0]
+        var_min, var_max = var_bounds_mean_closed_form(spec, alpha)
     else:
         if isinstance(source, ClassSpec):
             source = enumerate_corr_rays(source)
         _, rays, values = _scan(source, alpha)
-        spec, lower = rays.spec, values.min()
-    return EsEnvelope(float(lower), float(spec.d), 1.0 - spec.p <= alpha)
+        spec, var_min, var_max = rays.spec, values.min(), values.max()
+    return EsEnvelope(float(var_min), float(spec.d), bool(var_max == spec.d))

@@ -2,6 +2,7 @@
 cross moments, and the discrete quantile/shortfall pair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.stats
 from bernrays import ClassSpec, DefaultCountPmf, ExchangeablePmfSummary, pmf
 from bernrays.errors import (
     DegenerateMarginal,
+    EmptyTail,
     InvalidSpec,
     LengthMismatch,
     NegativeMass,
@@ -98,6 +100,12 @@ class TestLevelWeightBijection:
     def test_summary_requires_normalized_weights(self):
         with pytest.raises(NotNormalized):
             ExchangeablePmfSummary(3, [0.125] * 3 + [0.25])
+
+    def test_overflowing_weights_raise_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(Overflow):
+                ExchangeablePmfSummary(1000, np.full(1001, 1e300))
 
     def test_roundtrip_is_identity(self):
         rng = np.random.default_rng(7)
@@ -247,6 +255,11 @@ class TestVar:
             if v > 0:
                 assert cdf[v - 1] < alpha
 
+    def test_a_level_above_the_total_mass_gives_d(self):
+        # The masses total 1 - 4e-11, below alpha - CDF_TIE_TOL.
+        y = DefaultCountPmf(2, [0.5, 0.5 - 4e-11, 0.0])
+        assert pmf.var(y, 1 - 1e-12) == 2
+
     def test_alpha_out_of_range(self):
         y = DefaultCountPmf(1, [0.5, 0.5])
         for alpha in (0.0, 1.0, -0.2, 1.7):
@@ -277,6 +290,11 @@ class TestEs:
             v = pmf.var(y, alpha)
             e = pmf.es(y, alpha)
             assert v - 1e-12 <= e <= d + 1e-9
+
+    def test_a_tail_without_mass_raises(self):
+        y = DefaultCountPmf(2, [0.5, 0.5 - 4e-11, 0.0])
+        with pytest.raises(EmptyTail):
+            pmf.es(y, 1 - 1e-12)
 
     def test_matches_direct_tail_average(self):
         rng = np.random.default_rng(37)

@@ -211,6 +211,21 @@ def degenerate_classes(draw):
     return ClassSpec(d, p, rho)
 
 
+@st.composite
+def feasible_classes(draw):
+    """Classes the feasibility check admits, from d = 2 to 400, with p
+    anywhere in (0, 1) and rho anywhere from the lower edge to 1."""
+    d = draw(st.integers(2, 400))
+    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    low, _ = rays_mean.correlation_bounds(ClassSpec(d, p))
+    assume(low > -1.0)
+    rho = draw(st.sampled_from((low, 1.0)) | st.floats(low, 1.0))
+    spec = ClassSpec(d, p, rho)
+    floor = rays_mean.moment_bounds(spec, 2).lower
+    assume(spec.pair_moment_target >= floor - rays_corr._FEASIBILITY_TOL)
+    return spec
+
+
 class TestIntervalSweep:
     """The O(d^2 + n) sweep against the all-triples reference."""
 
@@ -229,6 +244,13 @@ class TestIntervalSweep:
     def test_matches_on_degenerate_classes(self, spec):
         rays = rays_corr.enumerate_rays(spec)
         assert as_pairs(rays) == all_triples_rays(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(feasible_classes())
+    def test_every_feasible_class_keeps_the_outer_pair(self, spec):
+        # The outer pair (0, d) admits a middle index in every class that
+        # passes the feasibility check, so the sweep is never empty.
+        assert rays_corr.candidate_count(spec) >= 1
 
     @pytest.mark.parametrize(
         "d, p, rho", [(20, 0.266, 1 / 6), (40, 0.13, 0.3), (60, 0.41, 0.05)]

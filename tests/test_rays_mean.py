@@ -185,6 +185,12 @@ class TestRaySet:
         with pytest.raises(ValueError):
             rays.masses[0, 0] = 0.5
 
+    def test_repr_names_the_class_and_the_count(self):
+        rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
+        assert repr(rays) == (
+            "RaySet(spec=ClassSpec(d=4, p=0.5, rho=None), n=5)"
+        )
+
     def test_rows_of_two_columns_raise(self):
         rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
         with pytest.raises(IndexOutOfRange):

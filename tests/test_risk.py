@@ -206,6 +206,41 @@ class TestEsEnvelope:
         assert not risk.es_envelope(ClassSpec(100, 0.003), 0.99).upper_attained
         assert risk.es_envelope(ClassSpec(100, 0.266), 0.90).upper_attained
 
+    @pytest.mark.parametrize(
+        "spec, alpha, var_max",
+        [(ClassSpec(100, 0.266, 1 / 6), 0.9, 82),
+         (ClassSpec(100, 0.017, 0.5), 0.99, 93),
+         (ClassSpec(100, 0.017, 1 / 6), 0.99, 55),
+         (ClassSpec(100, 0.1), 0.9, 99)],
+        ids=["B 1/6", "BBB 1/2", "BBB 1/6", "mean class at the tie"],
+    )
+    def test_upper_is_unattained_below_a_var_maximum_of_d(
+        self, spec, alpha, var_max
+    ):
+        if spec.rho is None:
+            assert risk.var_bounds_mean_closed_form(spec, alpha)[1] == var_max
+        else:
+            rays = rays_corr.enumerate_rays(spec)
+            assert risk.var_bounds_scan(rays, alpha).var_max == var_max
+        assert not risk.es_envelope(spec, alpha).upper_attained
+
+    def test_flag_is_a_var_maximum_of_d_on_seeded_classes(self):
+        rng = np.random.default_rng(97)
+        for _ in range(60):
+            d = int(rng.integers(2, 30))
+            p = float(rng.uniform(0.01, 0.99))
+            alpha = float(rng.uniform(0.5, 0.999))
+            spec = ClassSpec(d, p)
+            rays = rays_mean.enumerate_rays(spec)
+            if rng.random() < 0.5:
+                low, high = rays_mean.correlation_bounds(spec)
+                spec = ClassSpec(d, p, float(rng.uniform(low, high)))
+                rays = rays_corr.enumerate_rays(spec)
+            var_max = risk.var_bounds_scan(rays, alpha).var_max
+            for source in (spec, rays):
+                flag = risk.es_envelope(source, alpha).upper_attained
+                assert flag == (var_max == d)
+
     def test_lower_edge_is_the_minimal_quantile(self):
         spec = ClassSpec(100, 0.266)
         envelope = risk.es_envelope(spec, 0.95)
@@ -219,7 +254,7 @@ class TestEsEnvelope:
         assert from_spec == from_rays
 
     def test_attained_upper_bound_is_approached(self):
-        # the ray on {0, d} has es equal to d once 1 - p <= alpha
+        # the ray on {0, d} has es equal to d once 1 - p < alpha
         spec = ClassSpec(100, 0.266)
         ray = rays_mean.two_point_ray(spec, 0, 100)
         assert math.isclose(pmf.es(ray.to_pmf(), 0.90), 100.0, rel_tol=1e-12)
