@@ -379,6 +379,10 @@ class _Commands(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.NoSuchOption as exc:
+            # Without click's closest-match guess, which for an option
+            # the command lacks names an unrelated one.
+            click.echo(f"error: {exc.message}", err=True)
         except click.UsageError as exc:
             click.echo(f"error: {exc.format_message()}", err=True)
         except (BernraysError, OSError) as exc:

@@ -20,7 +20,6 @@ matches ``M``, and the point mass when both targets sit on an integer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,9 @@ _FEASIBILITY_TOL = 1e-12
 # 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
 _SWEEP_SLACK = 1e-9
 
-# Rows per block when normalising kept triples with math.fsum.
-_FSUM_BLOCK = 2**16
+# Largest d whose packed support keys (i*(d+1) + j)*(d+1) + k, at most
+# (d+1)**3 - 1, fit in int64.
+_MAX_KEY_D = 2**21 - 1
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
         raise IndexOutOfRange(
             f"need 0 <= i < j < k <= {spec.d}, got ({i}, {j}, {k})"
         )
-    support, masses = _solve_triples(spec, np.array([[i, j, k]]))
+    support, masses = _solve_triples(spec, *np.array([[i], [j], [k]]))
     if not len(support):
         return None
     return RaySet(spec, support, masses)[0]
@@ -108,13 +108,21 @@ def _pair_ranges(spec: ClassSpec):
     for ``j`` in ``[m - s2/(k - m), m + s2/(m - i)]``. The slack and the
     one-index widening keep every triple the float keep-test accepts.
     A ``d`` above ``MAX_CANDIDATES`` raises :class:`ClassTooLarge`: its
-    per-index arrays alone would outgrow the cap's memory budget.
+    per-index arrays alone would outgrow the cap's memory budget. So does
+    a ``d`` above ``2**21 - 1``, whose packed support keys in
+    :func:`enumerate_rays` would overflow int64.
     """
     d = spec.d
+    too_large = f"class (d={d}, p={spec.p:g}, rho={spec.rho:g}) is too large"
     if d > MAX_CANDIDATES:
         raise ClassTooLarge(
-            f"class (d={d}, p={spec.p:g}, rho={spec.rho:g}) is too large: "
-            f"d exceeds the cap of {MAX_CANDIDATES} candidate triples"
+            f"{too_large}: d exceeds the cap of {MAX_CANDIDATES} "
+            "candidate triples"
+        )
+    if d > _MAX_KEY_D:
+        raise ClassTooLarge(
+            f"{too_large}: its packed support keys overflow int64 above "
+            f"d = {_MAX_KEY_D}"
         )
     m = spec.mean_count
     s2 = spec.second_moment_target - m * m
@@ -151,46 +159,79 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) + (lo - start)[rows]
 
 
-def _row_fsums(x: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row, a block of rows at a time."""
-    out = np.empty(len(x))
-    for start in range(0, len(x), _FSUM_BLOCK):
-        block = x[start:start + _FSUM_BLOCK].tolist()
-        out[start:start + len(block)] = list(map(math.fsum, block))
-    return out
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` rounded, and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a + b + c`` correctly rounded, element by element, which is
+    ``math.fsum`` of each triple bit for bit.
+
+    Two TwoSums leave ``a + b + c == high + err + low`` exactly;
+    ``err + low`` rounded to odd and then added to ``high`` rounds the
+    exact sum once (Boldo & Melquiond, IEEE Trans. Computers 57(4), 2008,
+    for inputs in any order whose sums do not overflow). Rounding to odd
+    moves an inexact sum with an even last bit one ulp towards its error.
+    """
+    # Rebinding the names frees the partial sums the next steps no
+    # longer need.
+    high, low = _two_sum(b, c)
+    high, err = _two_sum(a, high)
+    low, err = _two_sum(err, low)
+    odd = (err != 0.0) & (low.view(np.int64) & 1 == 0)
+    low[odd] = np.nextafter(low[odd], np.copysign(np.inf, err[odd]))
+    return high + low
 
 
 def _solve_triples(
-    spec: ClassSpec, pts: np.ndarray
+    spec: ClassSpec, i: np.ndarray, j: np.ndarray, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of the triples of ``pts`` that carry
-    a ray, in the order of ``pts``.
+    """Padded support and mass rows of the triples ``(i, j, k)`` that
+    carry a ray, in their order.
 
-    ``pts`` is an ``(n, 3)`` array of strictly increasing indices. A
-    triple is kept when no mass is below ``-ZERO_MASS_TOL``. A mass
-    within ``ZERO_MASS_TOL`` of zero drops its point; the kept points
-    move to the front, the last one repeats as padding, and the masses
-    are normalised with ``math.fsum``.
+    The index arrays hold strictly increasing triples. A triple is kept
+    when no mass is below ``-ZERO_MASS_TOL``. A mass within
+    ``ZERO_MASS_TOL`` of zero drops its point; the kept points move to
+    the front, the last one repeats as padding, and the masses are
+    divided by their correctly rounded sum (:func:`_fsum3`). Only the
+    rows that drop a point, O(d^2) of them, are reordered.
     """
     m = spec.mean_count
     big_m = spec.second_moment_target
-    i, j, k = pts.T.astype(float)
-    raw = np.column_stack((
-        (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
-        -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
-        (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
-    ))
-    del i, j, k  # like the rebinding below, this frees superseded arrays
-    keep = (raw >= -ZERO_MASS_TOL).all(1)
-    pts, raw = pts[keep], raw[keep]
-    live = raw > ZERO_MASS_TOL
+    fi, fj, fk = (x.astype(float) for x in (i, j, k))
+    masses = [
+        (fj * fk - (fj + fk) * m + big_m) / ((fj - fi) * (fk - fi)),
+        -(fi * fk - (fi + fk) * m + big_m) / ((fj - fi) * (fk - fj)),
+        (fi * fj - (fi + fj) * m + big_m) / ((fk - fi) * (fk - fj)),
+    ]
+    del fi, fj, fk  # like the rebinding below, this frees superseded arrays
+    keep = masses[0] >= -ZERO_MASS_TOL
+    for column in masses[1:]:
+        keep &= column >= -ZERO_MASS_TOL
+    support = [x[keep] for x in (i, j, k)]
+    masses = [x[keep] for x in masses]
+    full = masses[0] > ZERO_MASS_TOL
+    for column in masses[1:]:
+        full &= column > ZERO_MASS_TOL
+    drop = np.flatnonzero(~full)
+    live = np.column_stack([x[drop] for x in masses]) > ZERO_MASS_TOL
+    for column, alive in zip(masses, live.T):
+        column[drop] = np.where(alive, column[drop], 0.0)
+    total = _fsum3(*masses)
+    support = np.column_stack(support)
+    masses = np.column_stack(masses)
+    masses /= total[:, None]
     front = np.argsort(~live, axis=1, kind="stable")
-    pts = np.take_along_axis(pts, front, 1)
-    raw = np.take_along_axis(np.where(live, raw, 0.0), front, 1)
+    pts = np.take_along_axis(support[drop], front, 1)
     count = live.sum(1)
-    last = pts[np.arange(len(pts)), count - 1]
-    support = np.where(np.arange(3) < count[:, None], pts, last[:, None])
-    return support, raw / _row_fsums(raw)[:, None]
+    last = pts[np.arange(len(drop)), count - 1]
+    support[drop] = np.where(np.arange(3) < count[:, None], pts,
+                             last[:, None])
+    masses[drop] = np.take_along_axis(masses[drop], front, 1)
+    return support, masses
 
 
 def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +254,7 @@ def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
         ranges.append(found)
     pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
     pair, mid = _spans(lo, hi)
-    pts = np.column_stack((pair_i[pair], mid, pair_k[pair]))
-    return _solve_triples(spec, pts)
+    return _solve_triples(spec, pair_i[pair], mid, pair_k[pair])
 
 
 def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +307,21 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
         np.concatenate(parts)
         for parts in zip(_matching_mean_rays(spec), triples)
     )
-    # A stable sort: the first row per support keeps its precedence.
-    order = np.lexsort(support.T[::-1])
-    support, masses = support[order], masses[order]
-    first = np.ones(len(support), bool)
-    first[1:] = (support[1:] != support[:-1]).any(1)
-    return RaySet(spec, support[first], masses[first])
+    del triples  # this and the del below keep the peak down
+    # Each index lies in 0..d, so the packed key ranks rows like their
+    # lexicographic order; a stable sort keeps the first row per support
+    # in its precedence.
+    n = spec.d + 1
+    key = (support[:, 0] * n + support[:, 1]) * n + support[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    first[1:] = key[1:] != key[:-1]
+    order = order[first]
+    del key, first
+    # np.take gathers rows about twice as fast as fancy indexing.
+    support, masses = (np.take(x, order, axis=0) for x in (support, masses))
+    return RaySet(spec, support, masses)
 
 
 def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:

@@ -37,10 +37,11 @@ from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 
 # Most index triples one correlated enumeration may examine, and most
 # two-point rays a mean-class enumeration may build. By tracemalloc peak
-# a candidate holds about 231 bytes of working arrays and a mean-class
-# ray about 150 (2,081,837 candidates of (400, 0.266, 1/6): 459 MiB;
-# 1,000,001 rays of (2000, 0.5): 143 MiB), so at the cap a correlated
-# enumeration peaks near 1.8 GiB and a mean-class one near 1.2 GiB.
+# a candidate holds about 136 bytes of working arrays and a mean-class
+# ray about 139 (2,081,837 candidates of (400, 0.266, 1/6): 268 MiB;
+# 6,929,716 of (600, 0.266, 1/6): 899 MiB; 1,000,001 rays of
+# (2000, 0.5): 133 MiB), so at the cap either enumeration peaks near
+# 1.1 GiB.
 MAX_CANDIDATES = 2**23
 
 # Masses this close to one another at a pairing step are exhausted together.
@@ -120,6 +121,7 @@ def _check_rows(
     padding, which must be trailing; a ray's own row gives its ``count``
     instead. The checks run in order (range, order, positivity, sum,
     mean, second moment): a bad row raises the class of its first fail.
+    Each check runs a column at a time.
     """
     if support.shape != masses.shape:
         raise LengthMismatch(
@@ -130,46 +132,53 @@ def _check_rows(
             f"a ray carries 1 to 3 support points, got rows of shape "
             f"{support.shape[1:]}"
         )
+    # Whether columns 1 and 2 hold a point of the ray; column 0 always does.
+    s0, s1, s2 = support.T
+    x0, x1, x2 = masses.T
     if count is None:
-        pad = (support[:, 1:] == support[:, :-1]) & (masses[:, 1:] == 0.0)
-        live = np.column_stack((np.ones(len(support), bool), ~pad))
+        live1 = (s1 != s0) | (x1 != 0.0)
+        live2 = (s2 != s1) | (x2 != 0.0)
     else:
-        live = np.arange(3) < np.full((len(support), 1), count)
+        live1, live2 = (np.full(len(support), c < count) for c in (1, 2))
+    sizes = np.add(live1, live2, dtype=np.int64)
+    sizes += 1
 
     def fail(error, bad, what):
         t = int(np.flatnonzero(bad)[0])
-        k = int(live[t].sum())
+        k = int(sizes[t])
         raise error(
             f"ray {t} (support {tuple(support[t, :k].tolist())}, masses "
             f"{tuple(masses[t, :k].tolist())}) {what}"
         )
 
     d = spec.d
-    bad = (support[:, 0] < 0) | (support[:, 2] > d)
+    bad = (s0 < 0) | (s2 > d)
     if bad.any():
         fail(IndexOutOfRange, bad, f"escapes 0..{d}")
-    bad = (live[:, 1:] & (support[:, 1:] <= support[:, :-1])).any(1)
-    bad |= ~live[:, 1] & live[:, 2]
+    bad = (live1 & (s1 <= s0)) | (live2 & ((s2 <= s1) | ~live1))
     if bad.any():
         fail(IndexOutOfRange, bad, "is not strictly increasing")
-    bad = (live & ~(masses > 0.0)).any(1)
+    bad = ~(x0 > 0.0) | (live1 & ~(x1 > 0.0)) | (live2 & ~(x2 > 0.0))
     if bad.any():
         fail(NotNormalized, bad, "has a non-positive mass")
-    bad = np.abs(masses.sum(1) - 1.0) > _SUM_TOL
+    # Each sum adds a row's terms left to right, as sum(1) does.
+    bad = np.abs(x0 + x1 + x2 - 1.0) > _SUM_TOL
     if bad.any():
         fail(NotNormalized, bad, "has masses that do not sum to 1")
     mean = spec.mean_count
-    bad = np.abs((support * masses).sum(1) - mean) > _MEAN_SCALE * d
+    bad = np.abs(s0 * x0 + s1 * x1 + s2 * x2 - mean) > _MEAN_SCALE * d
     if bad.any():
         fail(MeanMismatch, bad, f"misses the mean {mean}")
     target = spec.second_moment_target
     if target is not None:
-        second = (np.square(support, dtype=float) * masses).sum(1)
+        second = (np.square(s0, dtype=float) * x0
+                  + np.square(s1, dtype=float) * x1
+                  + np.square(s2, dtype=float) * x2)
         tol = pmf_mod.SECOND_MOMENT_RESIDUAL_SCALE * d**2
         bad = np.abs(second - target) > tol
         if bad.any():
             fail(MeanMismatch, bad, f"misses the second moment {target}")
-    return live.sum(1)
+    return sizes
 
 
 class RaySet(Sequence):
@@ -181,8 +190,9 @@ class RaySet(Sequence):
     count, and ``spec`` the class every ray is extremal for. Every row
     passes the ray checks against ``spec``, which :class:`RayDensity`
     shares, once on construction, and the arrays are read-only. The set is a
-    ``Sequence[RayDensity]``: indexing builds the ray on demand from its
-    row without checking it again, and slicing gives a RaySet.
+    ``Sequence[RayDensity]``: indexing and iteration build rays on
+    demand from their rows without checking them again, and slicing
+    gives a RaySet.
     """
 
     def __init__(self, spec: ClassSpec, support, masses):
@@ -216,6 +226,14 @@ class RaySet(Sequence):
 
     def __len__(self) -> int:
         return len(self.support)
+
+    def __iter__(self):
+        rows = zip(self.support.tolist(), self.masses.tolist(),
+                   self.sizes.tolist())
+        for support, masses, k in rows:
+            yield RayDensity._trusted(
+                self.spec, tuple(support[:k]), tuple(masses[:k])
+            )
 
     def __getitem__(self, index):
         if isinstance(index, slice):

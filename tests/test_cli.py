@@ -459,6 +459,8 @@ class TestCommands:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert "--rho" in result.stderr
+        # Not click's closest-match guess, an unrelated option.
+        assert "--out" not in result.stderr
 
     def test_json_output_parses_and_rounds(self):
         result = run("moments", "--scenario", "B", "--format", "json")
@@ -507,6 +509,7 @@ class TestCommands:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert "--rho" in result.stderr
+        assert "--out" not in result.stderr
 
     @pytest.mark.parametrize("command", ["moments", "sweep"])
     def test_only_rays_and_bounds_declare_rho(self, command):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bernrays import (
@@ -226,16 +226,32 @@ def feasible_classes(draw):
     return spec
 
 
+# (d, mean, i, k) of classes whose count variance is (m - i)(k - m), so
+# that every triple (i, j, k) drops j and many triples tie on {i, k}.
+TIED_CLASSES = [(7, 2, 1, 7), (20, 10, 2, 12), (26, 15, 13, 16)]
+
+
+def tied_class(d, mean, i, k):
+    m, p = float(mean), mean / d
+    pair = ((m - i) * (k - m) + m * m - m) / (d * (d - 1))
+    return ClassSpec(d, p, (pair - p * p) / (p * (1.0 - p)))
+
+
+def seeded_sweep_classes():
+    """The seeded classes of the all-triples comparison, d 3..120."""
+    rng = np.random.default_rng(89)
+    for _ in range(12):
+        d = int(rng.integers(3, 121))
+        p = float(rng.uniform(0.01, 0.99))
+        low, high = rays_mean.correlation_bounds(ClassSpec(d, p))
+        yield ClassSpec(d, p, float(rng.uniform(low, high)))
+
+
 class TestIntervalSweep:
     """The O(d^2 + n) sweep against the all-triples reference."""
 
     def test_matches_the_all_triples_sweep_bit_for_bit(self):
-        rng = np.random.default_rng(89)
-        for _ in range(12):
-            d = int(rng.integers(3, 121))
-            p = float(rng.uniform(0.01, 0.99))
-            low, high = rays_mean.correlation_bounds(ClassSpec(d, p))
-            spec = ClassSpec(d, p, float(rng.uniform(low, high)))
+        for spec in seeded_sweep_classes():
             rays = rays_corr.enumerate_rays(spec)
             assert as_pairs(rays) == all_triples_rays(spec)
 
@@ -283,18 +299,14 @@ class TestIntervalSweep:
         assert len(rays) == count
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "d, mean, i, k", [(7, 2, 1, 7), (20, 10, 2, 12), (26, 15, 13, 16)]
-    )
+    @pytest.mark.parametrize("d, mean, i, k", TIED_CLASSES)
     def test_triples_alone_keep_the_lexicographically_first(
         self, monkeypatch, d, mean, i, k
     ):
-        # With the count variance at (m - i)(k - m), every triple (i, j, k)
-        # drops j and lands on {i, k}, whose matching mean row is removed
-        # here, so only the precedence among triple rows decides.
-        m, p = float(mean), mean / d
-        pair = ((m - i) * (k - m) + m * m - m) / (d * (d - 1))
-        spec = ClassSpec(d, p, (pair - p * p) / (p * (1.0 - p)))
+        # Every triple (i, j, k) drops j and lands on {i, k}, whose
+        # matching mean row is removed here, so only the precedence among
+        # triple rows decides.
+        spec = tied_class(d, mean, i, k)
         first, tied = {}, {}
         for triple in itertools.combinations(range(d + 1), 3):
             ray = rays_corr.triple_ray(spec, *triple)
@@ -311,6 +323,30 @@ class TestIntervalSweep:
         assert np.array_equal(got.support, want.support)
         assert np.array_equal(got.masses, want.masses)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [*seeded_sweep_classes(),
+         *(tied_class(*case) for case in TIED_CLASSES),
+         ClassSpec(40, 0.5, 1.0), ClassSpec(30, 0.4, 0.0)],
+    )
+    def test_packed_keys_sort_like_lexsort(self, spec):
+        # The rows enumerate_rays merges: mean rows first, then triples.
+        support, masses = (
+            np.concatenate(parts)
+            for parts in zip(rays_corr._matching_mean_rays(spec),
+                             rays_corr._sweep_triples(spec))
+        )
+        n = spec.d + 1
+        key = (support[:, 0] * n + support[:, 1]) * n + support[:, 2]
+        order = np.lexsort(support.T[::-1])
+        assert np.array_equal(np.argsort(key, kind="stable"), order)
+        support, masses = support[order], masses[order]
+        first = np.ones(len(order), bool)
+        first[1:] = (support[1:] != support[:-1]).any(1)
+        rays = rays_corr.enumerate_rays(spec)
+        assert np.array_equal(rays.support, support[first])
+        assert np.array_equal(rays.masses, masses[first])
+
     def test_candidate_count_bounds_the_rays(self):
         spec = ClassSpec(100, 0.266, 1 / 6)
         count = rays_corr.candidate_count(spec)
@@ -324,6 +360,75 @@ class TestIntervalSweep:
         monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 1000)
         with pytest.raises(ClassTooLarge):
             rays_corr.enumerate_rays(ClassSpec(100, 0.266, 1 / 6))
+
+    @pytest.mark.parametrize(
+        "run", [rays_corr.candidate_count, rays_corr.enumerate_rays]
+    )
+    def test_a_d_whose_keys_overflow_int64_is_refused_at_once(self, run):
+        # (d + 1)**3 - 1, the largest packed key, passes 2**63 - 1 here;
+        # unrefused, this comonotone class's O(d^2) sweep runs for hours.
+        with pytest.raises(ClassTooLarge, match="int64"):
+            run(ClassSpec(2**21, 0.5, 1.0))
+
+
+# Triples whose correctly rounded sum is easy to get wrong: exponents
+# far apart, halfway cases, exact cancellation, zeros of both signs and
+# subnormals.
+HARD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53),
+                     2.0**-54, 3 * 2.0**-54, 5e-324, -5e-324, 2.0**53]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0),
+              st.integers(-1080, 1000)),
+    st.floats(-1e300, 1e300),
+)
+
+
+class TestCorrectlyRoundedSum:
+    """``_fsum3`` against ``math.fsum``, bit for bit."""
+
+    @staticmethod
+    def assert_fsum(rows):
+        rows = np.asarray(rows, float).reshape(-1, 3)
+        want = np.array([math.fsum(row) for row in rows.tolist()])
+        for order in itertools.permutations(range(3)):
+            got = rays_corr._fsum3(
+                *(np.ascontiguousarray(rows[:, c]) for c in order)
+            )
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @example([
+        (1.0, 2.0**-53, 5e-324), (1.0, 2.0**-53, -5e-324),
+        (1.0, -(2.0**-54), -5e-324), (1.0, 2.0**-53, 0.0),
+        (1.0 + 2.0**-52, 2.0**-53, 0.0), (2.0**53, 1.0, 2.0**-60),
+        (1e300, -1e300, 1e-300), (1.0, -1.0, -0.0), (-0.0, -0.0, -0.0),
+        (2.0**-1022, -(2.0**-1074), 2.0**-1074),
+    ])
+    @given(st.lists(
+        st.tuples(HARD_FLOATS, HARD_FLOATS, HARD_FLOATS)
+        # The third term cancels the rounded sum of the first two.
+        | st.tuples(HARD_FLOATS, HARD_FLOATS).map(
+            lambda ab: (*ab, -(ab[0] + ab[1]))),
+        min_size=1, max_size=20,
+    ))
+    def test_adversarial_triples(self, rows):
+        self.assert_fsum(rows)
+
+    def test_kept_rows_of_the_seeded_classes(self):
+        # The raw masses of every kept triple, dropped points zeroed, as
+        # the sweep normalises them.
+        for spec in seeded_sweep_classes():
+            m, big_m = spec.mean_count, spec.second_moment_target
+            idx = np.array(list(itertools.combinations(range(spec.d + 1), 3)))
+            i, j, k = idx.T.astype(float)
+            raw = np.column_stack((
+                (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
+                -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
+                (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
+            ))
+            raw = raw[(raw >= -rays_corr.ZERO_MASS_TOL).all(1)]
+            raw[raw <= rays_corr.ZERO_MASS_TOL] = 0.0
+            self.assert_fsum(raw)
 
 
 class TestMembership:

@@ -214,6 +214,18 @@ class TestRaySet:
         with pytest.raises(InvalidSpec):
             RaySet.of([rays[0], other[0]])
 
+    def test_iteration_builds_the_indexed_rays(self, corr_rays):
+        sets = [rays_mean.enumerate_rays(ClassSpec(4, 0.5)),
+                corr_rays["B", "1/6"]]
+        sizes = set(np.concatenate([rays.sizes for rays in sets]).tolist())
+        assert sizes == {1, 2, 3}
+        for rays in sets:
+            listed = list(rays)
+            assert listed == [rays[t] for t in range(len(rays))]
+            for ray in listed:
+                assert all(type(s) is int for s in ray.support)
+                assert all(type(m) is float for m in ray.masses)
+
     def test_indexed_rays_equal_checked_rays(self, mean_rays, corr_rays):
         for rays in [*mean_rays.values(), *corr_rays.values()]:
             for ray in rays:
