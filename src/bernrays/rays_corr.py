@@ -100,53 +100,71 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
 
 def _pair_ranges(spec: ClassSpec):
     """Outer pairs ``(i, k)`` that can carry a ray, with the range of
-    middle indices to try on each.
+    middle indices to try on each, behind the sweep's one gate: a pair
+    moment below the mean class's lower bound raises
+    :class:`InfeasibleMoment`, and a ``d`` above ``2**21 - 1``, whose
+    packed support keys in :func:`enumerate_rays` would overflow int64,
+    raises :class:`ClassTooLarge`.
 
-    Yields arrays ``(i, k, lo, hi)`` per lower index ``i``, with every
-    ``lo <= hi``. Writing ``s2 = M - m**2``, the ``j`` mass has the sign
-    of ``(m - i)(k - m) - s2``, and the other two are nonnegative exactly
+    Yields arrays ``(i, k, lo, hi)`` per lower index ``i``. Writing
+    ``s2 = M - m**2``, the ``j`` mass has the sign of
+    ``(m - i)(k - m) - s2``, and the other two are nonnegative exactly
     for ``j`` in ``[m - s2/(k - m), m + s2/(m - i)]``. The slack and the
     one-index widening keep every triple the float keep-test accepts.
-    A ``d`` above ``MAX_CANDIDATES`` raises :class:`ClassTooLarge`: its
-    per-index arrays alone would outgrow the cap's memory budget. So does
-    a ``d`` above ``2**21 - 1``, whose packed support keys in
-    :func:`enumerate_rays` would overflow int64.
+    The gate makes ``s2 + slack`` positive, so the widened bound below
+    is at most ``floor(m) - 1`` and the one above at least
+    ``min(ceil(m) + 1, d)``: every ``lo <= hi``. The float pair test is
+    monotone in ``k``, so the ``k`` it admits for an ``i`` form one run.
     """
-    d = spec.d
-    too_large = f"class (d={d}, p={spec.p:g}, rho={spec.rho:g}) is too large"
-    if d > MAX_CANDIDATES:
-        raise ClassTooLarge(
-            f"{too_large}: d exceeds the cap of {MAX_CANDIDATES} "
-            "candidate triples"
+    mu2 = spec.pair_moment_target
+    mean_bounds = rays_mean.moment_bounds(spec, 2)
+    # The upper bound, p, holds for every rho <= 1 that ClassSpec admits.
+    if mu2 < mean_bounds.lower - _FEASIBILITY_TOL:
+        raise InfeasibleMoment(
+            f"pair moment {mu2} outside attainable range "
+            f"[{mean_bounds.lower}, {mean_bounds.upper}]"
         )
+    d = spec.d
     if d > _MAX_KEY_D:
         raise ClassTooLarge(
-            f"{too_large}: its packed support keys overflow int64 above "
-            f"d = {_MAX_KEY_D}"
+            f"class (d={d}, p={spec.p:g}, rho={spec.rho:g}) is too large: "
+            f"its packed support keys overflow int64 above d = {_MAX_KEY_D}"
         )
     m = spec.mean_count
     s2 = spec.second_moment_target - m * m
     slack = _SWEEP_SLACK * d * d
-    for i in range(d - 1):
-        below = m - i
-        k = np.arange(i + 2, d + 1)
-        k = k[below * (k - m) - s2 >= -slack]
-        above = k - m
-        with np.errstate(divide="ignore"):
-            lo = np.where(above > 0.0, m - (s2 + slack) / above, -np.inf)
-        hi = m + (s2 + slack) / below if below > 0.0 else np.inf
-        lo = np.maximum(np.floor(lo) - 1.0, i + 1.0).astype(np.int64)
-        hi = np.minimum(np.ceil(hi) + 1.0, k - 1.0).astype(np.int64)
-        some = lo <= hi
-        if some.any():
-            k = k[some]
-            yield np.full(len(k), i), k, lo[some], hi[some]
+    index = np.arange(d + 1)
+    # The j bounds by upper index k and by lower index i; the divisions
+    # also run on indices that no pair admits, and may overflow there.
+    with np.errstate(divide="ignore", over="ignore"):
+        low = np.where(index > m, np.floor(m - (s2 + slack) / (index - m)),
+                       -np.inf)
+        high = np.where(index < m, np.ceil(m + (s2 + slack) / (m - index)),
+                        np.inf)
+    low = np.clip(low - 1.0, 0, d).astype(np.int64)
+    high = np.clip(high + 1.0, 0, d).astype(np.int64)
+    # The admitted k end the range i+2..d where m >= i and start it where
+    # m < i; bisect for the first k past the run's inner edge.
+    below = m - index[:-2]
+    flip = below < 0.0
+    edge, stop = index[2:], np.full(d - 1, d + 1)
+    while (edge < stop).any():
+        k = (edge + stop) // 2
+        past = (below * (k - m) - s2 >= -slack) != flip
+        # Where edge == stop, k is both and neither moves.
+        stop = np.where(past, k, stop)
+        edge = np.where(past, edge, np.minimum(k + 1, stop))
+    first, last = np.where(flip, index[2:], edge), np.where(flip, edge - 1, d)
+    for i in np.flatnonzero(first <= last):
+        k = np.arange(first[i], last[i] + 1)
+        yield (np.full(len(k), i), k, np.maximum(low[k], i + 1),
+               np.minimum(high[i], k - 1))
 
 
 def candidate_count(spec: ClassSpec) -> int:
     """Exact number of index triples the sweep of :func:`enumerate_rays`
-    examines, in O(d^2) time and O(d) memory; a ``d`` above
-    ``MAX_CANDIDATES`` raises :class:`ClassTooLarge`."""
+    examines, in O(d log d) plus one step per admitted pair and O(d)
+    memory; it refuses a class as :func:`enumerate_rays` does."""
     _require_corr(spec, "candidate_count")
     return sum(int((hi - lo + 1).sum()) for *_, lo, hi in _pair_ranges(spec))
 
@@ -281,8 +299,9 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
 def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-and-correlation class.
 
-    Feasibility of the target second moment against the closed bounds of
-    the mean class is checked first. The result merges the matching
+    The sweep's gate (:func:`_pair_ranges`) checks the target second
+    moment against the closed bounds of the mean class and ``d``
+    against the key limit first. The result merges the matching
     two-point mean-class rays, the point ray when both targets allow it,
     and every admissible triple, deduplicated by support set (in that
     order of precedence, and among triples the lexicographically first;
@@ -293,15 +312,7 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     any per-triple array is built.
     """
     _require_corr(spec, "enumerate_rays")
-    mu2 = spec.pair_moment_target
-    mean_bounds = rays_mean.moment_bounds(spec, 2)
-    # The upper bound, p, holds for every rho <= 1 that ClassSpec admits.
-    if mu2 < mean_bounds.lower - _FEASIBILITY_TOL:
-        raise InfeasibleMoment(
-            f"pair moment {mu2} outside attainable range "
-            f"[{mean_bounds.lower}, {mean_bounds.upper}]"
-        )
-    # The sweep goes first so that its cap fires before anything large.
+    # The sweep goes first so that its gate and cap fire before anything.
     triples = _sweep_triples(spec)
     support, masses = (
         np.concatenate(parts)

@@ -781,7 +781,7 @@ class TestExitCodes:
         assert result.returncode == cli.EXIT_INFEASIBLE
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
-        assert "candidate triples" in result.stderr
+        assert "overflow int64" in result.stderr
 
     def test_readmes_huge_correlated_d_exits_2_at_once(self):
         # README's example: the d guard refuses the class before the
@@ -795,7 +795,7 @@ class TestExitCodes:
         assert result.exit_code == cli.EXIT_INFEASIBLE
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
-        assert "d exceeds the cap" in result.stderr
+        assert "overflow int64" in result.stderr
 
     @pytest.mark.parametrize(
         "command",

@@ -5,6 +5,7 @@ the membership test."""
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,14 @@ class TestEnumerate:
         with pytest.raises(InfeasibleMoment):
             rays_corr.enumerate_rays(ClassSpec(4, 0.5, -0.9))
 
+    def test_candidate_count_refuses_what_enumeration_refuses(self):
+        spec = ClassSpec(4, 0.5, -0.5)
+        with pytest.raises(InfeasibleMoment) as enumerated:
+            rays_corr.enumerate_rays(spec)
+        with pytest.raises(InfeasibleMoment) as counted:
+            rays_corr.candidate_count(spec)
+        assert str(counted.value) == str(enumerated.value)
+
     def test_requires_correlation_target(self):
         with pytest.raises(InvalidSpec):
             rays_corr.enumerate_rays(ClassSpec(4, 0.5))
@@ -265,8 +274,11 @@ class TestIntervalSweep:
     @given(feasible_classes())
     def test_every_feasible_class_keeps_the_outer_pair(self, spec):
         # The outer pair (0, d) admits a middle index in every class that
-        # passes the feasibility check, so the sweep is never empty.
+        # passes the feasibility check, so the sweep is never empty; and
+        # no pair it yields has an empty middle range.
         assert rays_corr.candidate_count(spec) >= 1
+        for *_, lo, hi in rays_corr._pair_ranges(spec):
+            assert (lo <= hi).all()
 
     @pytest.mark.parametrize(
         "d, p, rho", [(20, 0.266, 1 / 6), (40, 0.13, 0.3), (60, 0.41, 0.05)]
@@ -352,6 +364,23 @@ class TestIntervalSweep:
         count = rays_corr.candidate_count(spec)
         assert 32372 <= count <= 2 * 32372
 
+    # README quotes the last four.
+    @pytest.mark.parametrize(
+        "d, count",
+        [(100, 36339), (200, 270662), (400, 2081837), (640, 8395501),
+         (3000, 846916299)],
+    )
+    def test_dense_candidate_counts_are_pinned(self, d, count):
+        assert rays_corr.candidate_count(ClassSpec(d, 0.266, 1 / 6)) == count
+
+    @pytest.mark.parametrize("d", [2, 3, 40, 1001, 100_000])
+    def test_a_comonotone_class_sweeps_one_pair_quickly(self, d):
+        # Only the outer pair (0, d) carries a ray, with every middle
+        # index; the bisection skips the other lower indices.
+        start = time.perf_counter()
+        assert rays_corr.candidate_count(ClassSpec(d, 0.5, 1.0)) == d - 1
+        assert time.perf_counter() - start < 1.0
+
     def test_large_classes_exceed_the_cap(self):
         spec = ClassSpec(3000, 0.266, 1 / 6)
         assert rays_corr.candidate_count(spec) > rays_corr.MAX_CANDIDATES
@@ -365,8 +394,7 @@ class TestIntervalSweep:
         "run", [rays_corr.candidate_count, rays_corr.enumerate_rays]
     )
     def test_a_d_whose_keys_overflow_int64_is_refused_at_once(self, run):
-        # (d + 1)**3 - 1, the largest packed key, passes 2**63 - 1 here;
-        # unrefused, this comonotone class's O(d^2) sweep runs for hours.
+        # (d + 1)**3 - 1, the largest packed key, passes 2**63 - 1 here.
         with pytest.raises(ClassTooLarge, match="int64"):
             run(ClassSpec(2**21, 0.5, 1.0))
 
