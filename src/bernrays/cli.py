@@ -5,9 +5,11 @@ library call; this layer only parses flags, routes through the ray-set
 cache, applies display rounding (one rule per column, read by both CSV
 and JSON), and serializes. Each command takes one path from flags to
 bytes: ``_resolve`` turns the class flags into a
-:class:`~bernrays.pmf.ClassSpec`, ``_enumerate_cached`` gets its rays, a
-row builder makes raw rows, ``_render`` serializes them and ``_emit`` or
-``_write`` sends the text to stdout or a file. Outputs are
+:class:`~bernrays.pmf.ClassSpec`, ``_enumerate_cached`` gets its whole
+ray set by way of the cache (``_class_rays`` streams it in blocks when
+no cache is given), a row builder makes raw rows, ``_render``
+serializes them and ``_emit`` or ``_write`` sends the text to stdout or
+a file. Outputs are
 byte-deterministic for a given invocation: fixed float formats, LF line
 endings, sorted JSON keys, and no timestamps.
 
@@ -28,7 +30,15 @@ from pathlib import Path
 
 import click
 
-from . import __version__, betamix, enumerate_rays, rays_mean, risk
+from . import (
+    __version__,
+    betamix,
+    enumerate_rays,
+    pmf,
+    rays_corr,
+    rays_mean,
+    risk,
+)
 from . import _reference_tables as ref
 from .errors import BernraysError, InadmissibleCorrelation, InvalidSpec
 from .pmf import ClassSpec
@@ -155,18 +165,42 @@ def _moments_rows(spec: ClassSpec) -> list[dict]:
     return rows
 
 
-def _beta_var(spec: ClassSpec, alpha: float) -> int | None:
+def _class_rays(spec: ClassSpec, cache: Path | None):
+    """The rays of ``spec`` as blocks for :func:`risk._fold`: the whole
+    set by way of the cache when one is given, else streamed blocks,
+    which never hold the whole set at once. The class is refused, if at
+    all, at the call."""
+    if cache is not None:
+        return [_enumerate_cached(spec, cache)]
+    if spec.rho is None:
+        return rays_mean._ray_blocks(spec)
+    return rays_corr._ray_blocks(spec)
+
+
+def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
+    """The beta-binomial benchmark's VaR at each level, all from one pmf;
+    None at every level when no Beta mixture matches ``spec.rho``."""
     try:
         params = betamix.calibrate(spec.p, spec.rho)
     except InadmissibleCorrelation:
-        return None
-    return betamix.var(params, spec.d, alpha)
+        return [None] * len(alphas)
+    law = betamix.pmf(params, spec.d)
+    return [pmf.var(law, alpha) for alpha in alphas]
 
 
-def _bounds_rows(rays: RaySet, alphas: tuple[float, ...]) -> list[dict]:
+def _bounds_rows(
+    spec: ClassSpec, rays, alphas: tuple[float, ...]
+) -> list[dict]:
+    """One row per level of the risk bounds over the blocks ``rays``, with
+    the benchmark's VaR for a correlated class."""
+    betas = [None] * len(alphas)
+    if spec.rho is not None:
+        # Faults surface level by level: the first level's range, then
+        # the benchmark's, then the other levels'.
+        pmf._check_open_unit(alphas[0], "alpha")
+        betas = _beta_vars(spec, alphas)
     rows = []
-    for alpha in alphas:
-        bounds = risk.risk_bounds(rays, alpha)
+    for alpha, bounds, beta in zip(alphas, risk._fold(rays, alphas), betas):
         row = {
             "alpha": alpha,
             "var_min": bounds.var_min,
@@ -174,8 +208,8 @@ def _bounds_rows(rays: RaySet, alphas: tuple[float, ...]) -> list[dict]:
             "es_min": bounds.es_min,
             "es_max": bounds.es_max,
         }
-        if rays.spec.rho is not None:
-            row["beta_var"] = _beta_var(rays.spec, alpha)
+        if spec.rho is not None:
+            row["beta_var"] = beta
         rows.append(row)
     return rows
 
@@ -193,16 +227,17 @@ def _sweep_rows(
 ) -> list[dict]:
     rows = []
     for rho in _sweep_grid(grid):
-        rays = _enumerate_cached(ClassSpec(spec.d, spec.p, rho), cache)
-        for alpha in alphas:
-            bounds = risk.var_bounds_scan(rays, alpha)
+        at_rho = ClassSpec(spec.d, spec.p, rho)
+        found = risk._fold(_class_rays(at_rho, cache), alphas, es=False)
+        for alpha, bounds, beta in zip(alphas, found,
+                                       _beta_vars(at_rho, alphas)):
             rows.append(
                 {
                     "rho": rho,
                     "alpha": alpha,
                     "var_min": bounds.var_min,
                     "var_max": bounds.var_max,
-                    "beta_var": _beta_var(rays.spec, alpha),
+                    "beta_var": beta,
                 }
             )
     return rows
@@ -233,7 +268,8 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
     """
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
-    mean = _bounds_rows(_enumerate_cached(spec, cache_dir), ref.DEFAULT_ALPHAS)
+    # Mean-class rays cost less to build than to read back: no cache.
+    mean = _bounds_rows(spec, _class_rays(spec, None), ref.DEFAULT_ALPHAS)
     sweep = _sweep_rows(spec, ref.DEFAULT_ALPHAS, cache_dir, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
@@ -475,7 +511,7 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
     """Sharp VaR/ES bounds per confidence level."""
     spec, alphas = _resolve(d, p, scenario, rho_text, alpha_text)
-    rows = _bounds_rows(_enumerate_cached(spec, cache), alphas)
+    rows = _bounds_rows(spec, _class_rays(spec, cache), alphas)
     columns = BOUNDS_BETA_COLUMNS if spec.rho is not None else BOUNDS_COLUMNS
     _emit(out, f"bounds_{_slug(spec)}.{fmt}", _render(rows, columns, fmt))
 

@@ -16,6 +16,15 @@ degenerate triples: a vanishing mass drops its point. Enumeration sweeps
 the triples whose middle index the outer pair admits, in O(d^2 + n) for
 ``n`` rays, adds the mean-class two-point rays whose second moment
 matches ``M``, and the point mass when both targets sit on an integer.
+
+The sweep solves its triples in blocks of whole lower indices. Distinct
+triples carry distinct three-point supports, so only the O(d^2) rows
+with a dropped point and the mean-class rows can share a support, and
+only they are merged. The three-point rows of each block can therefore
+go straight to a scan: :func:`risk._fold` takes the blocks of
+:func:`_ray_blocks` one at a time and never holds the whole set, while
+:func:`enumerate_rays` gathers the same blocks into one sorted
+:class:`RaySet`.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ _FEASIBILITY_TOL = 1e-12
 # by d**2: far above the float error of the mass numerators (about
 # 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
 _SWEEP_SLACK = 1e-9
+
+# Most candidate triples one block of the streamed sweep solves; its
+# working arrays then take about 2 MiB.
+_BLOCK_CANDIDATES = 2**14
 
 # Largest d whose packed support keys (i*(d+1) + j)*(d+1) + k, at most
 # (d+1)**3 - 1, fit in int64.
@@ -95,7 +108,7 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
     support, masses = _solve_triples(spec, *np.array([[i], [j], [k]]))
     if not len(support):
         return None
-    return RaySet(spec, support, masses)[0]
+    return RaySet._owning(spec, support, masses)[0]
 
 
 def _pair_ranges(spec: ClassSpec):
@@ -117,12 +130,12 @@ def _pair_ranges(spec: ClassSpec):
     monotone in ``k``, so the ``k`` it admits for an ``i`` form one run.
     """
     mu2 = spec.pair_moment_target
-    mean_bounds = rays_mean.moment_bounds(spec, 2)
+    floor = rays_mean._pair_moment_floor(spec)
     # The upper bound, p, holds for every rho <= 1 that ClassSpec admits.
-    if mu2 < mean_bounds.lower - _FEASIBILITY_TOL:
+    if mu2 < floor - _FEASIBILITY_TOL:
         raise InfeasibleMoment(
             f"pair moment {mu2} outside attainable range "
-            f"[{mean_bounds.lower}, {mean_bounds.upper}]"
+            f"[{floor}, {spec.p}]"
         )
     d = spec.d
     if d > _MAX_KEY_D:
@@ -252,27 +265,39 @@ def _solve_triples(
     return support, masses
 
 
-def _sweep_triples(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_blocks(spec: ClassSpec):
     """Padded support and mass rows of every triple the sweep keeps, in
-    ``(i, k, j)`` order, which is all the merge in :func:`enumerate_rays`
-    needs: only rows with at most two live points share a support, the
-    triples padded to ``{a < b}`` (``(x, a, b)``, ``(a, x, b)`` and
-    ``(a, b, x)``) rank alike in ``(i, k, j)`` and lexicographic order,
-    and one-point rows are equal bit for bit.
+    blocks of whole lower indices of about ``_BLOCK_CANDIDATES``
+    candidates each, and in ``(i, k, j)`` order across the blocks.
+
+    The gate of :func:`_pair_ranges` and the ``MAX_CANDIDATES`` cap
+    refuse the class at the call, before any per-triple array is built;
+    each block is solved when it is reached.
     """
-    ranges = []
-    total = 0
+    groups, group, size, total = [], [], 0, 0
     for found in _pair_ranges(spec):
-        total += int((found[3] - found[2] + 1).sum())
+        count = int((found[3] - found[2] + 1).sum())
+        total += count
         if total > MAX_CANDIDATES:
             raise ClassTooLarge(
                 f"class (d={spec.d}, p={spec.p:g}, rho={spec.rho:g}) needs "
                 f"more than {MAX_CANDIDATES} candidate triples"
             )
-        ranges.append(found)
+        group.append(found)
+        size += count
+        if size >= _BLOCK_CANDIDATES:
+            groups.append(group)
+            group, size = [], 0
+    if group:
+        groups.append(group)
+    return (_solve_triples(spec, *_triples(group)) for group in groups)
+
+
+def _triples(ranges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index triples of :func:`_pair_ranges` output, in its order."""
     pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
     pair, mid = _spans(lo, hi)
-    return _solve_triples(spec, pair_i[pair], mid, pair_k[pair])
+    return pair_i[pair], mid, pair_k[pair]
 
 
 def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -296,6 +321,60 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     return rays_mean._mean_rows(spec, j1[match], j2[match], point)
 
 
+def _row_blocks(spec: ClassSpec, blocks):
+    """Padded rows of every ray of the class, once each, from the
+    sweep's ``blocks``: the three-point rows of each block, then the rows
+    that may share a support, merged.
+
+    Distinct triples carry distinct three-point supports, so those rows
+    need no merge. Only rows with at most two live points, O(d^2) of
+    them, can share a support: the matching mean-class rows, then the
+    sweep's in ``(i, k, j)`` order, which is all the merge needs, since
+    the triples padded to ``{a < b}`` (``(x, a, b)``, ``(a, x, b)`` and
+    ``(a, b, x)``) rank alike in ``(i, k, j)`` and lexicographic order
+    and one-point rows are equal bit for bit.
+    """
+    shared = [_matching_mean_rays(spec)]
+    for support, masses in blocks:
+        full = support[:, 1] < support[:, 2]
+        shared.append((support[~full], masses[~full]))
+        yield support[full], masses[full]
+    yield _first_per_support(
+        spec, *(np.concatenate(parts) for parts in zip(*shared))
+    )
+
+
+def _packed_keys(spec: ClassSpec, support: np.ndarray) -> np.ndarray:
+    """One int64 per row that ranks rows like their lexicographic order,
+    as each index lies in 0..d."""
+    n = spec.d + 1
+    return (support[:, 0] * n + support[:, 1]) * n + support[:, 2]
+
+
+def _first_per_support(
+    spec: ClassSpec, support: np.ndarray, masses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in lexicographic order of their supports, keeping the
+    first row of each support."""
+    # A stable sort keeps the first row per support in its precedence.
+    key = _packed_keys(spec, support)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    first[1:] = key[1:] != key[:-1]
+    order = order[first]
+    return np.take(support, order, axis=0), np.take(masses, order, axis=0)
+
+
+def _ray_blocks(spec: ClassSpec):
+    """The rays of :func:`enumerate_rays` as checked :class:`RaySet`
+    blocks, in no set order, without ever holding the whole set. The
+    class is refused as :func:`enumerate_rays` refuses it, at the
+    call."""
+    return (RaySet._owning(spec, *rows)
+            for rows in _row_blocks(spec, _sweep_blocks(spec)))
+
+
 def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-and-correlation class.
 
@@ -305,34 +384,25 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     two-point mean-class rays, the point ray when both targets allow it,
     and every admissible triple, deduplicated by support set (in that
     order of precedence, and among triples the lexicographically first;
-    see :func:`_sweep_triples`) and sorted lexicographically. The sweep
+    see :func:`_row_blocks`) and sorted lexicographically. The sweep
     examines only the middle indices that the outer pair ``(i, k)``
     admits, so it costs O(d^2 + n) for ``n`` rays; a class needing more
     than ``MAX_CANDIDATES`` triples raises :class:`ClassTooLarge` before
     any per-triple array is built.
     """
     _require_corr(spec, "enumerate_rays")
-    # The sweep goes first so that its gate and cap fire before anything.
-    triples = _sweep_triples(spec)
-    support, masses = (
-        np.concatenate(parts)
-        for parts in zip(_matching_mean_rays(spec), triples)
-    )
-    del triples  # this and the del below keep the peak down
-    # Each index lies in 0..d, so the packed key ranks rows like their
-    # lexicographic order; a stable sort keeps the first row per support
-    # in its precedence.
-    n = spec.d + 1
-    key = (support[:, 0] * n + support[:, 1]) * n + support[:, 2]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), bool)
-    first[1:] = key[1:] != key[:-1]
-    order = order[first]
-    del key, first
-    # np.take gathers rows about twice as fast as fancy indexing.
-    support, masses = (np.take(x, order, axis=0) for x in (support, masses))
-    return RaySet(spec, support, masses)
+    rows = _row_blocks(spec, _sweep_blocks(spec))
+    support, masses = (list(parts) for parts in zip(*rows))
+    # The blocks hold each support once, so the keys alone order the rows.
+    order = np.argsort(np.concatenate([_packed_keys(spec, s) for s in support]))
+    # Each rebinding frees the arrays it replaces, so at most one column
+    # is held twice at a time. np.take gathers rows about twice as fast
+    # as fancy indexing.
+    support = np.concatenate(support)
+    support = np.take(support, order, axis=0)
+    masses = np.concatenate(masses)
+    masses = np.take(masses, order, axis=0)
+    return RaySet._owning(spec, support, masses)
 
 
 def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:

@@ -37,12 +37,17 @@ from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 
 # Most index triples one correlated enumeration may examine, and most
 # two-point rays a mean-class enumeration may build. By tracemalloc peak
-# a candidate holds about 136 bytes of working arrays and a mean-class
-# ray about 139 (2,081,837 candidates of (400, 0.266, 1/6): 268 MiB;
-# 6,929,716 of (600, 0.266, 1/6): 899 MiB; 1,000,001 rays of
-# (2000, 0.5): 133 MiB), so at the cap either enumeration peaks near
-# 1.1 GiB.
+# a candidate holds about 89 bytes of working arrays and a mean-class
+# ray about 104 (2,081,837 candidates of (400, 0.266, 1/6): 175 MiB;
+# 6,929,716 of (600, 0.266, 1/6): 589 MiB; 1,000,001 rays of
+# (2000, 0.5): 99 MiB), so at the cap either enumeration peaks near
+# 0.8 GiB. A streamed scan holds one block at a time, but the cap bounds
+# its work too.
 MAX_CANDIDATES = 2**23
+
+# Most rays one streamed block of the mean class holds, unless one lower
+# index has more: a block's arrays then take a few MiB.
+_BLOCK_ROWS = 2**14
 
 # Masses this close to one another at a pairing step are exhausted together.
 _RESIDUAL_EPS = 1e-15
@@ -189,15 +194,31 @@ class RaySet(Sequence):
     its last point with zero mass, and ``sizes`` holds each ray's point
     count, and ``spec`` the class every ray is extremal for. Every row
     passes the ray checks against ``spec``, which :class:`RayDensity`
-    shares, once on construction, and the arrays are read-only. The set is a
+    shares, once on construction, and the arrays are read-only: the
+    constructor copies what it is given, so a caller's arrays are never
+    frozen, while the sets the library builds take over their freshly
+    built arrays (:meth:`_owning`). The set is a
     ``Sequence[RayDensity]``: indexing and iteration build rays on
     demand from their rows without checking them again, and slicing
     gives a RaySet.
     """
 
     def __init__(self, spec: ClassSpec, support, masses):
-        support = np.array(support, dtype=np.int64)
-        masses = np.array(masses, dtype=np.float64)
+        self._own(spec, np.array(support, dtype=np.int64),
+                  np.array(masses, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, spec: ClassSpec, support: np.ndarray,
+                masses: np.ndarray) -> "RaySet":
+        """A set that takes over int64 ``support`` and float64 ``masses``
+        arrays the library has just built and holds nowhere else: they
+        are checked and frozen, not copied."""
+        rays = cls.__new__(cls)
+        rays._own(spec, support, masses)
+        return rays
+
+    def _own(self, spec: ClassSpec, support: np.ndarray,
+             masses: np.ndarray) -> None:
         sizes = _check_rows(spec, support, masses)
         for array in (support, masses, sizes):
             array.setflags(write=False)
@@ -297,7 +318,7 @@ def _mean_rays(spec: ClassSpec, j1, j2, point: bool = False) -> RaySet:
     """The rows of :func:`_mean_rows` as a ray set of the mean class
     ``(spec.d, spec.p)``, whatever correlation ``spec`` names."""
     rows = _mean_rows(spec, j1, j2, point)
-    return RaySet(ClassSpec(spec.d, spec.p), *rows)
+    return RaySet._owning(ClassSpec(spec.d, spec.p), *rows)
 
 
 def two_point_ray(spec: ClassSpec, j1: int, j2: int) -> RayDensity:
@@ -328,6 +349,23 @@ def point_ray(spec: ClassSpec) -> RayDensity:
     return _mean_rays(spec, [], [], point=True)[0]
 
 
+def _two_point_indices(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper support indices of the two-point rays,
+    both empty when there are none; a class with more than
+    ``MAX_CANDIDATES`` of them is refused first."""
+    _require_mean_only(spec, "enumerate_rays")
+    count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
+    if count > MAX_CANDIDATES:
+        raise ClassTooLarge(
+            f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
+            f"more than {MAX_CANDIDATES}"
+        )
+    if not count:
+        return np.arange(0), np.arange(0)
+    return (np.arange(spec.max_lower_index + 1),
+            np.arange(spec.min_upper_index, spec.d + 1))
+
+
 def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-constrained class.
 
@@ -338,17 +376,27 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     A class with more two-point rays than ``MAX_CANDIDATES`` raises
     :class:`ClassTooLarge` before any array is built.
     """
-    _require_mean_only(spec, "enumerate_rays")
-    count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
-    if count > MAX_CANDIDATES:
-        raise ClassTooLarge(
-            f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
-            f"more than {MAX_CANDIDATES}"
-        )
-    lower = np.arange(spec.max_lower_index + 1)
-    upper = np.arange(spec.min_upper_index, spec.d + 1)
+    lower, upper = _two_point_indices(spec)
     return _mean_rays(spec, np.repeat(lower, len(upper)),
                       np.tile(upper, len(lower)), point=spec.integer_mean)
+
+
+def _ray_blocks(spec: ClassSpec):
+    """The rays of :func:`enumerate_rays` as checked :class:`RaySet`
+    blocks of whole lower indices, about ``_BLOCK_ROWS`` rays each, and
+    the point ray last. The class is refused as :func:`enumerate_rays`
+    refuses it, at the call."""
+    return _mean_blocks(spec, *_two_point_indices(spec))
+
+
+def _mean_blocks(spec: ClassSpec, lower: np.ndarray, upper: np.ndarray):
+    step = max(1, _BLOCK_ROWS // max(1, len(upper)))
+    for start in range(0, len(lower), step):
+        part = lower[start:start + step]
+        yield _mean_rays(spec, np.repeat(part, len(upper)),
+                         np.tile(upper, len(part)))
+    if spec.integer_mean:
+        yield _mean_rays(spec, [], [], point=True)
 
 
 def decompose(
@@ -442,17 +490,23 @@ def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:
     if order == 1:
         return MomentBounds(spec.p, spec.p, rays[0], rays[0])
     if order == 2:
-        d, pd = spec.d, spec.mean_count
-        if spec.integer_mean:
-            lower = spec.p * (pd - 1.0) / (d - 1.0)
-        else:
-            j = spec.max_lower_index
-            lower = (-j * (j + 1.0) + 2.0 * j * pd) / (d * (d - 1.0))
-        return MomentBounds(lower, spec.p, rays[1], rays[0])
+        return MomentBounds(_pair_moment_floor(spec), spec.p, rays[1],
+                            rays[0])
     ratio = _falling_ratio(rays.support, spec.d, order)
     # A batched matmul rounds each 3-term dot product like np.dot does.
     values = (ratio[:, None, :] @ rays.masses[:, :, None])[:, 0, 0]
     return MomentBounds(float(values[1]), float(values[0]), rays[1], rays[0])
+
+
+def _pair_moment_floor(spec: ClassSpec) -> float:
+    """The least order-2 cross moment over the class, in closed form:
+    that of the point ray at an integer mean, else of the ray on
+    ``(j1M, j1M + 1)``. ``spec.d`` is at least 2."""
+    d, pd = spec.d, spec.mean_count
+    if spec.integer_mean:
+        return spec.p * (pd - 1.0) / (d - 1.0)
+    j = spec.max_lower_index
+    return (-j * (j + 1.0) + 2.0 * j * pd) / (d * (d - 1.0))
 
 
 def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:

@@ -120,7 +120,7 @@ def parse_ray_set(text: str) -> RaySet:
         start = end + 1
     if done != count:
         raise LengthMismatch("a ray line is not 1 to 3 index:mass pairs")
-    return RaySet(spec, support, masses)
+    return RaySet._owning(spec, support, masses)
 
 
 def _cache_file(cache_dir: Path, spec: ClassSpec, version: str) -> Path:
@@ -167,8 +167,9 @@ def load_cached_rays(
         same_rho = math.isnan(key[2]) if rho is None else key[2] == rho
         if key[0] != spec.d or key[1] != spec.p or not same_rho:
             return None
-        # RaySet checks the shapes and validates every ray.
-        return RaySet(spec, support, masses)
+        # RaySet checks the shapes and validates every ray; the arrays
+        # are read-only views of the bytes read, so the set can own them.
+        return RaySet._owning(spec, support, masses)
     except (OSError, ValueError, ArithmeticError):
         return None
 

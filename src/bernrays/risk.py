@@ -1,7 +1,10 @@
 """Sharp risk bounds on the default count over an admissible class.
 
 Value-at-risk extrema over a class are attained on its extremal rays,
-so a scan over the enumeration is exact. For the mean-constrained class
+so a scan over the enumeration is exact. One fold scans blocks of rays
+for every confidence level at once; the whole enumeration is one such
+block, and a class's streamed blocks give the same bits without ever
+being held at once. For the mean-constrained class
 the scan collapses to a closed form in (d, p, alpha). Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
@@ -13,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import rays_corr
 from .errors import EmptyRaySet
 from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
-from .rays_corr import enumerate_rays as enumerate_corr_rays
 from .rays_mean import RayDensity, RaySet, _require_mean_only
 
 # Slack for boundary decisions in the closed-form index arithmetic:
@@ -82,31 +85,60 @@ def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
-def _scan(
-    rays: Sequence[RayDensity], alpha: float
-) -> tuple[float, RaySet, np.ndarray]:
-    """The checked level, the rays as a set and each ray's VaR."""
-    alpha = _check_open_unit(alpha, "alpha")
-    if len(rays) == 0:
+def _fold(
+    blocks: Iterable[RaySet], alphas: Sequence[float], es: bool = True
+) -> list[RiskBounds]:
+    """VaR (and, with ``es``, ES) extrema over the rays of every block,
+    one :class:`RiskBounds` per level, in one pass over the blocks.
+
+    The blocks are checked rays of one class; each block is scanned once
+    per level. The levels are checked before the first block is drawn.
+    A block's extrema and its lexicographically smallest attaining
+    support fold into the running ones, so the result does not depend
+    on how the rays are cut into blocks or ordered. Python's tuple order
+    ranks supports as the padded rows rank, so ties across blocks
+    resolve as a scan of the whole set resolves them.
+    """
+    alphas = [_check_open_unit(alpha, "alpha") for alpha in alphas]
+    # Per level: var_min, var_max, es_min, es_max, argmin, argmax.
+    found = [[math.inf, -math.inf, math.inf, -math.inf, None, None]
+             for _ in alphas]
+    for rays in blocks:
+        if not len(rays):
+            continue
+        for alpha, best in zip(alphas, found):
+            values = _scan_vars(rays.support, rays.masses, alpha)
+            lo, hi = int(values.min()), int(values.max())
+            if lo <= best[0]:
+                arg = _lex_smallest(rays, values == lo)
+                best[4] = arg if lo < best[0] else min(best[4], arg)
+                best[0] = lo
+            if hi >= best[1]:
+                arg = _lex_smallest(rays, values == hi)
+                best[5] = arg if hi > best[1] else min(best[5], arg)
+                best[1] = hi
+            if es:
+                tail = rays.support >= values[:, None]
+                num = np.sum(rays.support * rays.masses * tail, axis=1)
+                den = np.sum(rays.masses * tail, axis=1)
+                shortfall = num / den
+                best[2] = min(best[2], float(shortfall.min()))
+                best[3] = max(best[3], float(shortfall.max()))
+    if any(best[4] is None for best in found):
         raise EmptyRaySet("risk scan over an empty ray collection")
-    rays = RaySet.of(rays)
-    return alpha, rays, _scan_vars(rays.support, rays.masses, alpha)
+    return [
+        RiskBounds(alpha, lo, hi, es_lo if es else None,
+                   es_hi if es else None, argmin, argmax)
+        for alpha, (lo, hi, es_lo, es_hi, argmin, argmax)
+        in zip(alphas, found)
+    ]
 
 
-def _extrema(
-    alpha: float, rays: RaySet, values: np.ndarray, es: np.ndarray | None
-) -> RiskBounds:
-    lo = int(values.min())
-    hi = int(values.max())
-    return RiskBounds(
-        alpha=alpha,
-        var_min=lo,
-        var_max=hi,
-        es_min=None if es is None else float(es.min()),
-        es_max=None if es is None else float(es.max()),
-        argmin_ray=_lex_smallest(rays, values == lo),
-        argmax_ray=_lex_smallest(rays, values == hi),
-    )
+def _one_block(rays: Sequence[RayDensity]):
+    """``rays`` as the one block of a fold, packed when it is drawn, so
+    that the fold checks its levels first."""
+    if len(rays):
+        yield RaySet.of(rays)
 
 
 def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
@@ -115,7 +147,7 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     Ties among attaining rays resolve to the lexicographically smallest
     support, independent of the input order.
     """
-    return _extrema(*_scan(rays, alpha), None)
+    return _fold(_one_block(rays), (alpha,), es=False)[0]
 
 
 def _ceil_guarded(x: float) -> int:
@@ -170,11 +202,7 @@ def es_bounds_scan(
 
 def risk_bounds(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     """One-pass VaR and ES scan bundled into a :class:`RiskBounds`."""
-    alpha, rays, values = _scan(rays, alpha)
-    tail = rays.support >= values[:, None]
-    num = np.sum(rays.support * rays.masses * tail, axis=1)
-    den = np.sum(rays.masses * tail, axis=1)
-    return _extrema(alpha, rays, values, num / den)
+    return _fold(_one_block(rays), (alpha,))[0]
 
 
 def es_envelope(
@@ -183,7 +211,7 @@ def es_envelope(
     """Proved class-wide expected-shortfall envelope ``[min VaR, d]``.
 
     ``source`` is either a ClassSpec (mean-only specs use the closed
-    form; correlation specs enumerate their rays) or an already
+    form; correlation specs scan their rays block by block) or an already
     enumerated ray sequence. The upper bound ``d`` is attained exactly
     when the source's VaR maximum is ``d``: a member's ES is ``d`` exactly
     when its VaR is, and ``P(S = d)`` is linear in the pmf.
@@ -193,8 +221,9 @@ def es_envelope(
         spec = source
         var_min, var_max = var_bounds_mean_closed_form(spec, alpha)
     else:
-        if isinstance(source, ClassSpec):
-            source = enumerate_corr_rays(source)
-        _, rays, values = _scan(source, alpha)
-        spec, var_min, var_max = rays.spec, values.min(), values.max()
+        whole = not isinstance(source, ClassSpec)
+        blocks = _one_block(source) if whole else rays_corr._ray_blocks(source)
+        bounds = _fold(blocks, (alpha,), es=False)[0]
+        spec = source[0].spec if whole else source
+        var_min, var_max = bounds.var_min, bounds.var_max
     return EsEnvelope(float(var_min), float(spec.d), bool(var_max == spec.d))

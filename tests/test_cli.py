@@ -706,10 +706,18 @@ class TestExitCodes:
          (("--p", "0.5", "--d", "0"),
           "error: d must be a positive integer, got 0"),
          (("--rho", "abc", "--alpha", "abc"),
-          "error: provide exactly one of --p or --scenario")],
+          "error: provide exactly one of --p or --scenario"),
+         (("--d", "2", "--p", "5e-324", "--rho", "0.9999999999999999",
+           "--alpha", "1.5,0.9"),
+          "error: alpha must lie strictly inside (0, 1), got 1.5"),
+         (("--d", "2", "--p", "5e-324", "--rho", "0.9999999999999999",
+           "--alpha", "0.9,1.5"),
+          "error: Beta parameters must be positive, got "
+          "BetaMixParams(a=0.0, b=2.220446049250313e-16)")],
         ids=["rho before p", "alpha before p", "alpha before d",
              "alpha before d = 0", "d = 0 by the class",
-             "usage before rho and alpha"],
+             "usage before rho and alpha", "first alpha before the beta",
+             "beta before a later alpha"],
     )
     def test_the_first_fault_in_check_order_wins(self, args, message):
         result = CliRunner().invoke(cli.main, ["bounds", *args])
@@ -756,6 +764,24 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert "candidate triples" in result.stderr
 
+    @pytest.mark.parametrize(
+        "module, flags, named",
+        [(rays_corr, ["--rho", "1/6"], "candidate triples"),
+         (rays_mean, [], "two-point rays")],
+        ids=["correlated", "mean"],
+    )
+    def test_streamed_bounds_keep_the_cap(self, monkeypatch, module, flags,
+                                          named):
+        monkeypatch.setattr(module, "MAX_CANDIDATES", 1000)
+        result = CliRunner().invoke(
+            cli.main, ["bounds", "--d", "100", "--p", "0.266", *flags]
+        )
+        assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert named in result.stderr
+
     def test_a_huge_d_is_refused_before_any_per_index_array(self):
         # Under a 2 GiB address-space cap a d-sized int64 array is refused
         # outright, so an allocation before the cap check shows up as a
@@ -782,6 +808,33 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert "overflow int64" in result.stderr
+
+    @pytest.mark.parametrize("command", ["rays", "bounds"])
+    def test_a_mean_class_with_no_two_point_ray_builds_no_index_array(
+        self, command
+    ):
+        # d * p rounds to the integer mean 0: the point ray is the whole
+        # class, and a d-sized index array would need 7.5 GiB.
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(bernrays.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from bernrays.cli import main; main(prog_name='bernrays')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, command, "--d", "1000000000",
+             "--p", "1e-300"],
+            capture_output=True, text=True, preexec_fn=limit,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     OMP_NUM_THREADS="1"),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] in ("0:1", "0.99,0,0,0.0,0.0")
 
     def test_readmes_huge_correlated_d_exits_2_at_once(self):
         # README's example: the d guard refuses the class before the
@@ -898,13 +951,13 @@ class TestReproduce:
         planted[0.99] = (low, high + 1, beta)
         monkeypatch.setitem(ref.VAR_CORR, ("A", "1/6"), planted)
         requests = []
-        enumerate_cached = cli._enumerate_cached
+        class_rays = cli._class_rays
 
         def counting(spec, cache):
             requests.append((spec.d, spec.p, spec.rho))
-            return enumerate_cached(spec, cache)
+            return class_rays(spec, cache)
 
-        monkeypatch.setattr(cli, "_enumerate_cached", counting)
+        monkeypatch.setattr(cli, "_class_rays", counting)
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]
         )

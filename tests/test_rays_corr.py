@@ -346,7 +346,7 @@ class TestIntervalSweep:
         support, masses = (
             np.concatenate(parts)
             for parts in zip(rays_corr._matching_mean_rays(spec),
-                             rays_corr._sweep_triples(spec))
+                             *rays_corr._sweep_blocks(spec))
         )
         n = spec.d + 1
         key = (support[:, 0] * n + support[:, 1]) * n + support[:, 2]

@@ -185,6 +185,25 @@ class TestRaySet:
         with pytest.raises(ValueError):
             rays.masses[0, 0] = 0.5
 
+    def test_the_constructor_copies_and_never_freezes_its_inputs(self):
+        spec = ClassSpec(4, 0.5)
+        support = np.array([[0, 4, 4], [2, 2, 2]])
+        masses = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        rays = RaySet(spec, support, masses)
+        assert support.flags.writeable and masses.flags.writeable
+        support[0, 0] = 1
+        masses[0, 0] = 0.25
+        assert rays.support[0].tolist() == [0, 4, 4]
+        assert rays.masses[0].tolist() == [0.5, 0.5, 0.0]
+
+    def test_a_library_set_takes_its_arrays_without_a_copy(self):
+        spec = ClassSpec(4, 0.5)
+        support, masses = rays_mean._mean_rows(spec, [0, 1], [4, 3], True)
+        rays = RaySet._owning(spec, support, masses)
+        assert rays.support is support and rays.masses is masses
+        assert not support.flags.writeable and not masses.flags.writeable
+        assert rays.sizes.tolist() == [2, 2, 1]
+
     def test_repr_names_the_class_and_the_count(self):
         rays = rays_mean.enumerate_rays(ClassSpec(4, 0.5))
         assert repr(rays) == (

@@ -2,13 +2,24 @@
 mean-constrained class, and the class-wide shortfall envelope."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from bernrays import ClassSpec, DefaultCountPmf, pmf, rays_corr, rays_mean, risk
-from bernrays.errors import EmptyRaySet, InvalidSpec
+from bernrays import (
+    ClassSpec,
+    DefaultCountPmf,
+    cli,
+    pmf,
+    rays_corr,
+    rays_mean,
+    risk,
+)
+from bernrays.errors import BernraysError, EmptyRaySet, InvalidSpec
 from oracles import mean_grid_pmfs, random_mixture
+from test_rays_corr import degenerate_classes
 
 
 class TestVarScan:
@@ -258,3 +269,138 @@ class TestEsEnvelope:
         spec = ClassSpec(100, 0.266)
         ray = rays_mean.two_point_ray(spec, 0, 100)
         assert math.isclose(pmf.es(ray.to_pmf(), 0.90), 100.0, rel_tol=1e-12)
+
+
+FOLD_ALPHAS = (0.9, 0.95, 0.99)
+
+
+def whole_set_bounds(rays, alpha):
+    """Risk bounds from one scan of every row of ``rays`` at once: the
+    per-row VaR and ES expressions, the extrema over all rows and a
+    lexicographic sort of the attaining rows."""
+    values = risk._scan_vars(rays.support, rays.masses, alpha)
+    tail = rays.support >= values[:, None]
+    es = (np.sum(rays.support * rays.masses * tail, axis=1)
+          / np.sum(rays.masses * tail, axis=1))
+
+    def first(value):
+        rows = np.flatnonzero(values == value)
+        s = rays.support[rows]
+        t = rows[np.lexsort(s.T[::-1])[0]]
+        return tuple(rays.support[t, : rays.sizes[t]].tolist())
+
+    lo, hi = int(values.min()), int(values.max())
+    return risk.RiskBounds(alpha, lo, hi, float(es.min()), float(es.max()),
+                           first(lo), first(hi))
+
+
+def bits(bounds):
+    """The fields of a RiskBounds, with floats as their exact bits."""
+    return [x.hex() if isinstance(x, float) else x
+            for x in (bounds.alpha, bounds.var_min, bounds.var_max,
+                      bounds.es_min, bounds.es_max, bounds.argmin_ray,
+                      bounds.argmax_ray)]
+
+
+def fold_classes(seed, count, d_max):
+    """Seeded classes of both kinds, with integer means, p = 1 - alpha,
+    rho = 0 and 1 and the lower correlation edge among them."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        d = int(rng.integers(2, d_max + 1))
+        kind = n % 5
+        if kind == 0:
+            p = int(rng.integers(1, d)) / d
+        elif kind == 1:
+            p = 1.0 - FOLD_ALPHAS[n % 3]
+        else:
+            p = float(rng.uniform(0.01, 0.99))
+        if n % 2:
+            yield ClassSpec(d, p)
+            continue
+        low, _ = rays_mean.correlation_bounds(ClassSpec(d, p))
+        rho = (0.0, 1.0, low, float(rng.uniform(low, 1.0)))[n // 2 % 4]
+        yield ClassSpec(d, p, rho if rho > -1.0 else 0.0)
+
+
+def module_of(spec):
+    return rays_mean if spec.rho is None else rays_corr
+
+
+class TestFold:
+    """The one scan body, over blocks cut any way from a class's rays."""
+
+    def test_streamed_blocks_fold_like_the_whole_set(self):
+        for spec in fold_classes(101, 200, 60):
+            source = module_of(spec)
+            try:
+                rays = source.enumerate_rays(spec)
+            except BernraysError as exc:
+                with pytest.raises(type(exc)):
+                    source._ray_blocks(spec)
+                continue
+            streamed = risk._fold(source._ray_blocks(spec), FOLD_ALPHAS)
+            for alpha, got in zip(FOLD_ALPHAS, streamed):
+                want = whole_set_bounds(rays, alpha)
+                assert bits(got) == bits(want) == bits(
+                    risk.risk_bounds(rays, alpha)), spec
+
+    @staticmethod
+    def assert_any_cut_folds_alike(rays):
+        want = [bits(whole_set_bounds(rays, alpha)) for alpha in FOLD_ALPHAS]
+        n = len(rays)
+        for size in (1, 7, n):
+            blocks = [rays[t:t + size] for t in range(0, n, size)]
+            for order in (blocks, blocks[::-1]):
+                got = risk._fold(order, FOLD_ALPHAS)
+                assert [bits(b) for b in got] == want
+                var_only = risk._fold(order, FOLD_ALPHAS, es=False)
+                assert [bits(b)[:3] + bits(b)[5:] for b in var_only] == [
+                    w[:3] + w[5:] for w in want]
+                assert all(b.es_min is b.es_max is None for b in var_only)
+
+    def test_blocks_of_one_seven_and_every_row_agree(self):
+        for spec in fold_classes(103, 30, 14):
+            self.assert_any_cut_folds_alike(
+                module_of(spec).enumerate_rays(spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(degenerate_classes())
+    def test_blocks_agree_on_degenerate_classes(self, spec):
+        if spec.d <= 20:
+            self.assert_any_cut_folds_alike(rays_corr.enumerate_rays(spec))
+        rays = rays_corr.enumerate_rays(spec)
+        streamed = risk._fold(rays_corr._ray_blocks(spec), FOLD_ALPHAS)
+        assert [bits(b) for b in streamed] == [
+            bits(whole_set_bounds(rays, alpha)) for alpha in FOLD_ALPHAS]
+
+    def test_no_rows_is_an_empty_scan(self):
+        spec = ClassSpec(4, 0.5)
+        empty = rays_mean.RaySet(spec, np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(EmptyRaySet):
+            risk._fold([empty, empty], FOLD_ALPHAS)
+
+    def test_levels_are_checked_before_any_block_is_drawn(self):
+        def blocks():
+            raise AssertionError("a block was drawn")
+            yield
+
+        with pytest.raises(InvalidSpec):
+            risk._fold(blocks(), (0.9, 1.5))
+
+    def test_streamed_bounds_stay_far_below_the_whole_set(self):
+        # Enumerating this class and then scanning it peaks at 34-37 MiB
+        # under tracemalloc; the streamed rows hold one block at a time.
+        spec = ClassSpec(200, 0.294, 0.181)
+        tracemalloc.start()
+        try:
+            rows = cli._bounds_rows(spec, cli._class_rays(spec, None),
+                                    FOLD_ALPHAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(row["var_min"], row["var_max"], row["beta_var"])
+                for row in rows] == [(46, 176, 116), (62, 200, 133),
+                                     (81, 200, 161)]
+        # About 5 MiB with blocks of 2**14 candidates.
+        assert peak < 12 * 2**20
