@@ -7,17 +7,52 @@ enumerates them, decomposes admissible pmfs over them, and turns the
 enumeration into sharp bounds on moments, value at risk, and expected
 shortfall, with a moment-matched beta-binomial as the single-model
 benchmark.
+
+Importing the package loads no submodule and so no numpy: each public
+name is imported from its submodule on first access (PEP 562). This
+lets the command line set up the process before numpy loads.
 """
 
-from . import betamix, pmf, rays_corr, rays_mean, risk
-from .betamix import BetaMixParams
-from .errors import BernraysError
-from .pmf import ClassSpec, DefaultCountPmf, ExchangeablePmfSummary
-from .rays_corr import MembershipResult
-from .rays_mean import MomentBounds, RayDensity, RaySet
-from .risk import EsEnvelope, RiskBounds
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .pmf import ClassSpec
+    from .rays_mean import RaySet
 
 __version__ = "0.1.0"
+
+# Each public name and the submodule that defines it; a submodule maps
+# to itself.
+_SUBMODULE = {
+    "BernraysError": "errors",
+    "BetaMixParams": "betamix",
+    "ClassSpec": "pmf",
+    "DefaultCountPmf": "pmf",
+    "EsEnvelope": "risk",
+    "ExchangeablePmfSummary": "pmf",
+    "MembershipResult": "rays_corr",
+    "MomentBounds": "rays_mean",
+    "RayDensity": "rays_mean",
+    "RaySet": "rays_mean",
+    "RiskBounds": "risk",
+    "betamix": "betamix",
+    "pmf": "pmf",
+    "rays_corr": "rays_corr",
+    "rays_mean": "rays_mean",
+    "risk": "risk",
+}
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+    value = module if name == _SUBMODULE[name] else getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:
@@ -28,28 +63,11 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     correlation target is present; see :func:`rays_mean.enumerate_rays`
     and :func:`rays_corr.enumerate_rays`.
     """
+    from . import rays_corr, rays_mean
+
     if spec.rho is None:
         return rays_mean.enumerate_rays(spec)
     return rays_corr.enumerate_rays(spec)
 
 
-__all__ = [
-    "BernraysError",
-    "BetaMixParams",
-    "ClassSpec",
-    "DefaultCountPmf",
-    "EsEnvelope",
-    "ExchangeablePmfSummary",
-    "MembershipResult",
-    "MomentBounds",
-    "RayDensity",
-    "RaySet",
-    "RiskBounds",
-    "__version__",
-    "betamix",
-    "enumerate_rays",
-    "pmf",
-    "rays_corr",
-    "rays_mean",
-    "risk",
-]
+__all__ = sorted([*_SUBMODULE, "__version__", "enumerate_rays"])

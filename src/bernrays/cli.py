@@ -23,10 +23,19 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+# The library's BLAS calls are a few tiny products, yet OpenBLAS starts
+# a worker thread per core when numpy loads, and in a short command
+# that thread burns CPU spinning. So a process that loads numpy here
+# runs BLAS on one thread; a value the user set wins, and numpy that
+# is already loaded keeps what it has.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

@@ -29,6 +29,7 @@ go straight to a scan: :func:`risk._fold` takes the blocks of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,13 +412,16 @@ def membership(pmf: DefaultCountPmf, spec: ClassSpec) -> MembershipResult:
     Residuals are the dot products of the pmf with the centered
     constraint rows ``j - m`` and ``j**2 - M``; membership requires the mean residual within
     ``1e-9 * d`` and the second-moment residual within ``1e-9 * d**2``.
+    Each residual is the correctly rounded sum of the rounded products,
+    so its bits do not depend on how a BLAS dot product splits the terms
+    over its threads.
     """
     _require_corr(spec, "membership")
     if pmf.d != spec.d:
         raise InvalidSpec(f"pmf has d={pmf.d}, spec has d={spec.d}")
     j = np.arange(spec.d + 1, dtype=float)
-    r1 = float(np.dot(j - spec.mean_count, pmf.probs))
-    r2 = float(np.dot(j * j - spec.second_moment_target, pmf.probs))
+    r1 = math.fsum(((j - spec.mean_count) * pmf.probs).tolist())
+    r2 = math.fsum(((j * j - spec.second_moment_target) * pmf.probs).tolist())
     ok = (
         abs(r1) <= MEAN_RESIDUAL_SCALE * spec.d
         and abs(r2) <= SECOND_MOMENT_RESIDUAL_SCALE * spec.d**2

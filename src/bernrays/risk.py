@@ -4,7 +4,10 @@ Value-at-risk extrema over a class are attained on its extremal rays,
 so a scan over the enumeration is exact. One fold scans blocks of rays
 for every confidence level at once; the whole enumeration is one such
 block, and a class's streamed blocks give the same bits without ever
-being held at once. For the mean-constrained class
+being held at once. What does not depend on the level is done once per
+block: each ray's cdf at its second point and its shortfall for each
+column its VaR can take. A level then costs two threshold tests and a
+select per ray. For the mean-constrained class
 the scan collapses to a closed form in (d, p, alpha). Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
@@ -57,31 +60,51 @@ class EsEnvelope(NamedTuple):
     upper_attained: bool
 
 
-def _scan_vars(
-    support: np.ndarray, masses: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Per-ray lower quantile, replicating the compensated cdf of the
-    dense evaluation so scan and pointwise var never disagree."""
-    threshold = alpha - CDF_TIE_TOL
+def _two_point_cdf(masses: np.ndarray) -> np.ndarray:
+    """Per-row cdf at the second support point, replicating the
+    compensated sum of the dense evaluation so scan and pointwise var
+    never disagree."""
     m0, m1 = masses[:, 0], masses[:, 1]
     t = m0 + m1
     comp = np.where(
         np.abs(m0) >= np.abs(m1), (m0 - t) + m1, (m1 - t) + m0
     )
-    cdf2 = t + comp
-    return np.where(
-        m0 >= threshold,
-        support[:, 0],
-        np.where(cdf2 >= threshold, support[:, 1], support[:, 2]),
-    )
+    return t + comp
+
+
+def _tail_shortfalls(
+    support: np.ndarray, masses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row expected shortfall for a VaR at support column 0, 1 or 2.
+
+    The tail of a VaR holds every column at or above it, so it starts at
+    the first column holding the VaR's value: a padded column shares its
+    predecessor's tail and adds its zero mass. Each sum adds its terms
+    left to right, as ``sum(1)`` adds a row masked to its tail. There a
+    column outside the tail holds a point of the ray, whose term is not
+    negative, so it enters as a positive zero. A candidate no tail uses
+    may divide zero by zero.
+    """
+    s0, s1, s2 = support.T
+    m0, m1, m2 = masses.T
+    p0, p1, p2 = s0 * m0, s1 * m1, s2 * m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at0 = ((p0 + p1) + p2) / ((m0 + m1) + m2)
+        at1 = ((0.0 + p1) + p2) / ((0.0 + m1) + m2)
+        at2 = (0.0 + p2) / (0.0 + m2)
+    at1 = np.where(s1 == s0, at0, at1)
+    return at0, at1, np.where(s2 == s1, at1, at2)
 
 
 def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
     """The lexicographically smallest support among the rows ``where``
-    selects."""
+    selects, the first such row on a tie: each support column in turn
+    keeps the rows that hold its minimum."""
     rows = np.flatnonzero(where)
-    s = rays.support[rows]
-    t = rows[np.lexsort((s[:, 2], s[:, 1], s[:, 0]))[0]]
+    for column in rays.support.T:
+        key = column[rows]
+        rows = rows[key == key.min()]
+    t = rows[0]
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
@@ -91,9 +114,12 @@ def _fold(
     """VaR (and, with ``es``, ES) extrema over the rays of every block,
     one :class:`RiskBounds` per level, in one pass over the blocks.
 
-    The blocks are checked rays of one class; each block is scanned once
-    per level. The levels are checked before the first block is drawn.
-    A block's extrema and its lexicographically smallest attaining
+    The blocks are checked rays of one class. The levels are checked
+    before the first block is drawn. What does not depend on the level
+    is computed once per block: the cdf at each ray's second point and,
+    with ``es``, each ray's shortfall for every column its VaR can take.
+    A level then picks each ray's VaR column by two threshold tests. A
+    block's extrema and its lexicographically smallest attaining
     support fold into the running ones, so the result does not depend
     on how the rays are cut into blocks or ordered. Python's tuple order
     ranks supports as the padded rows rank, so ties across blocks
@@ -106,8 +132,17 @@ def _fold(
     for rays in blocks:
         if not len(rays):
             continue
+        s0, s1, s2 = rays.support.T
+        m0 = rays.masses[:, 0]
+        cdf2 = _two_point_cdf(rays.masses)
+        if es:
+            at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
         for alpha, best in zip(alphas, found):
-            values = _scan_vars(rays.support, rays.masses, alpha)
+            # The lower quantile: the first column whose cdf covers alpha.
+            threshold = alpha - CDF_TIE_TOL
+            first = m0 >= threshold
+            second = cdf2 >= threshold
+            values = np.where(first, s0, np.where(second, s1, s2))
             lo, hi = int(values.min()), int(values.max())
             if lo <= best[0]:
                 arg = _lex_smallest(rays, values == lo)
@@ -118,10 +153,7 @@ def _fold(
                 best[5] = arg if hi > best[1] else min(best[5], arg)
                 best[1] = hi
             if es:
-                tail = rays.support >= values[:, None]
-                num = np.sum(rays.support * rays.masses * tail, axis=1)
-                den = np.sum(rays.masses * tail, axis=1)
-                shortfall = num / den
+                shortfall = np.where(first, at0, np.where(second, at1, at2))
                 best[2] = min(best[2], float(shortfall.min()))
                 best[3] = max(best[3], float(shortfall.max()))
     if any(best[4] is None for best in found):

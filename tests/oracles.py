@@ -156,3 +156,63 @@ def exact_ray_supports(spec):
         if min(nums) >= 0:
             supports.add(tuple(s for s, x in zip((i, j, k), nums) if x > 0))
     return supports
+
+
+def scan_vars(support, masses, alpha, tie_tol=1e-12):
+    """Per-row lower quantile of padded ray rows at one level, from the
+    compensated two-point cdf of the dense evaluation, all computed
+    afresh for that level."""
+    threshold = alpha - tie_tol
+    m0, m1 = masses[:, 0], masses[:, 1]
+    t = m0 + m1
+    comp = np.where(
+        np.abs(m0) >= np.abs(m1), (m0 - t) + m1, (m1 - t) + m0
+    )
+    cdf2 = t + comp
+    return np.where(
+        m0 >= threshold,
+        support[:, 0],
+        np.where(cdf2 >= threshold, support[:, 1], support[:, 2]),
+    )
+
+
+def _lexsort_smallest(rays, where):
+    rows = np.flatnonzero(where)
+    s = rays.support[rows]
+    t = rows[np.lexsort((s[:, 2], s[:, 1], s[:, 0]))[0]]
+    return tuple(rays.support[t, : rays.sizes[t]].tolist())
+
+
+def per_level_fold(blocks, alphas, es=True, tie_tol=1e-12):
+    """Reference for the streamed risk scan: every level redoes the
+    quantiles, the tail mask and the masked row sums of every block, and
+    ties go to a lexsort of the attaining rows.
+
+    ``blocks`` hold ``support``, ``masses`` and ``sizes`` arrays. Returns
+    one ``[var_min, var_max, es_min, es_max, argmin, argmax]`` per level,
+    with the ES entries infinite when ``es`` is false.
+    """
+    found = [[math.inf, -math.inf, math.inf, -math.inf, None, None]
+             for _ in alphas]
+    for rays in blocks:
+        if not len(rays.support):
+            continue
+        for alpha, best in zip(alphas, found):
+            values = scan_vars(rays.support, rays.masses, alpha, tie_tol)
+            lo, hi = int(values.min()), int(values.max())
+            if lo <= best[0]:
+                arg = _lexsort_smallest(rays, values == lo)
+                best[4] = arg if lo < best[0] else min(best[4], arg)
+                best[0] = lo
+            if hi >= best[1]:
+                arg = _lexsort_smallest(rays, values == hi)
+                best[5] = arg if hi > best[1] else min(best[5], arg)
+                best[1] = hi
+            if es:
+                tail = rays.support >= values[:, None]
+                num = np.sum(rays.support * rays.masses * tail, axis=1)
+                den = np.sum(rays.masses * tail, axis=1)
+                shortfall = num / den
+                best[2] = min(best[2], float(shortfall.min()))
+                best[3] = max(best[3], float(shortfall.max()))
+    return found

@@ -643,19 +643,72 @@ class TestDisplayRules:
         assert text == expected + "\n"
 
 
+def fresh_python(code, threads=None):
+    """stdout of ``code`` run by a fresh interpreter that finds this
+    package first, with ``OPENBLAS_NUM_THREADS`` set only to
+    ``threads``."""
+    src = str(Path(bernrays.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         + code],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.strip()
+
+
 class TestImport:
     def test_the_cli_does_not_import_scipy(self):
-        src = str(Path(bernrays.__file__).parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import bernrays.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True,
-        )
-        assert result.stdout.strip() == "[]"
+        assert fresh_python(
+            "import bernrays.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))"
+        ) == "[]"
+
+    def test_the_package_root_loads_no_numpy(self):
+        assert fresh_python(
+            "import bernrays; print('numpy' in sys.modules)") == "False"
+
+    def test_every_public_name_is_its_submodule_object(self):
+        assert bernrays.__all__ == [
+            "BernraysError", "BetaMixParams", "ClassSpec", "DefaultCountPmf",
+            "EsEnvelope", "ExchangeablePmfSummary", "MembershipResult",
+            "MomentBounds", "RayDensity", "RaySet", "RiskBounds",
+            "__version__", "betamix", "enumerate_rays", "pmf", "rays_corr",
+            "rays_mean", "risk",
+        ]
+        for name in bernrays.__all__:
+            value = getattr(bernrays, name)
+            if name == "__version__":
+                assert value == "0.1.0"
+            elif isinstance(value, type(bernrays)):
+                assert value is sys.modules[f"bernrays.{name}"]
+            else:
+                assert value.__module__.split(".")[0] == "bernrays"
+                assert value is getattr(sys.modules[value.__module__], name)
+        star = {}
+        exec("from bernrays import *", star)
+        assert all(star[name] is getattr(bernrays, name)
+                   for name in bernrays.__all__)
+        with pytest.raises(AttributeError):
+            bernrays.no_such_name
+
+    def test_the_cli_runs_blas_on_one_thread(self):
+        code = ("import os, bernrays.cli, numpy; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        if sys.platform.startswith("linux"):
+            # numpy's OpenBLAS starts its worker threads when it loads.
+            code += "; print(len(os.listdir('/proc/self/task')))"
+            assert fresh_python(code).split() == ["1", "1"]
+        else:
+            assert fresh_python(code) == "1"
+
+    def test_a_thread_count_the_user_set_wins(self):
+        assert fresh_python(
+            "import os, bernrays.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])", threads="2",
+        ) == "2"
 
 
 class TestExitCodes:

@@ -33,6 +33,7 @@ from oracles import (
     random_mixture,
     vertex_pmfs,
 )
+from test_cli import fresh_python
 
 
 def random_feasible_spec(rng, d_max=6, margin=0.1):
@@ -498,6 +499,24 @@ class TestMembership:
         y = DefaultCountPmf(2, [0.25, 0.5, 0.25])
         with pytest.raises(InvalidSpec):
             rays_corr.membership(y, ClassSpec(3, 0.5, 0.2))
+
+    def test_residual_bits_do_not_depend_on_the_blas_threads(self):
+        # OpenBLAS splits a dot product of about 10,000 terms or more
+        # over its threads, so its last bits follow the thread count.
+        code = (
+            "import numpy as np; "
+            "from bernrays import ClassSpec, DefaultCountPmf, betamix, "
+            "rays_corr; d = 20000; "
+            "law = betamix.pmf(betamix.calibrate(0.266, 1 / 6), d); "
+            "probs = np.random.default_rng(5).dirichlet(np.ones(d + 1)); "
+            "results = [rays_corr.membership(law, ClassSpec(d, 0.266, 1 / 6)),"
+            " rays_corr.membership(DefaultCountPmf(d, probs), "
+            "ClassSpec(d, 0.5, 0.0))]; "
+            "print([(r.mean_residual.hex(), r.second_moment_residual.hex()) "
+            "for r in results])"
+        )
+        one, two = (fresh_python(code, threads) for threads in ("1", "2"))
+        assert one == two
 
 
 class TestSystemCoeffs:

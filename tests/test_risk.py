@@ -3,10 +3,12 @@ mean-constrained class, and the class-wide shortfall envelope."""
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernrays import (
     ClassSpec,
@@ -18,7 +20,12 @@ from bernrays import (
     risk,
 )
 from bernrays.errors import BernraysError, EmptyRaySet, InvalidSpec
-from oracles import mean_grid_pmfs, random_mixture
+from oracles import (
+    mean_grid_pmfs,
+    per_level_fold,
+    random_mixture,
+    scan_vars,
+)
 from test_rays_corr import degenerate_classes
 
 
@@ -278,7 +285,7 @@ def whole_set_bounds(rays, alpha):
     """Risk bounds from one scan of every row of ``rays`` at once: the
     per-row VaR and ES expressions, the extrema over all rows and a
     lexicographic sort of the attaining rows."""
-    values = risk._scan_vars(rays.support, rays.masses, alpha)
+    values = scan_vars(rays.support, rays.masses, alpha)
     tail = rays.support >= values[:, None]
     es = (np.sum(rays.support * rays.masses * tail, axis=1)
           / np.sum(rays.masses * tail, axis=1))
@@ -327,6 +334,85 @@ def module_of(spec):
     return rays_mean if spec.rho is None else rays_corr
 
 
+def per_level_bits(blocks, alphas, es=True):
+    """:func:`bits` of the per-level reference scan over ``blocks``."""
+    with np.errstate(all="ignore"):
+        found = per_level_fold(blocks, alphas, es, pmf.CDF_TIE_TOL)
+    return [bits(risk.RiskBounds(alpha, lo, hi, es_lo if es else None,
+                                 es_hi if es else None, argmin, argmax))
+            for alpha, (lo, hi, es_lo, es_hi, argmin, argmax)
+            in zip(alphas, found)]
+
+
+@dataclass
+class Rows:
+    """Padded ray rows as the fold reads them, never checked."""
+
+    support: np.ndarray
+    masses: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self):
+        return len(self.support)
+
+    def blocks(self, size):
+        return [Rows(self.support[t:t + size], self.masses[t:t + size],
+                     self.sizes[t:t + size])
+                for t in range(0, len(self), size)]
+
+
+THRESHOLDS = [alpha - pmf.CDF_TIE_TOL for alpha in FOLD_ALPHAS]
+
+
+def nudged(x, k):
+    """``x`` moved by ``k`` ulps."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def ulps_from(x):
+    """``x`` or a float up to two ulps either side of it."""
+    return st.integers(-2, 2).map(lambda k: nudged(x, k))
+
+
+# Subnormal and tiny masses, masses on a rounding halfway point of the
+# two-point cdf, and masses at a quantile threshold.
+POSITIVE_MASSES = st.one_of(
+    st.sampled_from([5e-324, 3 * 5e-324, 2.0**-1022, 2.0**-53, 2.0**-54,
+                     3 * 2.0**-54, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.sampled_from(THRESHOLDS).flatmap(ulps_from),
+    st.floats(5e-324, 1.0),
+)
+
+
+@st.composite
+def adversarial_rows(draw):
+    """One row of 1 to 3 support points with a positive first mass,
+    padded as a ray set pads it."""
+    size = draw(st.integers(1, 3))
+    points = sorted(draw(st.sets(st.integers(0, 30), min_size=size,
+                                 max_size=size)))
+    masses = [draw(POSITIVE_MASSES)]
+    if size > 1:
+        # A second mass that puts the cdf on a threshold, or cancels.
+        masses.append(draw(st.one_of(
+            POSITIVE_MASSES,
+            st.sampled_from(THRESHOLDS).flatmap(
+                lambda t: ulps_from(t - masses[0])),
+            POSITIVE_MASSES.map(lambda x: -x),
+        )))
+    if size > 2:
+        # A third mass that cancels the first two or completes them to 1.
+        masses.append(draw(st.one_of(
+            POSITIVE_MASSES, st.just(-(masses[0] + masses[1])),
+            st.just(1.0 - masses[0] - masses[1]),
+        )))
+    padding = draw(st.sampled_from([0.0, -0.0]))
+    return (points + points[-1:] * (3 - size),
+            masses + [padding] * (3 - size), size)
+
+
 class TestFold:
     """The one scan body, over blocks cut any way from a class's rays."""
 
@@ -339,11 +425,14 @@ class TestFold:
                 with pytest.raises(type(exc)):
                     source._ray_blocks(spec)
                 continue
-            streamed = risk._fold(source._ray_blocks(spec), FOLD_ALPHAS)
+            blocks = list(source._ray_blocks(spec))
+            streamed = risk._fold(blocks, FOLD_ALPHAS)
             for alpha, got in zip(FOLD_ALPHAS, streamed):
                 want = whole_set_bounds(rays, alpha)
                 assert bits(got) == bits(want) == bits(
                     risk.risk_bounds(rays, alpha)), spec
+            assert [bits(b) for b in streamed] == per_level_bits(
+                blocks, FOLD_ALPHAS), spec
 
     @staticmethod
     def assert_any_cut_folds_alike(rays):
@@ -358,6 +447,9 @@ class TestFold:
                 assert [bits(b)[:3] + bits(b)[5:] for b in var_only] == [
                     w[:3] + w[5:] for w in want]
                 assert all(b.es_min is b.es_max is None for b in var_only)
+                assert [bits(b) for b in var_only] == per_level_bits(
+                    order, FOLD_ALPHAS, es=False)
+                assert want == per_level_bits(order, FOLD_ALPHAS)
 
     def test_blocks_of_one_seven_and_every_row_agree(self):
         for spec in fold_classes(103, 30, 14):
@@ -373,6 +465,18 @@ class TestFold:
         streamed = risk._fold(rays_corr._ray_blocks(spec), FOLD_ALPHAS)
         assert [bits(b) for b in streamed] == [
             bits(whole_set_bounds(rays, alpha)) for alpha in FOLD_ALPHAS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(adversarial_rows(), min_size=1, max_size=24),
+           st.integers(1, 8), st.booleans())
+    def test_adversarial_rows_fold_like_the_per_level_scan(self, rows,
+                                                           size, es):
+        support, masses, sizes = zip(*rows)
+        blocks = Rows(np.array(support, np.int64), np.array(masses),
+                      np.array(sizes, np.int64)).blocks(size)
+        got = risk._fold(blocks, FOLD_ALPHAS, es)
+        assert [bits(b) for b in got] == per_level_bits(
+            blocks, FOLD_ALPHAS, es)
 
     def test_no_rows_is_an_empty_scan(self):
         spec = ClassSpec(4, 0.5)
