@@ -11,24 +11,24 @@ the two moment equations plus normalization have the unique solution
     mass_k =  (i*j - (i+j)*m + M) / ((k-i)*(k-j))
 
 which sums to one identically, so a triple yields a ray exactly when all
-three masses are nonnegative. Rays with fewer support points arise as
-degenerate triples: a vanishing mass drops its point. Enumeration sweeps
-the triples whose middle index the outer pair admits, in O(d^2 + n) for
-``n`` rays, adds the mean-class two-point rays whose second moment
-matches ``M``, and the point mass when both targets sit on an integer.
+three masses are nonnegative. A ray with fewer points meets both moments
+on a two-point support straddling the mean, or is the point mass at an
+integer mean: it is a mean-class ray whose second moment matches ``M``.
+Enumeration takes those rays from the mean class, and from the triples
+only those whose three masses are all positive; the sweep tries the
+middle indices that the outer pair admits, in O(d^2 + n) for ``n`` rays.
 
-The sweep solves its triples in blocks of whole lower indices. Distinct
-triples carry distinct three-point supports, so only the O(d^2) rows
-with a dropped point and the mean-class rows can share a support, and
-only they are merged. The three-point rows of each block can therefore
-go straight to a scan: :func:`risk._fold` takes the blocks of
-:func:`_ray_blocks` one at a time and never holds the whole set, while
-:func:`enumerate_rays` gathers the same blocks into one sorted
-:class:`RaySet`.
+Distinct triples carry distinct three-point supports, so no two rows
+share a support and nothing is merged. The sweep solves its triples in
+blocks of whole lower indices, which can go straight to a scan:
+:func:`risk._fold` takes the blocks of :func:`_ray_blocks` one at a time
+and never holds the whole set, while :func:`enumerate_rays` gathers the
+same blocks into one sorted :class:`RaySet`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,8 +97,9 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
     Returns None when some mass is negative beyond tolerance, i.e. the
     triple carries no ray of this class. A mass within ``1e-12`` of zero
     drops its support point, so the result may be a two-point or point
-    ray. The 2x3 subsystem is never rank deficient for distinct indices:
-    a nonzero quadratic cannot vanish at three points.
+    ray; the kept masses are divided by their correctly rounded sum. The
+    2x3 subsystem is never rank deficient for distinct indices: a
+    nonzero quadratic cannot vanish at three points.
     """
     _require_corr(spec, "triple_ray")
     i, j, k = int(i), int(j), int(k)
@@ -106,10 +107,25 @@ def triple_ray(spec: ClassSpec, i: int, j: int, k: int) -> RayDensity | None:
         raise IndexOutOfRange(
             f"need 0 <= i < j < k <= {spec.d}, got ({i}, {j}, {k})"
         )
-    support, masses = _solve_triples(spec, *np.array([[i], [j], [k]]))
-    if not len(support):
+    masses = _triple_masses(spec, float(i), float(j), float(k))
+    if any(x < -ZERO_MASS_TOL for x in masses):
         return None
-    return RaySet._owning(spec, support, masses)[0]
+    kept = [(s, x) for s, x in zip((i, j, k), masses) if x > ZERO_MASS_TOL]
+    total = math.fsum(x for _, x in kept)
+    return RayDensity(spec, tuple(s for s, _ in kept),
+                      tuple(x / total for _, x in kept))
+
+
+def _triple_masses(spec: ClassSpec, i, j, k) -> list:
+    """The masses at ``i``, ``j`` and ``k`` of the triples ``(i, j, k)``,
+    for float scalars or arrays alike."""
+    m = spec.mean_count
+    big_m = spec.second_moment_target
+    return [
+        (j * k - (j + k) * m + big_m) / ((j - i) * (k - i)),
+        -(i * k - (i + k) * m + big_m) / ((j - i) * (k - j)),
+        (i * j - (i + j) * m + big_m) / ((k - i) * (k - j)),
+    ]
 
 
 def _pair_ranges(spec: ClassSpec):
@@ -221,55 +237,30 @@ def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _solve_triples(
     spec: ClassSpec, i: np.ndarray, j: np.ndarray, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded support and mass rows of the triples ``(i, j, k)`` that
-    carry a ray, in their order.
+    """Support and mass rows of the triples ``(i, j, k)`` whose three
+    masses all exceed ``ZERO_MASS_TOL``, in their order, the masses
+    divided by their correctly rounded sum (:func:`_fsum3`).
 
-    The index arrays hold strictly increasing triples. A triple is kept
-    when no mass is below ``-ZERO_MASS_TOL``. A mass within
-    ``ZERO_MASS_TOL`` of zero drops its point; the kept points move to
-    the front, the last one repeats as padding, and the masses are
-    divided by their correctly rounded sum (:func:`_fsum3`). Only the
-    rows that drop a point, O(d^2) of them, are reordered.
+    The index arrays hold strictly increasing triples. A triple with a
+    smaller mass carries no ray or one of fewer points, which
+    :func:`_matching_mean_rays` yields.
     """
-    m = spec.mean_count
-    big_m = spec.second_moment_target
-    fi, fj, fk = (x.astype(float) for x in (i, j, k))
-    masses = [
-        (fj * fk - (fj + fk) * m + big_m) / ((fj - fi) * (fk - fi)),
-        -(fi * fk - (fi + fk) * m + big_m) / ((fj - fi) * (fk - fj)),
-        (fi * fj - (fi + fj) * m + big_m) / ((fk - fi) * (fk - fj)),
-    ]
-    del fi, fj, fk  # like the rebinding below, this frees superseded arrays
-    keep = masses[0] >= -ZERO_MASS_TOL
+    # The float index arrays are freed when the call returns.
+    masses = _triple_masses(spec, *(x.astype(float) for x in (i, j, k)))
+    live = masses[0] > ZERO_MASS_TOL
     for column in masses[1:]:
-        keep &= column >= -ZERO_MASS_TOL
-    support = [x[keep] for x in (i, j, k)]
-    masses = [x[keep] for x in masses]
-    full = masses[0] > ZERO_MASS_TOL
-    for column in masses[1:]:
-        full &= column > ZERO_MASS_TOL
-    drop = np.flatnonzero(~full)
-    live = np.column_stack([x[drop] for x in masses]) > ZERO_MASS_TOL
-    for column, alive in zip(masses, live.T):
-        column[drop] = np.where(alive, column[drop], 0.0)
+        live &= column > ZERO_MASS_TOL
+    masses = [x[live] for x in masses]
     total = _fsum3(*masses)
-    support = np.column_stack(support)
     masses = np.column_stack(masses)
     masses /= total[:, None]
-    front = np.argsort(~live, axis=1, kind="stable")
-    pts = np.take_along_axis(support[drop], front, 1)
-    count = live.sum(1)
-    last = pts[np.arange(len(drop)), count - 1]
-    support[drop] = np.where(np.arange(3) < count[:, None], pts,
-                             last[:, None])
-    masses[drop] = np.take_along_axis(masses[drop], front, 1)
-    return support, masses
+    return np.column_stack([x[live] for x in (i, j, k)]), masses
 
 
 def _sweep_blocks(spec: ClassSpec):
-    """Padded support and mass rows of every triple the sweep keeps, in
+    """Support and mass rows of the three-point rays of the sweep, in
     blocks of whole lower indices of about ``_BLOCK_CANDIDATES``
-    candidates each, and in ``(i, k, j)`` order across the blocks.
+    candidates each.
 
     The gate of :func:`_pair_ranges` and the ``MAX_CANDIDATES`` cap
     refuse the class at the call, before any per-triple array is built;
@@ -322,49 +313,12 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     return rays_mean._mean_rows(spec, j1[match], j2[match], point)
 
 
-def _row_blocks(spec: ClassSpec, blocks):
-    """Padded rows of every ray of the class, once each, from the
-    sweep's ``blocks``: the three-point rows of each block, then the rows
-    that may share a support, merged.
-
-    Distinct triples carry distinct three-point supports, so those rows
-    need no merge. Only rows with at most two live points, O(d^2) of
-    them, can share a support: the matching mean-class rows, then the
-    sweep's in ``(i, k, j)`` order, which is all the merge needs, since
-    the triples padded to ``{a < b}`` (``(x, a, b)``, ``(a, x, b)`` and
-    ``(a, b, x)``) rank alike in ``(i, k, j)`` and lexicographic order
-    and one-point rows are equal bit for bit.
-    """
-    shared = [_matching_mean_rays(spec)]
-    for support, masses in blocks:
-        full = support[:, 1] < support[:, 2]
-        shared.append((support[~full], masses[~full]))
-        yield support[full], masses[full]
-    yield _first_per_support(
-        spec, *(np.concatenate(parts) for parts in zip(*shared))
-    )
-
-
-def _packed_keys(spec: ClassSpec, support: np.ndarray) -> np.ndarray:
-    """One int64 per row that ranks rows like their lexicographic order,
-    as each index lies in 0..d."""
-    n = spec.d + 1
-    return (support[:, 0] * n + support[:, 1]) * n + support[:, 2]
-
-
-def _first_per_support(
-    spec: ClassSpec, support: np.ndarray, masses: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in lexicographic order of their supports, keeping the
-    first row of each support."""
-    # A stable sort keeps the first row per support in its precedence.
-    key = _packed_keys(spec, support)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), bool)
-    first[1:] = key[1:] != key[:-1]
-    order = order[first]
-    return np.take(support, order, axis=0), np.take(masses, order, axis=0)
+def _row_blocks(spec: ClassSpec):
+    """Padded rows of every ray of the class, once each: the matching
+    mean-class rows, then the sweep's blocks. The class is refused, if at
+    all, at the call, by the sweep's gate before any per-index array."""
+    blocks = _sweep_blocks(spec)
+    return itertools.chain([_matching_mean_rays(spec)], blocks)
 
 
 def _ray_blocks(spec: ClassSpec):
@@ -372,8 +326,7 @@ def _ray_blocks(spec: ClassSpec):
     blocks, in no set order, without ever holding the whole set. The
     class is refused as :func:`enumerate_rays` refuses it, at the
     call."""
-    return (RaySet._owning(spec, *rows)
-            for rows in _row_blocks(spec, _sweep_blocks(spec)))
+    return (RaySet._owning(spec, *rows) for rows in _row_blocks(spec))
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:
@@ -381,21 +334,23 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
 
     The sweep's gate (:func:`_pair_ranges`) checks the target second
     moment against the closed bounds of the mean class and ``d``
-    against the key limit first. The result merges the matching
+    against the key limit first. The result holds the matching
     two-point mean-class rays, the point ray when both targets allow it,
-    and every admissible triple, deduplicated by support set (in that
-    order of precedence, and among triples the lexicographically first;
-    see :func:`_row_blocks`) and sorted lexicographically. The sweep
+    and every triple whose three masses are positive, sorted
+    lexicographically; no two share a support. The sweep
     examines only the middle indices that the outer pair ``(i, k)``
     admits, so it costs O(d^2 + n) for ``n`` rays; a class needing more
     than ``MAX_CANDIDATES`` triples raises :class:`ClassTooLarge` before
     any per-triple array is built.
     """
     _require_corr(spec, "enumerate_rays")
-    rows = _row_blocks(spec, _sweep_blocks(spec))
-    support, masses = (list(parts) for parts in zip(*rows))
-    # The blocks hold each support once, so the keys alone order the rows.
-    order = np.argsort(np.concatenate([_packed_keys(spec, s) for s in support]))
+    support, masses = (list(parts) for parts in zip(*_row_blocks(spec)))
+    # Each support occurs once, so its packed key, which ranks rows in
+    # lexicographic order as every index lies in 0..d, alone orders them.
+    n = spec.d + 1
+    order = np.argsort(np.concatenate(
+        [(s[:, 0] * n + s[:, 1]) * n + s[:, 2] for s in support]
+    ))
     # Each rebinding frees the arrays it replaces, so at most one column
     # is held twice at a time. np.take gathers rows about twice as fast
     # as fancy indexing.

@@ -60,18 +60,6 @@ class EsEnvelope(NamedTuple):
     upper_attained: bool
 
 
-def _two_point_cdf(masses: np.ndarray) -> np.ndarray:
-    """Per-row cdf at the second support point, replicating the
-    compensated sum of the dense evaluation so scan and pointwise var
-    never disagree."""
-    m0, m1 = masses[:, 0], masses[:, 1]
-    t = m0 + m1
-    comp = np.where(
-        np.abs(m0) >= np.abs(m1), (m0 - t) + m1, (m1 - t) + m0
-    )
-    return t + comp
-
-
 def _tail_shortfalls(
     support: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,7 +122,9 @@ def _fold(
             continue
         s0, s1, s2 = rays.support.T
         m0 = rays.masses[:, 0]
-        cdf2 = _two_point_cdf(rays.masses)
+        # The rounded sum is the compensated cdf of pmf.var bit for bit:
+        # the exact error of a two-term sum rounds away when added back.
+        cdf2 = m0 + rays.masses[:, 1]
         if es:
             at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
         for alpha, best in zip(alphas, found):

@@ -99,6 +99,9 @@ def all_triples_rays(spec, zero_tol=1e-12, match_scale=1e-12):
     lexicographic order) per support set. A triple keeps every mass at
     or above ``-zero_tol`` and drops the points whose mass is at most
     ``zero_tol``. Returns ``(support, masses)`` pairs sorted by support.
+    This dropped-point path is kept as the reference although the package
+    takes its rays of fewer points from the mean class alone; the two
+    differ on integer-mean lower edges from d = 89 on.
     """
     d = spec.d
     m = spec.mean_count

@@ -291,8 +291,9 @@ class TestIntervalSweep:
 
     # sha256 of the little-endian int64 support and float64 mass bytes at
     # d = 200, past the reach of the O(d^3) all-triples oracle. At p =
-    # rho = 0.5, 398 kept triples drop a point; on the lower edge (rho
-    # None) all 19900 kept triples collapse onto the point ray.
+    # rho = 0.5, 398 triples drop a point and land on mean rows; on the
+    # lower edge (rho None) the 19900 triples with no negative mass all
+    # drop two points, and the point ray is the one ray.
     @pytest.mark.parametrize(
         "p, rho, count, digest",
         [(0.266, 1 / 6, 254375, "9ec41f5b7ff237dfdd722bbf029edca6"
@@ -313,28 +314,16 @@ class TestIntervalSweep:
         assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("d, mean, i, k", TIED_CLASSES)
-    def test_triples_alone_keep_the_lexicographically_first(
-        self, monkeypatch, d, mean, i, k
-    ):
-        # Every triple (i, j, k) drops j and lands on {i, k}, whose
-        # matching mean row is removed here, so only the precedence among
-        # triple rows decides.
+    def test_tied_pairs_come_from_mean_rows(self, d, mean, i, k):
+        # Every triple (i, j, k) drops j and lands on {i, k}. The sweep
+        # keeps only triples with three live points, so the ray on {i, k}
+        # is the matching mean row, which the reference ranks first too.
         spec = tied_class(d, mean, i, k)
-        first, tied = {}, {}
-        for triple in itertools.combinations(range(d + 1), 3):
-            ray = rays_corr.triple_ray(spec, *triple)
-            if ray is not None:
-                first.setdefault(ray.support, ray)
-                tied.setdefault(ray.support, set()).add(ray.masses)
-        assert any(len(masses) > 1 for masses in tied.values())
-        monkeypatch.setattr(
-            rays_corr, "_matching_mean_rays",
-            lambda spec: (np.empty((0, 3), np.int64), np.empty((0, 3))),
-        )
-        want = rays_mean.RaySet.of([first[s] for s in sorted(first)])
-        got = rays_corr.enumerate_rays(spec)
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.masses, want.masses)
+        for support, _ in rays_corr._sweep_blocks(spec):
+            assert (support[:, 1] < support[:, 2]).all()
+        rays = as_pairs(rays_corr.enumerate_rays(spec))
+        assert (i, k) in dict(rays)
+        assert rays == all_triples_rays(spec)
 
     @pytest.mark.parametrize(
         "spec",
@@ -343,7 +332,8 @@ class TestIntervalSweep:
          ClassSpec(40, 0.5, 1.0), ClassSpec(30, 0.4, 0.0)],
     )
     def test_packed_keys_sort_like_lexsort(self, spec):
-        # The rows enumerate_rays merges: mean rows first, then triples.
+        # The rows enumerate_rays gathers: mean rows, then triples, each
+        # support once.
         support, masses = (
             np.concatenate(parts)
             for parts in zip(rays_corr._matching_mean_rays(spec),
@@ -356,9 +346,36 @@ class TestIntervalSweep:
         support, masses = support[order], masses[order]
         first = np.ones(len(order), bool)
         first[1:] = (support[1:] != support[:-1]).any(1)
+        assert first.all()
         rays = rays_corr.enumerate_rays(spec)
         assert np.array_equal(rays.support, support[first])
         assert np.array_equal(rays.masses, masses[first])
+
+    @pytest.mark.parametrize(
+        "d, mean, rho",
+        [(600, 521, -1 / 599), (400, 120, None), (112, 106, -1 / 111),
+         (138, 133, -1 / 137)],
+    )
+    def test_integer_mean_lower_edges_give_the_point_ray(self, d, mean, rho):
+        # Only the point mass at an integer mean m has second moment m**2.
+        # Triples that drop a point land here on two-point supports with a
+        # point on the mean, which no law with that mean carries.
+        if rho is None:
+            rho = rays_mean.correlation_bounds(ClassSpec(d, mean / d))[0]
+        rays = rays_corr.enumerate_rays(ClassSpec(d, mean / d, rho))
+        assert as_pairs(rays) == [((mean,), (1.0,))]
+
+    def test_two_point_rays_straddle_an_integer_mean_on_the_lower_edge(self):
+        rng = np.random.default_rng(97)
+        for n in range(40):
+            d = int(rng.integers(89, 301))
+            mean = int(rng.integers(1, d))
+            low, _ = rays_mean.correlation_bounds(ClassSpec(d, mean / d))
+            rho = -1 / (d - 1) if n % 2 else low
+            for ray in rays_corr.enumerate_rays(ClassSpec(d, mean / d, rho)):
+                if len(ray.support) == 2:
+                    j1, j2 = ray.support
+                    assert j1 < mean < j2, (d, mean, rho, ray.support)
 
     def test_candidate_count_bounds_the_rays(self):
         spec = ClassSpec(100, 0.266, 1 / 6)
@@ -444,8 +461,8 @@ class TestCorrectlyRoundedSum:
         self.assert_fsum(rows)
 
     def test_kept_rows_of_the_seeded_classes(self):
-        # The raw masses of every kept triple, dropped points zeroed, as
-        # the sweep normalises them.
+        # The raw masses of every kept triple, dropped points zeroed: the
+        # sweep normalises the three-point ones, triple_ray all of them.
         for spec in seeded_sweep_classes():
             m, big_m = spec.mean_count, spec.second_moment_target
             idx = np.array(list(itertools.combinations(range(spec.d + 1), 3)))
