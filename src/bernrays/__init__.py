@@ -63,10 +63,12 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     correlation target is present; see :func:`rays_mean.enumerate_rays`
     and :func:`rays_corr.enumerate_rays`.
     """
-    from . import rays_corr, rays_mean
-
     if spec.rho is None:
+        from . import rays_mean
+
         return rays_mean.enumerate_rays(spec)
+    from . import rays_corr
+
     return rays_corr.enumerate_rays(spec)
 
 

@@ -13,46 +13,42 @@ a file. Outputs are
 byte-deterministic for a given invocation: fixed float formats, LF line
 endings, sorted JSON keys, and no timestamps.
 
+The module top loads only the standard library, click, ``errors`` and
+``_reference_tables``; each library module, and numpy with it, loads at
+the first call into it. So ``--version``, ``--help`` and a flag refused
+before the class is built start without numpy.
+
 Exit codes: 0 success, 2 infeasible or invalid input or an output or
 cache directory that cannot be written, 3 reproduction mismatch.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # The library's BLAS calls are a few tiny products, yet OpenBLAS starts
 # a worker thread per core when numpy loads, and in a short command
-# that thread burns CPU spinning. So a process that loads numpy here
-# runs BLAS on one thread; a value the user set wins, and numpy that
-# is already loaded keeps what it has.
+# that thread burns CPU spinning. numpy loads at the command's first
+# library call, after this line, so it runs BLAS on one thread; a value
+# the user set wins, and numpy that is already loaded keeps what it has.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 
-from . import (
-    __version__,
-    betamix,
-    enumerate_rays,
-    pmf,
-    rays_corr,
-    rays_mean,
-    risk,
-)
+from . import __version__, enumerate_rays
 from . import _reference_tables as ref
 from .errors import BernraysError, InadmissibleCorrelation, InvalidSpec
-from .pmf import ClassSpec
-from .rays_mean import RaySet
-from .rayset_io import format_ray_set, load_cached_rays, store_cached_rays
+
+if TYPE_CHECKING:
+    from .pmf import ClassSpec
+    from .rays_mean import RaySet
 
 EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
@@ -90,6 +86,8 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 def _enumerate_cached(spec: ClassSpec, cache: Path | None) -> RaySet:
     """Enumerate ``spec``, by way of the cache directory when one is
     given. Cache hits log their timing to stderr; stdout stays clean."""
+    from .rayset_io import load_cached_rays, store_cached_rays
+
     if cache is not None:
         start = time.perf_counter()
         rays = load_cached_rays(cache, spec, __version__)
@@ -143,7 +141,11 @@ def _stringify(rows: list[dict]) -> list[dict]:
 
 def _render(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(_shown(rows), sort_keys=True, indent=2) + "\n"
+    import csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer, fieldnames=columns, lineterminator="\n", extrasaction="ignore"
@@ -163,6 +165,8 @@ SWEEP_COLUMNS = ("rho", "alpha", "var_min", "var_max", "beta_var")
 
 
 def _moments_rows(spec: ClassSpec) -> list[dict]:
+    from . import rays_mean
+
     rows = []
     for order in range(1, min(4, spec.d) + 1):
         bounds = rays_mean.moment_bounds(spec, order)
@@ -179,6 +183,8 @@ def _class_rays(spec: ClassSpec, cache: Path | None):
     set by way of the cache when one is given, else streamed blocks,
     which never hold the whole set at once. The class is refused, if at
     all, at the call."""
+    from . import rays_corr, rays_mean
+
     if cache is not None:
         return [_enumerate_cached(spec, cache)]
     if spec.rho is None:
@@ -189,6 +195,8 @@ def _class_rays(spec: ClassSpec, cache: Path | None):
 def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
     """The beta-binomial benchmark's VaR at each level, all from one pmf;
     None at every level when no Beta mixture matches ``spec.rho``."""
+    from . import betamix, pmf
+
     try:
         params = betamix.calibrate(spec.p, spec.rho)
     except InadmissibleCorrelation:
@@ -202,6 +210,8 @@ def _bounds_rows(
 ) -> list[dict]:
     """One row per level of the risk bounds over the blocks ``rays``, with
     the benchmark's VaR for a correlated class."""
+    from . import pmf, risk
+
     betas = [None] * len(alphas)
     if spec.rho is not None:
         # Faults surface level by level: the first level's range, then
@@ -234,6 +244,9 @@ def _sweep_grid(n: int) -> list[float]:
 def _sweep_rows(
     spec: ClassSpec, alphas: tuple[float, ...], cache: Path | None, grid: int
 ) -> list[dict]:
+    from . import risk
+    from .pmf import ClassSpec
+
     rows = []
     for rho in _sweep_grid(grid):
         at_rho = ClassSpec(spec.d, spec.p, rho)
@@ -275,6 +288,8 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
     per-rho table is the sweep rows at its rho and every class is
     enumerated once.
     """
+    from .pmf import ClassSpec
+
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
     # Mean-class rays cost less to build than to read back: no cache.
@@ -346,6 +361,9 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
     reference values was reproduced). Cells are compared as the emitted
     display strings.
     """
+    import hashlib
+    import json
+
     manifest: dict = {"version": __version__, "tables": {}}
     total_diffs = 0
     for scenario, p in ref.SCENARIOS.items():
@@ -401,6 +419,9 @@ def _resolve(
     rho = parse_rho(rho_text) if rho_text is not None else None
     alphas = _parse_alphas(alpha_text) if alpha_text is not None else ()
     p = p if p is not None else ref.SCENARIOS[scenario]
+    # Imported after the flag checks: a refused flag loads no numpy.
+    from .pmf import ClassSpec
+
     return ClassSpec(d, p, rho), alphas
 
 
@@ -501,6 +522,8 @@ def main():
 @_rho_option
 def rays_command(d, p, scenario, rho_text, out, cache):
     """Enumerate extremal rays and emit the sparse ray-set file."""
+    from .rayset_io import format_ray_set
+
     spec, _ = _resolve(d, p, scenario, rho_text)
     rays = _enumerate_cached(spec, cache)
     text = format_ray_set(rays)

@@ -184,9 +184,11 @@ def store_cached_rays(
     path.parent.mkdir(parents=True, exist_ok=True)
     rho = math.nan if spec.rho is None else spec.rho
     key = np.array([spec.d, spec.p, rho])
-    with path.open("wb") as handle:
-        for array in (key, rays.support, rays.masses):
-            np.save(handle, array, allow_pickle=False)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    buffer = io.BytesIO()
+    for array in (key, rays.support, rays.masses):
+        np.save(buffer, array, allow_pickle=False)
+    data = buffer.getbuffer()
+    path.write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
     path.with_suffix(".sha256").write_text(digest + "\n", encoding="utf-8")
     return path

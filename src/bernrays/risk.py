@@ -71,12 +71,12 @@ def _tail_shortfalls(
     left to right, as ``sum(1)`` adds a row masked to its tail. There a
     column outside the tail holds a point of the ray, whose term is not
     negative, so it enters as a positive zero. A candidate no tail uses
-    may divide zero by zero.
+    may divide zero by zero, or by a subnormal sum and overflow.
     """
     s0, s1, s2 = support.T
     m0, m1, m2 = masses.T
     p0, p1, p2 = s0 * m0, s1 * m1, s2 * m2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         at0 = ((p0 + p1) + p2) / ((m0 + m1) + m2)
         at1 = ((0.0 + p1) + p2) / ((0.0 + m1) + m2)
         at2 = (0.0 + p2) / (0.0 + m2)

@@ -659,12 +659,87 @@ def fresh_python(code, threads=None):
     ).stdout.strip()
 
 
+# Child code that runs each argv of ``ARGVS`` through ``cli.main`` in
+# process and prints a JSON list of [exit code, stderr lines], then the
+# names ``LOADED`` holds that are in ``sys.modules``.
+RUN_IN_PROCESS = """
+import contextlib, io, json
+from bernrays.cli import main
+results = []
+for argv in ARGVS:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err):
+            try:
+                main(argv)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+    results.append([code, err.getvalue().splitlines()])
+print(json.dumps(results))
+print(json.dumps([name for name in LOADED if name in sys.modules]))
+"""
+
+LIBRARY_MODULES = ["bernrays." + name for name in (
+    "pmf", "rays_mean", "rays_corr", "risk", "betamix", "rayset_io")]
+
+
+def run_in_process(argvs, loaded):
+    """Exit code and stderr lines of each argv run by one fresh child,
+    and the names of ``loaded`` that the child then holds."""
+    code = f"ARGVS = {argvs!r}; LOADED = {loaded!r}\n" + RUN_IN_PROCESS
+    results, held = fresh_python(code).splitlines()
+    return json.loads(results), json.loads(held)
+
+
 class TestImport:
-    def test_the_cli_does_not_import_scipy(self):
+    def test_the_cli_does_not_import_scipy(self, tmp_path):
+        # After one command of each kind, so every library module the
+        # command line calls into has loaded.
+        cache = str(tmp_path / "cache")
+        results, held = run_in_process(
+            [["bounds", "--d", "20", "--p", "0.3", "--rho", "0.2"],
+             ["rays", "--d", "20", "--p", "0.3", "--rho", "0.2",
+              "--cache", cache],
+             ["sweep", "--d", "20", "--p", "0.3", "--grid", "2"],
+             ["moments", "--d", "20", "--p", "0.3"]],
+            ["scipy", *LIBRARY_MODULES],
+        )
+        assert [code for code, _ in results] == [0, 0, 0, 0]
+        assert held == LIBRARY_MODULES
+
+    def test_help_version_and_flag_refusals_load_no_numpy(self):
+        results, held = run_in_process(
+            [["--version"], ["--help"], ["bounds", "--help"],
+             ["sweep", "--help"],
+             ["bounds", "--p", "0.5", "--bogus"],
+             ["bounds", "--format", "xml", "--p", "0.1"],
+             ["sweep", "--p", "0.5", "--grid", "1"],
+             ["bounds"], ["bounds", "--p", "0.1", "--scenario", "A"],
+             ["bounds", "--p", "0.5", "--rho", "abc"],
+             ["bounds", "--p", "0.5", "--alpha", "x"]],
+            ["numpy", *LIBRARY_MODULES],
+        )
+        assert results[:4] == [[0, []]] * 4
+        for code, err in results[4:]:
+            assert code == cli.EXIT_INFEASIBLE
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        assert held == []
+
+    def test_mean_class_commands_load_no_benchmark_and_no_cache(self):
+        results, held = run_in_process(
+            [["bounds", "--d", "50", "--p", "0.3"],
+             ["moments", "--d", "50", "--p", "0.3"]],
+            ["bernrays.betamix", "bernrays.rayset_io"],
+        )
+        assert results == [[0, []], [0, []]]
+        assert held == []
+
+    def test_enumerate_rays_loads_only_the_module_it_dispatches_to(self):
         assert fresh_python(
-            "import bernrays.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))"
-        ) == "[]"
+            "from bernrays import ClassSpec, enumerate_rays; "
+            "enumerate_rays(ClassSpec(10, 0.3)); "
+            "print('bernrays.rays_corr' in sys.modules)") == "False"
 
     def test_the_package_root_loads_no_numpy(self):
         assert fresh_python(

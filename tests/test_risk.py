@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernrays import (
@@ -469,6 +469,9 @@ class TestFold:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(adversarial_rows(), min_size=1, max_size=24),
            st.integers(1, 8), st.booleans())
+    # A sum of masses that is subnormal: the shortfall of a candidate no
+    # tail uses overflows.
+    @example([([0, 1, 2], [1.0, -1.0, 5e-324], 3)], 1, True)
     def test_adversarial_rows_fold_like_the_per_level_scan(self, rows,
                                                            size, es):
         support, masses, sizes = zip(*rows)
