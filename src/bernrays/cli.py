@@ -9,7 +9,10 @@ bytes: ``_resolve`` turns the class flags into a
 ray set by way of the cache (``_class_rays`` streams it in blocks when
 no cache is given), a row builder makes raw rows, ``_render``
 serializes them and ``_emit`` or ``_write`` sends the text to stdout or
-a file. Outputs are
+a file. ``sweep`` and ``reproduce``'s correlated tables carry only VaR,
+which ``risk._var_extrema`` finds from the few outer pairs that reach
+it, so those commands enumerate no correlated class and accept
+``--cache`` without using it, as ``moments`` does. Outputs are
 byte-deterministic for a given invocation: fixed float formats, LF line
 endings, sorted JSON keys, and no timestamps.
 
@@ -19,7 +22,8 @@ the first call into it. So ``--version``, ``--help`` and a flag refused
 before the class is built start without numpy.
 
 Exit codes: 0 success, 2 infeasible or invalid input or an output or
-cache directory that cannot be written, 3 reproduction mismatch.
+cache directory that cannot be written (a cache only where one is
+used), 3 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -242,23 +246,27 @@ def _sweep_grid(n: int) -> list[float]:
 
 
 def _sweep_rows(
-    spec: ClassSpec, alphas: tuple[float, ...], cache: Path | None, grid: int
+    spec: ClassSpec, alphas: tuple[float, ...], grid: int
 ) -> list[dict]:
+    """One row per grid correlation and level. Each class's VaR extrema
+    come from the outer pairs that can reach them, so no class is
+    enumerated or cached."""
     from . import risk
     from .pmf import ClassSpec
 
     rows = []
     for rho in _sweep_grid(grid):
         at_rho = ClassSpec(spec.d, spec.p, rho)
-        found = risk._fold(_class_rays(at_rho, cache), alphas, es=False)
-        for alpha, bounds, beta in zip(alphas, found,
-                                       _beta_vars(at_rho, alphas)):
+        found = risk._var_extrema(at_rho, alphas)
+        for alpha, (var_min, var_max), beta in zip(
+            alphas, found, _beta_vars(at_rho, alphas)
+        ):
             rows.append(
                 {
                     "rho": rho,
                     "alpha": alpha,
-                    "var_min": bounds.var_min,
-                    "var_max": bounds.var_max,
+                    "var_min": var_min,
+                    "var_max": var_max,
                     "beta_var": beta,
                 }
             )
@@ -278,7 +286,7 @@ def _reference_rows(columns: tuple[str, ...], table: dict, *prefix):
     ]
 
 
-def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
+def _scenario_tables(scenario: str, p: float):
     """The seven tables of one scenario, each as ``(name, columns, rows,
     checked rows, expected rows)``.
 
@@ -286,15 +294,14 @@ def _scenario_tables(scenario: str, p: float, cache_dir: Path | None):
     moment bounds, the mean-class risk bounds and the correlation sweep.
     The sweep grid holds each reference correlation bit for bit, so a
     per-rho table is the sweep rows at its rho and every class is
-    enumerated once.
+    solved once.
     """
     from .pmf import ClassSpec
 
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
-    # Mean-class rays cost less to build than to read back: no cache.
     mean = _bounds_rows(spec, _class_rays(spec, None), ref.DEFAULT_ALPHAS)
-    sweep = _sweep_rows(spec, ref.DEFAULT_ALPHAS, cache_dir, SWEEP_GRID)
+    sweep = _sweep_rows(spec, ref.DEFAULT_ALPHAS, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
          _reference_rows(columns, table[scenario]))
@@ -353,7 +360,7 @@ def _diff_rows(
     return diffs
 
 
-def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
+def cmd_reproduce(out_dir: Path) -> int:
     """Regenerate every reference table and the sweep datasets.
 
     Writes one CSV per table plus ``manifest.json`` into ``out_dir``;
@@ -369,7 +376,7 @@ def cmd_reproduce(out_dir: Path, cache_dir: Path | None = None) -> int:
     for scenario, p in ref.SCENARIOS.items():
         start = time.perf_counter()
         for name, columns, rows, checked, expected in _scenario_tables(
-            scenario, p, cache_dir
+            scenario, p
         ):
             text = _render(rows, columns, "csv")
             path = _write(out_dir, f"{name}.csv", text)
@@ -574,7 +581,7 @@ def sweep_command(d, p, scenario, alpha_text, fmt, grid, out, cache):
     """Bounds across a correlation grid, long format for plotting."""
     spec, alphas = _resolve(d, p, scenario, None, alpha_text)
     _emit(out, f"sweep_{_slug(spec)}.{fmt}",
-          _render(_sweep_rows(spec, alphas, cache, grid), SWEEP_COLUMNS, fmt))
+          _render(_sweep_rows(spec, alphas, grid), SWEEP_COLUMNS, fmt))
 
 
 @main.command("reproduce")
@@ -588,7 +595,7 @@ def sweep_command(d, p, scenario, alpha_text, fmt, grid, out, cache):
 @_cache_option
 def reproduce_command(out, cache):
     """Regenerate all reference tables and verify every cell."""
-    if cmd_reproduce(out, cache):
+    if cmd_reproduce(out):
         sys.exit(EXIT_MISMATCH)
 
 

@@ -23,7 +23,9 @@ share a support and nothing is merged. The sweep solves its triples in
 blocks of whole lower indices, which can go straight to a scan:
 :func:`risk._fold` takes the blocks of :func:`_ray_blocks` one at a time
 and never holds the whole set, while :func:`enumerate_rays` gathers the
-same blocks into one sorted :class:`RaySet`.
+same blocks into one sorted :class:`RaySet`. VaR extrema alone need only
+the outer pairs that can reach them, which :func:`risk._var_extrema`
+solves from the same ranges (:func:`_capped_ranges`).
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def candidate_count(spec: ClassSpec) -> int:
     examines, in O(d log d) plus one step per admitted pair and O(d)
     memory; it refuses a class as :func:`enumerate_rays` does."""
     _require_corr(spec, "candidate_count")
-    return sum(int((hi - lo + 1).sum()) for *_, lo, hi in _pair_ranges(spec))
+    return sum(_candidates(found) for found in _pair_ranges(spec))
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,26 +259,44 @@ def _solve_triples(
     return np.column_stack([x[live] for x in (i, j, k)]), masses
 
 
-def _sweep_blocks(spec: ClassSpec):
-    """Support and mass rows of the three-point rays of the sweep, in
-    blocks of whole lower indices of about ``_BLOCK_CANDIDATES``
-    candidates each.
+def _capped_ranges(spec: ClassSpec) -> list:
+    """The output of :func:`_pair_ranges` as a list, once the candidate
+    triples it counts are known to be at most ``MAX_CANDIDATES``.
 
-    The gate of :func:`_pair_ranges` and the ``MAX_CANDIDATES`` cap
-    refuse the class at the call, before any per-triple array is built;
-    each block is solved when it is reached.
+    The gate of :func:`_pair_ranges` and the cap refuse the class at the
+    call, before any per-triple array is built: the cap at the first
+    lower index whose cumulative count passes it.
     """
-    groups, group, size, total = [], [], 0, 0
+    ranges, total = [], 0
     for found in _pair_ranges(spec):
-        count = int((found[3] - found[2] + 1).sum())
-        total += count
+        total += _candidates(found)
         if total > MAX_CANDIDATES:
             raise ClassTooLarge(
                 f"class (d={spec.d}, p={spec.p:g}, rho={spec.rho:g}) needs "
                 f"more than {MAX_CANDIDATES} candidate triples"
             )
+        ranges.append(found)
+    return ranges
+
+
+def _candidates(found) -> int:
+    """The candidate triples of one lower index's :func:`_pair_ranges`
+    output."""
+    return int((found[3] - found[2] + 1).sum())
+
+
+def _sweep_blocks(spec: ClassSpec):
+    """Support and mass rows of the three-point rays of the sweep, in
+    blocks of whole lower indices of about ``_BLOCK_CANDIDATES``
+    candidates each.
+
+    The class is refused as :func:`_capped_ranges` refuses it, at the
+    call; each block is solved when it is reached.
+    """
+    groups, group, size = [], [], 0
+    for found in _capped_ranges(spec):
         group.append(found)
-        size += count
+        size += _candidates(found)
         if size >= _BLOCK_CANDIDATES:
             groups.append(group)
             group, size = [], 0

@@ -267,10 +267,14 @@ def test_criterion_8_mixture_properties(mean_rays, corr_rays):
             assert bounds[alpha].var_min <= value <= bounds[alpha].var_max
             assert pmf.es(y, alpha) <= d + 1e-9
             terms = rays_mean.decompose(y, base)
+            # np.add.at adds the terms in order, as a loop over them would.
             rebuilt = np.zeros(d + 1)
-            for ray, weight in terms:
-                for point, mass in zip(ray.support, ray.masses):
-                    rebuilt[point] += weight * mass
+            np.add.at(
+                rebuilt,
+                [point for ray, _ in terms for point in ray.support],
+                [weight * mass for ray, weight in terms
+                 for mass in ray.masses],
+            )
             assert np.max(np.abs(rebuilt - probs)) < 1e-10
 
     total = 0

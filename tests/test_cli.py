@@ -29,6 +29,7 @@ from bernrays import (
     cli,
     rays_corr,
     rays_mean,
+    risk,
 )
 from bernrays import _reference_tables as ref
 from bernrays.errors import (
@@ -1025,8 +1026,9 @@ class TestExitCodes:
         [("bounds", "--scenario", "A", "--out"),
          ("bounds", "--scenario", "A", "--cache"),
          ("rays", "--scenario", "A", "--out"),
+         ("rays", "--scenario", "A", "--rho", "1/6", "--cache"),
          ("reproduce", "--out")],
-        ids=["bounds --out", "bounds --cache", "rays --out",
+        ids=["bounds --out", "bounds --cache", "rays --out", "rays --cache",
              "reproduce --out"],
     )
     def test_a_directory_that_cannot_be_made_exits_2(self, tmp_path, args):
@@ -1037,6 +1039,29 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep", "--scenario", "A", "--grid", "2"],
+         ["moments", "--scenario", "A"], ["reproduce", "--out", "OUT"]],
+        ids=["sweep", "moments", "reproduce"],
+    )
+    def test_commands_that_enumerate_no_class_ignore_the_cache(
+        self, tmp_path, command
+    ):
+        # A cache directory is never made, so even one that cannot be
+        # made is no fault.
+        blocker = tmp_path / "f"
+        blocker.touch()
+        command = [str(tmp_path / "out") if a == "OUT" else a
+                   for a in command]
+        plain = CliRunner().invoke(cli.main, command)
+        for cache in (tmp_path / "cache", blocker / "x"):
+            cached = CliRunner().invoke(
+                cli.main, [*command, "--cache", str(cache)])
+            assert plain.exit_code == cached.exit_code == 0, cached.stderr
+            assert cached.stdout_bytes == plain.stdout_bytes
+            assert not cache.exists()
 
     def test_reproduction_mismatch_has_its_own_code(self, tmp_path,
                                                     monkeypatch):
@@ -1079,13 +1104,18 @@ class TestReproduce:
         planted[0.99] = (low, high + 1, beta)
         monkeypatch.setitem(ref.VAR_CORR, ("A", "1/6"), planted)
         requests = []
-        class_rays = cli._class_rays
+        class_rays, var_extrema = cli._class_rays, risk._var_extrema
 
         def counting(spec, cache):
             requests.append((spec.d, spec.p, spec.rho))
             return class_rays(spec, cache)
 
+        def counting_extrema(spec, alphas):
+            requests.append((spec.d, spec.p, spec.rho))
+            return var_extrema(spec, alphas)
+
         monkeypatch.setattr(cli, "_class_rays", counting)
+        monkeypatch.setattr(risk, "_var_extrema", counting_extrema)
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]
         )

@@ -1,5 +1,6 @@
 """Bit-level pins of the numeric core: decomposition, binomial
-reweighting and the closed-form VaR of the mean class.
+reweighting, the closed-form VaR of the mean class and the VaR extrema
+of the correlation sweep.
 
 Each digest is the sha256 of little-endian int64 and float64 bytes
 recorded from an earlier implementation, so a rewrite that moves a
@@ -13,8 +14,17 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from bernrays import ClassSpec, DefaultCountPmf, betamix, pmf, rays_mean, risk
+from bernrays import (
+    ClassSpec,
+    DefaultCountPmf,
+    betamix,
+    cli,
+    pmf,
+    rays_mean,
+    risk,
+)
 from bernrays.errors import InvalidSpec
 
 
@@ -133,6 +143,25 @@ def test_closed_form_var_on_a_seeded_grid():
     assert len(bounds) == 1224
     assert sha256(bounds) == (
         "c55d5da560563a152273e6ece2227e3935bb79772d11e819d5ffe5053d4b3ad7"
+    )
+
+
+# sha256 of the stdout of `sweep`, recorded from a fold over every ray of
+# each grid class.
+SWEEP_SHA256 = {
+    ("--d", "400", "--scenario", "B"):
+        "5ff23fe7f1684572a85165e7fbbb2ce70ccf48bc16749df6597ebd8ffe28bc1a",
+    ("--d", "200", "--p", "0.266"):
+        "27583b59a6a3c7e36571a2035345987b1246ac52f114833ae226d4d1c2c1d0d1",
+}
+
+
+@pytest.mark.parametrize("args", list(SWEEP_SHA256), ids=" ".join)
+def test_sweep_output_bytes(args):
+    result = CliRunner().invoke(cli.main, ["sweep", *args])
+    assert result.exit_code == 0, result.stderr
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        SWEEP_SHA256[args]
     )
 
 

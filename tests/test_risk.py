@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from click.testing import CliRunner
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bernrays import (
@@ -26,7 +27,7 @@ from oracles import (
     random_mixture,
     scan_vars,
 )
-from test_rays_corr import degenerate_classes
+from test_rays_corr import TIED_CLASSES, degenerate_classes, tied_class
 
 
 class TestVarScan:
@@ -511,3 +512,180 @@ class TestFold:
                                      (81, 200, 161)]
         # About 5 MiB with blocks of 2**14 candidates.
         assert peak < 12 * 2**20
+
+
+def var_classes(seed, count, d_max):
+    """Seeded correlated classes with d from 2 to ``d_max``, drawn
+    log-uniformly: integer means, p = 1 - alpha, rho = 0 and 1, lower
+    edges and rho drawn up to 1 or near the edge."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        d = int(np.exp(rng.uniform(math.log(2), math.log(d_max + 1))))
+        kind = n % 4
+        if kind == 0:
+            p = int(rng.integers(1, d)) / d
+        elif kind == 1:
+            p = 1.0 - FOLD_ALPHAS[n % 3]
+        else:
+            p = float(rng.uniform(0.005, 0.995))
+        low, _ = rays_mean.correlation_bounds(ClassSpec(d, p))
+        rho = (0.0, 1.0, low, float(rng.uniform(low, 1.0)),
+               float(rng.uniform(low, low + 0.05)))[n % 5]
+        yield ClassSpec(d, p, rho if rho > -1.0 else 0.0)
+
+
+def lower_edge(d, p):
+    return ClassSpec(d, p, rays_mean.correlation_bounds(ClassSpec(d, p))[0])
+
+
+# Integer-mean lower edges whose enumeration keeps three-point rows from
+# Cramer cancellation, where theory gives the point ray alone.
+CRAMER_CLASSES = [lower_edge(433, 385 / 433), lower_edge(576, 563 / 576)]
+
+
+def streamed_var(spec, alphas):
+    """``(var_min, var_max)`` per level of the streamed fold."""
+    return [(b.var_min, b.var_max) for b in risk._fold(
+        rays_corr._ray_blocks(spec), alphas, es=False)]
+
+
+@st.composite
+def small_classes(draw):
+    """Correlated classes with d up to 60, p anywhere in (0, 1) and rho
+    anywhere from the lower edge to 1."""
+    d = draw(st.integers(2, 60))
+    p = draw(st.floats(0.001, 0.999))
+    low, _ = rays_mean.correlation_bounds(ClassSpec(d, p))
+    rho = draw(st.floats(max(low, -0.999), 1.0))
+    return ClassSpec(d, p, rho)
+
+
+class TestVarExtrema:
+    """VaR extrema from the outer pairs that can reach them, against the
+    streamed fold over every ray."""
+
+    def test_equal_the_streamed_fold_on_seeded_classes(self):
+        rng = np.random.default_rng(241)
+        specs = [*var_classes(241, 220, 400), *CRAMER_CLASSES,
+                 *(tied_class(*case) for case in TIED_CLASSES)]
+        assert sum(spec.d > 200 for spec in specs) >= 20
+        for spec in specs:
+            alphas = [*FOLD_ALPHAS, *rng.uniform(0.01, 0.999, 2).tolist()]
+            if spec.p < 0.5:
+                alphas.append(1.0 - spec.p)
+            assert risk._var_extrema(spec, alphas) == streamed_var(
+                spec, alphas), spec
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(degenerate_classes(), small_classes()), st.data())
+    def test_levels_on_and_next_to_ray_masses(self, spec, data):
+        # A level whose threshold lands on a ray's cdf at its first or
+        # second point, or an ulp or two from it.
+        rays = rays_corr.enumerate_rays(spec)
+        alphas = []
+        for _ in range(data.draw(st.integers(1, 4), label="levels")):
+            row = data.draw(st.integers(0, len(rays) - 1), label="row")
+            cdf = rays.masses[row, 0]
+            if data.draw(st.booleans(), label="second point"):
+                cdf = cdf + rays.masses[row, 1]
+            shift = data.draw(st.integers(-2, 2), label="ulps")
+            alphas.append(nudged(float(cdf) + pmf.CDF_TIE_TOL, shift))
+        assume(all(0.0 < alpha < 1.0 for alpha in alphas))
+        assert risk._var_extrema(spec, alphas) == streamed_var(spec, alphas)
+
+    @given(st.integers(0, 40), st.integers(1, 40), st.data())
+    def test_crossings_never_pass_the_run(self, low, width, data):
+        # The closed-form crossing may be off, not finite or anywhere: the
+        # bound stays inside the range and never passes the run's end,
+        # and is that end when the crossing is right.
+        high = low + width
+        ends = (np.array([low]), np.array([high]))
+        first = data.draw(st.integers(low + 1, high), label="first")
+        x = data.draw(st.one_of(st.floats(), st.floats(first - 1, first)),
+                      label="x")
+        got = risk._first(lambda j: j >= first, np.array([x]), *ends)[0]
+        assert low + 1 <= got <= first
+        if first - 1 < x <= first:
+            assert got == first
+        last = data.draw(st.integers(low, high - 1), label="last")
+        x = data.draw(st.one_of(st.floats(), st.floats(last, last + 1)),
+                      label="x")
+        got = risk._last(lambda j: j <= last, np.array([x]), *ends)[0]
+        assert last <= got <= high - 1
+        if last <= x < last + 1:
+            assert got == last
+
+    @pytest.mark.parametrize("cap", [1, 4096])
+    def test_refuse_exactly_what_the_sweep_refuses(self, monkeypatch, cap):
+        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", cap)
+        for d in (2, 3, 5, 12, 30, 100):
+            for p in (0.003, 0.266, 0.5):
+                specs = [ClassSpec(d, p, rho) for rho in cli._sweep_grid(3)]
+                errors = []
+                for spec in specs:
+                    try:
+                        rays_corr._sweep_blocks(spec)
+                    except BernraysError as exc:
+                        errors.append(exc)
+                        with pytest.raises(type(exc)) as caught:
+                            risk.es_envelope(spec, 0.9)
+                        assert str(caught.value) == str(exc)
+                    else:
+                        risk.es_envelope(spec, 0.9)
+                result = CliRunner().invoke(cli.main, [
+                    "sweep", "--d", str(d), "--p", str(p), "--grid", "3"])
+                if errors:
+                    assert result.exit_code == cli.EXIT_INFEASIBLE
+                    assert result.stderr == f"error: {errors[0]}\n"
+                else:
+                    assert result.exit_code == 0, result.stderr
+
+    def test_an_empty_class_is_an_empty_scan(self, monkeypatch):
+        monkeypatch.setattr(rays_corr, "ZERO_MASS_TOL", 2.0)
+        monkeypatch.setattr(rays_corr, "_MATCH_SCALE", -1.0)
+        spec = ClassSpec(30, 0.4, 0.2)
+        with pytest.raises(EmptyRaySet):
+            streamed_var(spec, FOLD_ALPHAS)
+        with pytest.raises(EmptyRaySet):
+            risk._var_extrema(spec, FOLD_ALPHAS)
+
+
+class TestEnvelopeOfAClass:
+    """``es_envelope`` of a correlated class, against the streamed fold."""
+
+    @staticmethod
+    def streamed_envelope(spec, alpha):
+        (var_min, var_max), = streamed_var(spec, (alpha,))
+        return risk.EsEnvelope(float(var_min), float(spec.d),
+                               var_max == spec.d)
+
+    def test_equals_the_streamed_fold_on_seeded_classes(self):
+        specs = [*var_classes(251, 60, 150), ClassSpec(100, 0.5, 1.0),
+                 ClassSpec(3000, 0.5, 1.0), ClassSpec(257, 0.1, 1.0)]
+        for spec in specs:
+            for alpha in FOLD_ALPHAS:
+                assert risk.es_envelope(spec, alpha) == (
+                    self.streamed_envelope(spec, alpha)), spec
+
+    @settings(max_examples=40, deadline=None)
+    @given(degenerate_classes(), st.sampled_from(FOLD_ALPHAS))
+    def test_equals_the_streamed_fold_on_degenerate_classes(self, spec,
+                                                            alpha):
+        assert risk.es_envelope(spec, alpha) == self.streamed_envelope(
+            spec, alpha)
+
+    def test_comonotone_peak_is_no_higher_than_the_streamed_fold(self):
+        # All d - 1 candidates of this class lie on one lower index, so
+        # the streamed fold holds them at once.
+        spec = ClassSpec(10**6, 0.5, 1.0)
+        peaks, found = [], []
+        for run in (lambda: self.streamed_envelope(spec, 0.99),
+                    lambda: risk.es_envelope(spec, 0.99)):
+            tracemalloc.start()
+            try:
+                found.append(run())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert found[0] == found[1] == (1e6, 1e6, True)
+        assert peaks[1] <= peaks[0]
