@@ -19,7 +19,11 @@ endings, sorted JSON keys, and no timestamps.
 The module top loads only the standard library, click, ``errors`` and
 ``_reference_tables``; each library module, and numpy with it, loads at
 the first call into it. So ``--version``, ``--help`` and a flag refused
-before the class is built start without numpy.
+before the class is built start without numpy. The first command a
+process runs registers ``gc.freeze`` as an exit handler, so the
+interpreter's collections at exit skip the objects those imports left;
+code that runs commands in process keeps its collector as it was until
+its own exit.
 
 Exit codes: 0 success, 2 infeasible or invalid input or an output or
 cache directory that cannot be written (a cache only where one is
@@ -28,6 +32,8 @@ used), 3 reproduction mismatch.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import io
 import os
 import sys
@@ -449,6 +455,19 @@ def _emit(out: Path | None, name: str, text: str) -> None:
 
 
 class _Commands(click.Group):
+    _exit_hooked = False
+
+    def main(self, *args, **kwargs):
+        # At exit the interpreter's collections walk every object numpy,
+        # click and the library left; frozen first, they walk none. An
+        # exit handler, unlike os._exit, lets a caller's ``finally`` and
+        # the other handlers run. Registered by the first command, not at
+        # import, so code that only imports this module exits as before.
+        if not _Commands._exit_hooked:
+            _Commands._exit_hooked = True
+            atexit.register(gc.freeze)
+        return super().main(*args, **kwargs)
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)

@@ -2,6 +2,7 @@
 byte determinism, the ray-set cache, and exit codes."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -785,6 +786,85 @@ class TestImport:
             "import os, bernrays.cli; "
             "print(os.environ['OPENBLAS_NUM_THREADS'])", threads="2",
         ) == "2"
+
+
+# The console script's entry, as perfbench launches it.
+ENTRY = "import sys; from bernrays.cli import main; sys.exit(main())"
+BOUNDS_ARGV = ["bounds", "--d", "100", "--p", "0.266", "--rho", "1/6"]
+
+
+def launch(code, *argv):
+    """A fresh interpreter that finds this package first runs ``code``
+    with ``argv``; stdout and stderr are bytes."""
+    src = str(Path(bernrays.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=env)
+
+
+class TestExitHook:
+    """A command freezes the collector only at the interpreter's exit."""
+
+    def test_an_invoke_leaves_the_collector_as_it_was(self, monkeypatch):
+        registered = []
+        monkeypatch.setattr(cli._Commands, "_exit_hooked", False)
+        monkeypatch.setattr(cli.atexit, "register", registered.append)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        for _ in range(2):
+            assert run(*BOUNDS_ARGV).exit_code == 0
+            assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == frozen
+        assert registered == [gc.freeze]
+
+    def test_launched_stdout_is_the_in_process_bytes(self):
+        result = launch(ENTRY, *BOUNDS_ARGV)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        assert result.stdout == run(*BOUNDS_ARGV).stdout_bytes
+
+    def test_launched_out_writes_the_file(self, tmp_path):
+        result = launch(ENTRY, *BOUNDS_ARGV, "--out", str(tmp_path))
+        path = tmp_path / "bounds_d100_p0.266_rho0.166667.csv"
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{path}\n".encode()
+        assert path.read_bytes() == run(*BOUNDS_ARGV).stdout_bytes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--d", "0", "--p", "0.5"],
+         ["bounds", "--p", "0.5", "--bogus"]],
+        ids=["infeasible", "usage"],
+    )
+    def test_a_launched_refusal_exits_2_with_one_error_line(self, argv):
+        result = launch(ENTRY, *argv)
+        assert result.returncode == cli.EXIT_INFEASIBLE
+        assert result.stdout == b""
+        err = result.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_a_wrapper_still_runs_its_finally_and_exit_handlers(
+        self, tmp_path
+    ):
+        # A handler registered before the command runs after the freeze,
+        # as exit handlers run last in, first out.
+        code = f"""
+import atexit, gc, pathlib
+from bernrays.cli import main
+here = pathlib.Path({str(tmp_path)!r})
+atexit.register(lambda: (here / "exit").write_text(
+    str(gc.get_freeze_count() > 0)))
+try:
+    main({BOUNDS_ARGV!r})
+finally:
+    (here / "finally").write_text(str(gc.get_freeze_count()))
+"""
+        result = launch(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == run(*BOUNDS_ARGV).stdout_bytes
+        assert (tmp_path / "finally").read_text() == "0"
+        assert (tmp_path / "exit").read_text() == "True"
 
 
 class TestExitCodes:
