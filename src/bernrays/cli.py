@@ -1,20 +1,20 @@
 """Command-line front end.
 
 Every numeric cell an output table carries comes from exactly one
-library call; this layer only parses flags, routes through the ray-set
-cache, applies display rounding (one rule per column, read by both CSV
-and JSON), and serializes. Each command takes one path from flags to
-bytes: ``_resolve`` turns the class flags into a
-:class:`~bernrays.pmf.ClassSpec`, ``_enumerate_cached`` gets its whole
-ray set by way of the cache (``_class_rays`` streams it in blocks when
-no cache is given), a row builder makes raw rows, ``_render``
-serializes them and ``_emit`` or ``_write`` sends the text to stdout or
-a file. ``sweep`` and ``reproduce``'s correlated tables carry only VaR,
-which ``risk._var_extrema`` finds from the few outer pairs that reach
-it, so those commands enumerate no correlated class and accept
-``--cache`` without using it, as ``moments`` does. Outputs are
-byte-deterministic for a given invocation: fixed float formats, LF line
-endings, sorted JSON keys, and no timestamps.
+library call; this layer only parses flags, routes ``rays`` through the
+ray-set cache, applies display rounding (one rule per column, read by
+both CSV and JSON), and serializes. Each command takes one path from
+flags to bytes: ``_resolve`` turns the class flags into a
+:class:`~bernrays.pmf.ClassSpec`, a row builder makes raw rows,
+``_render`` serializes them and ``_emit`` or ``_write`` sends the text
+to stdout or a file. Only ``rays`` holds a whole ray set, which
+``_enumerate_cached`` gets by way of the cache; ``bounds`` folds its
+class in streamed blocks. ``sweep`` and ``reproduce``'s correlated
+tables carry only VaR, which ``risk._var_extrema`` finds from the few
+outer pairs that reach it, so no command but ``rays`` uses ``--cache``:
+the others accept it and leave it alone. Outputs are byte-deterministic
+for a given invocation: fixed float formats, LF line endings, sorted
+JSON keys, and no timestamps.
 
 The module top loads only the standard library, click, ``errors`` and
 ``_reference_tables``; each library module, and numpy with it, loads at
@@ -25,9 +25,9 @@ interpreter's collections at exit skip the objects those imports left;
 code that runs commands in process keeps its collector as it was until
 its own exit.
 
-Exit codes: 0 success, 2 infeasible or invalid input or an output or
-cache directory that cannot be written (a cache only where one is
-used), 3 reproduction mismatch.
+Exit codes: 0 success, 2 infeasible or invalid input or an output
+directory, or the cache directory of ``rays``, that cannot be written,
+3 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -188,20 +188,6 @@ def _moments_rows(spec: ClassSpec) -> list[dict]:
     return rows
 
 
-def _class_rays(spec: ClassSpec, cache: Path | None):
-    """The rays of ``spec`` as blocks for :func:`risk._fold`: the whole
-    set by way of the cache when one is given, else streamed blocks,
-    which never hold the whole set at once. The class is refused, if at
-    all, at the call."""
-    from . import rays_corr, rays_mean
-
-    if cache is not None:
-        return [_enumerate_cached(spec, cache)]
-    if spec.rho is None:
-        return rays_mean._ray_blocks(spec)
-    return rays_corr._ray_blocks(spec)
-
-
 def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
     """The beta-binomial benchmark's VaR at each level, all from one pmf;
     None at every level when no Beta mixture matches ``spec.rho``."""
@@ -215,13 +201,14 @@ def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
     return [pmf.var(law, alpha) for alpha in alphas]
 
 
-def _bounds_rows(
-    spec: ClassSpec, rays, alphas: tuple[float, ...]
-) -> list[dict]:
-    """One row per level of the risk bounds over the blocks ``rays``, with
-    the benchmark's VaR for a correlated class."""
-    from . import pmf, risk
+def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
+    """One row per level of the risk bounds over the rays of ``spec``,
+    with the benchmark's VaR for a correlated class. The rays are folded
+    in streamed blocks, which never hold the whole set at once."""
+    from . import pmf, rays_corr, rays_mean, risk
 
+    # A refused class fails here, before any level is checked.
+    blocks = (rays_mean if spec.rho is None else rays_corr)._ray_blocks(spec)
     betas = [None] * len(alphas)
     if spec.rho is not None:
         # Faults surface level by level: the first level's range, then
@@ -229,7 +216,7 @@ def _bounds_rows(
         pmf._check_open_unit(alphas[0], "alpha")
         betas = _beta_vars(spec, alphas)
     rows = []
-    for alpha, bounds, beta in zip(alphas, risk._fold(rays, alphas), betas):
+    for alpha, bounds, beta in zip(alphas, risk._fold(blocks, alphas), betas):
         row = {
             "alpha": alpha,
             "var_min": bounds.var_min,
@@ -306,7 +293,7 @@ def _scenario_tables(scenario: str, p: float):
 
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
-    mean = _bounds_rows(spec, _class_rays(spec, None), ref.DEFAULT_ALPHAS)
+    mean = _bounds_rows(spec, ref.DEFAULT_ALPHAS)
     sweep = _sweep_rows(spec, ref.DEFAULT_ALPHAS, SWEEP_GRID)
     tables = [
         (f"{kind}_{scenario}", columns, rows, rows,
@@ -486,7 +473,7 @@ _cache_option = click.option(
     "--cache",
     type=click.Path(file_okay=False, path_type=Path),
     default=None,
-    help="Directory for the ray-set cache.",
+    help="Directory for the ray-set cache; only rays uses it.",
 )
 
 _format_option = click.option(
@@ -552,6 +539,10 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 
     spec, _ = _resolve(d, p, scenario, rho_text)
     rays = _enumerate_cached(spec, cache)
+    if out is not None:
+        # Refused before the set is formatted, which takes ten times as
+        # long as enumerating it.
+        out.mkdir(parents=True, exist_ok=True)
     text = format_ray_set(rays)
     if out is None:
         click.echo(f"{len(rays)} rays", err=True)
@@ -569,7 +560,7 @@ def rays_command(d, p, scenario, rho_text, out, cache):
 def bounds_command(d, p, scenario, rho_text, alpha_text, fmt, out, cache):
     """Sharp VaR/ES bounds per confidence level."""
     spec, alphas = _resolve(d, p, scenario, rho_text, alpha_text)
-    rows = _bounds_rows(spec, _class_rays(spec, cache), alphas)
+    rows = _bounds_rows(spec, alphas)
     columns = BOUNDS_BETA_COLUMNS if spec.rho is not None else BOUNDS_COLUMNS
     _emit(out, f"bounds_{_slug(spec)}.{fmt}", _render(rows, columns, fmt))
 

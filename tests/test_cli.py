@@ -30,6 +30,7 @@ from bernrays import (
     cli,
     rays_corr,
     rays_mean,
+    rayset_io,
     risk,
 )
 from bernrays import _reference_tables as ref
@@ -93,7 +94,8 @@ BAD_RAY_LINES = {
     "1:0.5;3:0.5": MeanMismatch,
 }
 
-SMALL_CLASS = ("bounds", "--d", "4", "--p", "0.5", "--rho", "1/4")
+# rays is the only command that reads or writes the cache.
+SMALL_CLASS = ("rays", "--d", "4", "--p", "0.5", "--rho", "1/4")
 SMALL_SPEC = ClassSpec(4, 0.5, 0.25)
 
 # For each table command: its arguments, then per format the name of the
@@ -537,16 +539,14 @@ class TestCommands:
         assert first.stdout == second.stdout
 
     def test_cache_round_trip_preserves_output(self, tmp_path):
-        cold = run(
-            "bounds", "--scenario", "A", "--rho", "1/2",
-            "--cache", str(tmp_path),
-        )
+        args = ("rays", "--scenario", "A", "--rho", "1/2",
+                "--cache", str(tmp_path))
+        cold = run(*args)
+        assert "cache: reused" not in cold.stderr
         assert list(tmp_path.glob("rayset_*.bin"))
-        warm = run(
-            "bounds", "--scenario", "A", "--rho", "1/2",
-            "--cache", str(tmp_path),
-        )
-        assert cold.stdout == warm.stdout
+        warm = run(*args)
+        assert warm.stderr.startswith("cache: reused ")
+        assert warm.stdout_bytes == cold.stdout_bytes
 
 
 class TestOutputFiles:
@@ -1091,12 +1091,14 @@ class TestExitCodes:
         )
         assert result.exit_code == 0, result.output
 
-    def test_a_mean_class_above_the_cap_exits_2(self, monkeypatch):
+    def test_a_mean_class_above_the_cap_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rays_mean, "MAX_CANDIDATES", 1000)
+        out = tmp_path / "out"
         result = CliRunner().invoke(
-            cli.main, ["rays", "--d", "400", "--p", "0.282"]
+            cli.main, ["rays", "--d", "400", "--p", "0.282", "--out", str(out)]
         )
         assert result.exit_code == cli.EXIT_INFEASIBLE
+        assert not out.exists()
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert "two-point rays" in result.stderr
@@ -1104,12 +1106,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [("bounds", "--scenario", "A", "--out"),
-         ("bounds", "--scenario", "A", "--cache"),
          ("rays", "--scenario", "A", "--out"),
          ("rays", "--scenario", "A", "--rho", "1/6", "--cache"),
          ("reproduce", "--out")],
-        ids=["bounds --out", "bounds --cache", "rays --out", "rays --cache",
-             "reproduce --out"],
+        ids=["bounds --out", "rays --out", "rays --cache", "reproduce --out"],
     )
     def test_a_directory_that_cannot_be_made_exits_2(self, tmp_path, args):
         blocker = tmp_path / "f"
@@ -1120,17 +1120,35 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_rays_refuses_its_out_directory_before_formatting(
+        self, tmp_path, monkeypatch
+    ):
+        def unreachable(rays):
+            raise AssertionError("the set was formatted")
+
+        monkeypatch.setattr(rayset_io, "format_ray_set", unreachable)
+        blocker = tmp_path / "f"
+        blocker.touch()
+        result = CliRunner().invoke(cli.main, [
+            "rays", "--scenario", "A", "--rho", "1/6",
+            "--out", str(blocker / "x"),
+        ])
+        assert result.exit_code == cli.EXIT_INFEASIBLE, result.exc_info
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "command",
-        [["sweep", "--scenario", "A", "--grid", "2"],
+        [["bounds", "--scenario", "A", "--rho", "1/6"],
+         ["sweep", "--scenario", "A", "--grid", "2"],
          ["moments", "--scenario", "A"], ["reproduce", "--out", "OUT"]],
-        ids=["sweep", "moments", "reproduce"],
+        ids=["bounds", "sweep", "moments", "reproduce"],
     )
     def test_commands_that_enumerate_no_class_ignore_the_cache(
         self, tmp_path, command
     ):
-        # A cache directory is never made, so even one that cannot be
-        # made is no fault.
+        # Only rays holds a whole ray set. Elsewhere a cache directory is
+        # never made, so even one that cannot be made is no fault.
         blocker = tmp_path / "f"
         blocker.touch()
         command = [str(tmp_path / "out") if a == "OUT" else a
@@ -1184,18 +1202,19 @@ class TestReproduce:
         planted[0.99] = (low, high + 1, beta)
         monkeypatch.setitem(ref.VAR_CORR, ("A", "1/6"), planted)
         requests = []
-        class_rays, var_extrema = cli._class_rays, risk._var_extrema
 
-        def counting(spec, cache):
-            requests.append((spec.d, spec.p, spec.rho))
-            return class_rays(spec, cache)
+        def counting(module, name):
+            source = getattr(module, name)
 
-        def counting_extrema(spec, alphas):
-            requests.append((spec.d, spec.p, spec.rho))
-            return var_extrema(spec, alphas)
+            def count(spec, *args):
+                requests.append((spec.d, spec.p, spec.rho))
+                return source(spec, *args)
 
-        monkeypatch.setattr(cli, "_class_rays", counting)
-        monkeypatch.setattr(risk, "_var_extrema", counting_extrema)
+            monkeypatch.setattr(module, name, count)
+
+        counting(rays_mean, "_ray_blocks")
+        counting(rays_corr, "_ray_blocks")
+        counting(risk, "_var_extrema")
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]
         )

@@ -502,8 +502,7 @@ class TestFold:
         spec = ClassSpec(200, 0.294, 0.181)
         tracemalloc.start()
         try:
-            rows = cli._bounds_rows(spec, cli._class_rays(spec, None),
-                                    FOLD_ALPHAS)
+            rows = cli._bounds_rows(spec, FOLD_ALPHAS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
