@@ -10,8 +10,9 @@ flags to bytes: ``_resolve`` turns the class flags into a
 to stdout or a file. Only ``rays`` holds a whole ray set, which
 ``_enumerate_cached`` gets by way of the cache; ``bounds`` folds its
 class in streamed blocks. ``sweep`` and ``reproduce``'s correlated
-tables carry only VaR, which ``risk._var_extrema`` finds from the few
-outer pairs that reach it, so no command but ``rays`` uses ``--cache``:
+tables carry only VaR, which ``risk._var_extrema`` finds from the O(d)
+rays whose support holds two adjacent indices or spans ``{0, d}``, so no
+command but ``rays`` uses ``--cache``:
 the others accept it and leave it alone. Outputs are byte-deterministic
 for a given invocation: fixed float formats, LF line endings, sorted
 JSON keys, and no timestamps.
@@ -242,8 +243,8 @@ def _sweep_rows(
     spec: ClassSpec, alphas: tuple[float, ...], grid: int
 ) -> list[dict]:
     """One row per grid correlation and level. Each class's VaR extrema
-    come from the outer pairs that can reach them, so no class is
-    enumerated or cached."""
+    come from the rays whose support holds two adjacent indices or spans
+    ``{0, d}``, so no class is enumerated or cached."""
     from . import risk
     from .pmf import ClassSpec
 

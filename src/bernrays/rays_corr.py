@@ -24,8 +24,10 @@ blocks of whole lower indices, which can go straight to a scan:
 :func:`risk._fold` takes the blocks of :func:`_ray_blocks` one at a time
 and never holds the whole set, while :func:`enumerate_rays` gathers the
 same blocks into one sorted :class:`RaySet`. VaR extrema alone need only
-the outer pairs that can reach them, which :func:`risk._var_extrema`
-solves from the same ranges (:func:`_capped_ranges`).
+the O(d) rays whose support holds two adjacent indices or spans
+``{0, d}`` (Kwerel, *JASA* 70, 1975; Prekopa, *Discrete Appl. Math.* 27,
+1990), which :func:`risk._var_extrema` takes from the same ranges
+(:func:`_capped_ranges`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ block: each ray's cdf at its second point and its shortfall for each
 column its VaR can take. A level then costs two threshold tests and a
 select per ray. For the mean-constrained class
 the scan collapses to a closed form in (d, p, alpha); for the correlated
-class VaR needs only the few outer pairs whose closed-form bounds can
-reach an extremum (:func:`_var_extrema`). Expected-shortfall
+class VaR needs only the O(d) rays whose support holds two adjacent
+indices or spans {0, d} (:func:`_var_extrema`). Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
 ray extrema reproduce the bundled reference tables, the envelope is the bound
@@ -175,16 +175,27 @@ def _var_extrema(
     spec: ClassSpec, alphas: Sequence[float]
 ) -> list[tuple[int, int]]:
     """``(var_min, var_max)`` of a correlated class at each level: the
-    values of :func:`_fold` over the class's rays, from the few outer
-    pairs that can reach an extremum.
+    values of :func:`_fold` over its rays, from the O(d) rays that can
+    attain an extremum. The class is refused as
+    :func:`rays_corr._sweep_blocks` refuses it, at the call, and the
+    levels are checked next. The matching mean rows are scanned in full,
+    and the three-point rays whose support holds two adjacent indices or
+    spans ``{0, d}`` in slices of ``rays_corr._BLOCK_CANDIDATES``
+    triples, each decided as :func:`_fold` decides it.
 
-    The class is refused as :func:`rays_corr._sweep_blocks` refuses it,
-    at the call, and the levels are checked next. The matching mean-class
-    rows are scanned in full. Every outer pair gets a floor under the
-    VaR of its rays and a ceiling over it (:func:`_pair_var_bounds`).
-    Then, best bound first, the pairs whose bound still beats a running
-    extremum are solved, checked and decided as :func:`_fold` decides
-    them, so every value comes from the rows a full scan would use.
+    These rays hold every extremum. ``var_max - 1`` is the last ``t``
+    with ``min P(S <= t) < alpha`` over the class, and ``var_min`` the
+    first with ``max P(S <= t) >= alpha``: linear programs with three
+    equality rows, optimal on a basis of three points that holds its
+    ray's support. The basis's dual quadratic ``q`` lies on one side of
+    the step ``1[j <= t]`` and meets it on the basis (Kwerel, *JASA* 70,
+    1975; Prekopa, *Discrete Appl. Math.* 27, 1990). Two points on one
+    level have ``q`` on the wrong side of it strictly between them, so
+    they are neighbours, or strictly outside them, so they are that
+    level's ends and the third point is ``0``, ``d`` or next to the
+    step. A basis on one level makes ``q`` constant: every ray on that
+    side holds the extremum, among them the ray of least third moment,
+    whose cubic dual puts two of its points next to each other.
     """
     ranges = rays_corr._capped_ranges(spec)
     # One row per level; every array below broadcasts against it.
@@ -202,172 +213,21 @@ def _var_extrema(
     scan(*rays_corr._matching_mean_rays(spec))
     if ranges:
         i, k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
-        lo, hi = _live_ranges(spec, i, k, lo, hi)
-        live = lo <= hi
-        i, k, lo, hi = i[live], k[live], lo[live], hi[live]
-        floors, ceilings = _pair_var_bounds(spec, i, k, lo, hi, levels)
-        solved = np.zeros(len(i), dtype=bool)
-        # Each extremum solves at most `batch` of the pairs that hold its
-        # best bound per round; the batch doubles, so a bound that many
-        # pairs share but few attain costs a few rounds.
-        batch = 1
-        while True:
-            pick = np.zeros(len(i), dtype=bool)
-            # A ceiling is negated, so both extrema take the least bound.
-            for bound, beats in ((floors, floors < lows[:, None]),
-                                 (-ceilings, ceilings > highs[:, None])):
-                beats &= ~solved
-                best = np.where(beats, bound, spec.d + 1).min(axis=1)
-                beats &= bound == best[:, None]
-                beats &= np.cumsum(beats, axis=1) <= batch
-                pick |= beats.any(axis=0)
-            if not pick.any():
-                break
-            solved |= pick
-            batch *= 2
-            scan(*rays_corr._solve_triples(spec, *rays_corr._triples(
-                [(i[pick], k[pick], lo[pick], hi[pick])])))
+        # A pair's middle range holds every ray on it, so an adjacent middle
+        # index is tried where the range reaches it (once if k = i + 2).
+        outer = (i == 0) & (k == spec.d)
+        after = (lo == i + 1) & ~outer
+        before = (hi == k - 1) & (k > i + 2) & ~outer
+        i, j, k = rays_corr._triples([
+            (i[outer], k[outer], lo[outer], hi[outer]),
+            (i[after], k[after], lo[after], lo[after]),
+            (i[before], k[before], hi[before], hi[before])])
+        for t in range(0, len(j), rays_corr._BLOCK_CANDIDATES):
+            rows = slice(t, t + rays_corr._BLOCK_CANDIDATES)
+            scan(*rays_corr._solve_triples(spec, i[rows], j[rows], k[rows]))
     if np.isinf(lows).any():
         raise EmptyRaySet("risk scan over an empty ray collection")
     return [(int(low), int(high)) for low, high in zip(lows, highs)]
-
-
-# Slack of the outer-pair bounds on a mass or a cdf, scaled by d**2. A
-# mass of rays_corr._solve_triples is a Cramer numerator of at most
-# 3*d**2 in magnitude, rounded in three operations (at most 7*u*d**2,
-# u = 2**-53), divided by an exact integer and normalised by a correctly
-# rounded sum within three such errors of one: within 34*u*d**2 of the
-# exact mass, and a two-mass cdf within 69*u*d**2. The expressions of
-# _outer_masses are within 13*u*d**2. The slack, 512*u*d**2, is over six
-# times their sum at every d the key limit admits.
-_PAIR_SLACK = 2.0**-44
-
-
-def _outer_masses(spec: ClassSpec, i: np.ndarray, k: np.ndarray):
-    """``mass_i(j)`` and ``mass_k(j)`` of the triples ``(i, j, k)`` on
-    the outer pairs ``(i, k)``, and the real ``j`` at which each takes a
-    value ``v``.
-
-    With ``C = (m - i)(k - m) - s2`` for ``s2 = M - m**2``, the masses
-    of the triple are
-
-        mass_i = (k - m)/(k - i) - C/((j - i)(k - i))
-        mass_j = C/((j - i)(k - j))
-        mass_k = (m - i)/(k - i) - C/((k - i)(k - j))
-
-    so ``mass_i`` and ``mass_k`` are monotone in ``j`` for ``i < j <
-    k``, in opposite directions, whatever the sign of ``C``, and their
-    extrema over a range of ``j`` lie at its ends. Evaluated in float,
-    each stays monotone in ``j``: the denominator is an exact integer,
-    and every operation is correctly rounded.
-    """
-    m = spec.mean_count
-    c = (m - i) * (k - m) - (spec.second_moment_target - m * m)
-    top_i, top_k = (k - m) / (k - i), (m - i) / (k - i)
-
-    def mass_i(j):
-        return top_i - c / ((j - i) * (k - i)).astype(float)
-
-    def mass_k(j):
-        return top_k - c / ((k - i) * (k - j)).astype(float)
-
-    def at_i(v):
-        return i + c / ((k - i) * (top_i - v))
-
-    def at_k(v):
-        return k - c / ((k - i) * (top_k - v))
-
-    return mass_i, mass_k, at_i, at_k
-
-
-def _index(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """``x`` clipped to ``[low, high]``, or ``low`` where it is not
-    finite, as indices."""
-    x = np.maximum(np.where(np.isfinite(x), x, low), low)
-    return np.minimum(x, high).astype(np.int64)
-
-
-def _first(holds, x, low, high):
-    """A floor under the first index of ``[low, high]`` where the test
-    ``holds``, monotone in the index, passes, where it fails at ``low``
-    and passes at ``high``: ``ceil(x)`` for the real crossing ``x`` when
-    the test fails just below it, else ``low + 1``."""
-    guess = _index(np.ceil(x), low + 1, high)
-    return np.where(holds(guess - 1), low + 1, guess)
-
-
-def _last(holds, x, low, high):
-    """A ceiling over the last index of ``[low, high]`` where ``holds``
-    passes, where it passes at ``low`` and fails at ``high``: ``floor(x)``
-    when the test fails just above it, else ``high - 1``."""
-    guess = _index(np.floor(x), low, high - 1)
-    return np.where(holds(guess + 1), high - 1, guess)
-
-
-def _live_ranges(spec: ClassSpec, i, k, lo, hi):
-    """Each middle range ``[lo, hi]`` narrowed to the indices where
-    ``mass_i`` and ``mass_k`` can both be positive, within
-    ``_PAIR_SLACK * d**2``: a triple outside fails the keep test of
-    :func:`rays_corr._solve_triples`. A pair with no such index gets an
-    empty range."""
-    mass_i, mass_k, at_i, at_k = _outer_masses(spec, i, k)
-    slack = _PAIR_SLACK * float(spec.d) ** 2
-
-    def rising(j):
-        return mass_i(j) >= -slack
-
-    def falling(j):
-        return mass_k(j) >= -slack
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = np.where(rising(lo), lo, np.where(
-            rising(hi), _first(rising, at_i(-slack), lo, hi), hi + 1))
-        stop = np.where(falling(hi), hi, np.where(
-            falling(lo), _last(falling, at_k(-slack), lo, hi), lo - 1))
-    return start, stop
-
-
-def _pair_var_bounds(spec: ClassSpec, i, k, lo, hi, levels):
-    """A floor under and a ceiling over the VaR of every ray on each
-    outer pair ``(i, k)`` with its middle index in ``[lo, hi]``, with a
-    row per level of the column ``levels``.
-
-    A ray's VaR is ``i`` only if its ``mass_i`` can reach the level, at
-    most ``j`` only if its cdf ``1 - mass_k`` can, and ``k`` only if that
-    cdf can fall short of it, each within ``_PAIR_SLACK * d**2``. As
-    both masses are monotone in ``j`` (:func:`_outer_masses`), the first
-    test and the third need only the ends of the range, and the second
-    holds on a run that ends at ``lo`` or at ``hi``, whose other end
-    comes from the closed-form crossing (:func:`_first`, :func:`_last`).
-    """
-    mass_i, mass_k, at_i, at_k = _outer_masses(spec, i, k)
-    slack = _PAIR_SLACK * float(spec.d) ** 2
-    threshold = levels - CDF_TIE_TOL
-    i_lo, i_hi, k_lo, k_hi = mass_i(lo), mass_i(hi), mass_k(lo), mass_k(hi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The floor: i, else the first j whose cdf can reach the level,
-        # else k.
-        level = (1.0 - threshold) + slack
-
-        def covered(j):
-            return mass_k(j) <= level
-
-        floor = np.where(
-            np.maximum(i_lo, i_hi) >= threshold - slack, i,
-            np.where(k_lo <= level, lo, np.where(
-                k_hi <= level, _first(covered, at_k(level), lo, hi), k)))
-        # The ceiling: k, else the last j whose mass_i can stay below the
-        # level, else i.
-        level = threshold + slack
-
-        def short(j):
-            return mass_i(j) < level
-
-        ceiling = np.where(
-            np.maximum(k_lo, k_hi) > (1.0 - threshold) - slack, k,
-            np.where(i_hi < level, hi, np.where(
-                i_lo < level, _last(short, at_i(level), lo, hi), i)))
-    return floor, ceiling
 
 
 def _one_block(rays: Sequence[RayDensity]):
@@ -447,8 +307,8 @@ def es_envelope(
     """Proved class-wide expected-shortfall envelope ``[min VaR, d]``.
 
     ``source`` is either a ClassSpec (mean-only specs use the closed
-    form; correlation specs solve only the outer pairs that can reach a
-    VaR extremum, :func:`_var_extrema`) or an already enumerated ray
+    form; correlation specs solve only the rays that can attain a VaR
+    extremum, :func:`_var_extrema`) or an already enumerated ray
     sequence. The upper bound ``d`` is attained exactly
     when the source's VaR maximum is ``d``: a member's ES is ``d`` exactly
     when its VaR is, and ``P(S = d)`` is linear in the pmf.

@@ -219,3 +219,69 @@ def per_level_fold(blocks, alphas, es=True, tie_tol=1e-12):
                 best[2] = min(best[2], float(shortfall.min()))
                 best[3] = max(best[3], float(shortfall.max()))
     return found
+
+
+def exact_rays(d, m, big_m):
+    """Every ray of the class on ``{0..d}``, ``d >= 2``, with mean count
+    ``m`` and raw second moment ``big_m``, both :class:`Fraction`, as a
+    dict from support to exact masses.
+
+    Each mass of a triple is an integer numerator over a positive
+    integer, as in :func:`exact_ray_supports`. A ray of fewer than three
+    points solves every triple that holds its support, with zero mass on
+    the other points, so the triples alone find every ray.
+    """
+    q = math.lcm(m.denominator, big_m.denominator)
+    a, b = int(m * q), int(big_m * q)
+    rays = {}
+    for i, j, k in itertools.combinations(range(d + 1), 3):
+        nums = (
+            j * k * q - (j + k) * a + b,
+            -(i * k * q - (i + k) * a + b),
+            i * j * q - (i + j) * a + b,
+        )
+        if min(nums) >= 0:
+            dens = (q * (j - i) * (k - i), q * (j - i) * (k - j),
+                    q * (k - i) * (k - j))
+            rays[tuple(s for s, x in zip((i, j, k), nums) if x > 0)] = tuple(
+                Fraction(x, y) for x, y in zip(nums, dens) if x > 0)
+    return rays
+
+
+def adjacent_pair_family(support, d):
+    """Whether a ray's support is one the VaR extrema of a correlated
+    class are taken from: fewer than three points, two adjacent indices,
+    or the ends 0 and d."""
+    if len(support) < 3:
+        return True
+    i, j, k = support
+    return j == i + 1 or k == j + 1 or (i == 0 and k == d)
+
+
+def exact_var_extrema(d, m, big_m):
+    """Exact lower-quantile extrema over every ray of a class and over
+    the rays :func:`adjacent_pair_family` admits, at every level in
+    (0, 1) up to ties.
+
+    The levels are each distinct cdf a ray takes below one, a level
+    between each two neighbouring ones and one past each end, so every
+    level in (0, 1) orders against every ray cdf as one of them does.
+    A ray's quantile at a level is its first point whose cdf covers it.
+    Returns the levels and, per level, ``(min, max)`` over all rays and
+    over the family.
+    """
+    rays = exact_rays(d, m, big_m)
+    cdfs = {support: list(itertools.accumulate(masses[:-1]))
+            for support, masses in rays.items()}
+    ties = sorted({c for cdf in cdfs.values() for c in cdf})
+    edges = [Fraction(0), *ties, Fraction(1)]
+    levels = sorted([*ties, *((x + y) / 2 for x, y in zip(edges, edges[1:]))])
+    rank = {level: t for t, level in enumerate(levels)}
+    # A ray's quantile at level t is its point number n, for the n of its
+    # cdfs below the level: those whose rank is below t.
+    t = np.arange(len(levels))
+    values = np.array([np.array(support)[np.searchsorted(
+        [rank[c] for c in cdf], t)] for support, cdf in cdfs.items()])
+    chosen = values[[adjacent_pair_family(support, d) for support in cdfs]]
+    return (levels, list(zip(values.min(0), values.max(0))),
+            list(zip(chosen.min(0), chosen.max(0))))

@@ -2,8 +2,10 @@
 mean-constrained class, and the class-wide shortfall envelope."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bernrays import (
 )
 from bernrays.errors import BernraysError, EmptyRaySet, InvalidSpec
 from oracles import (
+    exact_var_extrema,
     mean_grid_pmfs,
     per_level_fold,
     random_mixture,
@@ -537,6 +540,23 @@ def lower_edge(d, p):
     return ClassSpec(d, p, rays_mean.correlation_bounds(ClassSpec(d, p))[0])
 
 
+def exact_classes(seed, count):
+    """Seeded classes with d up to 16 and rational moments of small
+    denominators: a mean count ``m`` in (0, d) and a raw second moment
+    from the mean class's floor to its ceiling ``m*d``, both ends
+    included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, 16)
+        scale = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
+        m = Fraction(rng.randint(1, d * scale - 1), scale)
+        j = m.numerator // m.denominator
+        floor = (2 * j + 1) * m - j * (j + 1)
+        steps = rng.choice([1, 2, 3, 4, 7, 12])
+        yield d, m, floor + (m * d - floor) * Fraction(
+            rng.randint(0, steps), steps)
+
+
 # Integer-mean lower edges whose enumeration keeps three-point rows from
 # Cramer cancellation, where theory gives the point ray alone.
 CRAMER_CLASSES = [lower_edge(433, 385 / 433), lower_edge(576, 563 / 576)]
@@ -560,8 +580,9 @@ def small_classes(draw):
 
 
 class TestVarExtrema:
-    """VaR extrema from the outer pairs that can reach them, against the
-    streamed fold over every ray."""
+    """VaR extrema from the rays whose support holds two adjacent indices
+    or spans {0, d}, against the streamed fold over every ray and, in
+    exact arithmetic, against every ray."""
 
     def test_equal_the_streamed_fold_on_seeded_classes(self):
         rng = np.random.default_rng(241)
@@ -592,27 +613,33 @@ class TestVarExtrema:
         assume(all(0.0 < alpha < 1.0 for alpha in alphas))
         assert risk._var_extrema(spec, alphas) == streamed_var(spec, alphas)
 
-    @given(st.integers(0, 40), st.integers(1, 40), st.data())
-    def test_crossings_never_pass_the_run(self, low, width, data):
-        # The closed-form crossing may be off, not finite or anywhere: the
-        # bound stays inside the range and never passes the run's end,
-        # and is that end when the crossing is right.
-        high = low + width
-        ends = (np.array([low]), np.array([high]))
-        first = data.draw(st.integers(low + 1, high), label="first")
-        x = data.draw(st.one_of(st.floats(), st.floats(first - 1, first)),
-                      label="x")
-        got = risk._first(lambda j: j >= first, np.array([x]), *ends)[0]
-        assert low + 1 <= got <= first
-        if first - 1 < x <= first:
-            assert got == first
-        last = data.draw(st.integers(low, high - 1), label="last")
-        x = data.draw(st.one_of(st.floats(), st.floats(last, last + 1)),
-                      label="x")
-        got = risk._last(lambda j: j <= last, np.array([x]), *ends)[0]
-        assert last <= got <= high - 1
-        if last <= x < last + 1:
-            assert got == last
+    def test_adjacent_pair_rays_hold_every_exact_extremum(self):
+        # In exact arithmetic, at every level up to ties, the VaR extrema
+        # over every ray are those over the rays _var_extrema solves.
+        checks = 0
+        for d, m, big_m in exact_classes(263, 250):
+            levels, every, family = exact_var_extrema(d, m, big_m)
+            assert every == family, (d, m, big_m)
+            checks += len(levels)
+        assert checks > 10_000
+
+    def test_solve_at_most_six_triples_per_index(self, monkeypatch):
+        # The candidate triples of a class number O(d**3); the rays that
+        # can attain a VaR extremum, O(d).
+        solved = []
+        solve = rays_corr._solve_triples
+
+        def counted(spec, i, j, k):
+            solved[-1] += len(j)
+            return solve(spec, i, j, k)
+
+        monkeypatch.setattr(rays_corr, "_solve_triples", counted)
+        specs = [*var_classes(241, 220, 400), *CRAMER_CLASSES,
+                 *(tied_class(*case) for case in TIED_CLASSES)]
+        for spec in specs:
+            solved.append(0)
+            risk._var_extrema(spec, FOLD_ALPHAS)
+            assert solved[-1] <= 6 * (spec.d + 1), spec
 
     @pytest.mark.parametrize("cap", [1, 4096])
     def test_refuse_exactly_what_the_sweep_refuses(self, monkeypatch, cap):
