@@ -8,23 +8,26 @@ flags to bytes: ``_resolve`` turns the class flags into a
 :class:`~bernrays.pmf.ClassSpec`, a row builder makes raw rows,
 ``_render`` serializes them and ``_emit`` or ``_write`` sends the text
 to stdout or a file. Only ``rays`` holds a whole ray set, which
-``_enumerate_cached`` gets by way of the cache; ``bounds`` folds its
-class in streamed blocks. ``sweep`` and ``reproduce``'s correlated
-tables carry only VaR, which ``risk._var_extrema`` finds from the O(d)
-rays whose support holds two adjacent indices or spans ``{0, d}``, so no
-command but ``rays`` uses ``--cache``:
-the others accept it and leave it alone. Outputs are byte-deterministic
-for a given invocation: fixed float formats, LF line endings, sorted
-JSON keys, and no timestamps.
+``_enumerate_cached`` gets by way of the cache. ``bounds`` folds a mean
+class in streamed blocks and takes a correlated one's values from the
+outer pairs that can hold an extremum (``risk._class_bounds``).
+``sweep`` and ``reproduce``'s correlated tables carry only VaR, which
+``risk._var_extrema`` finds from the O(d) rays whose support holds two
+adjacent indices or spans ``{0, d}``, so no command but ``rays`` uses
+``--cache``: the others accept it and leave it alone. Outputs are
+byte-deterministic for a given invocation: fixed float formats, LF line
+endings, sorted JSON keys, and no timestamps.
 
 The module top loads only the standard library, click, ``errors`` and
 ``_reference_tables``; each library module, and numpy with it, loads at
 the first call into it. So ``--version``, ``--help`` and a flag refused
-before the class is built start without numpy. The first command a
-process runs registers ``gc.freeze`` as an exit handler, so the
-interpreter's collections at exit skip the objects those imports left;
-code that runs commands in process keeps its collector as it was until
-its own exit.
+before the class is built start without numpy. click and numpy load
+with the collector paused (``_loading``), as an import leaves almost
+nothing for it to free, and the command's work runs with the caller's
+collector. The first command a process runs registers ``gc.freeze`` as
+an exit handler, so the interpreter's collections at exit skip the
+objects those imports left; code that runs commands in process keeps
+its collector as it was until its own exit.
 
 Exit codes: 0 success, 2 infeasible or invalid input or an output
 directory, or the cache directory of ``rays``, that cannot be written,
@@ -34,6 +37,7 @@ directory, or the cache directory of ``rays``, that cannot be written,
 from __future__ import annotations
 
 import atexit
+import contextlib
 import gc
 import io
 import os
@@ -43,6 +47,21 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+
+@contextlib.contextmanager
+def _loading():
+    """Pause the collector while modules load, then restore the caller's
+    state: an import leaves almost nothing for it to free, yet its
+    allocations would trigger collections that walk everything loaded."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # The library's BLAS calls are a few tiny products, yet OpenBLAS starts
 # a worker thread per core when numpy loads, and in a short command
 # that thread burns CPU spinning. numpy loads at the command's first
@@ -51,7 +70,8 @@ from typing import TYPE_CHECKING
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import click
+with _loading():
+    import click
 
 from . import __version__, enumerate_rays
 from . import _reference_tables as ref
@@ -204,31 +224,26 @@ def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
 
 def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
     """One row per level of the risk bounds over the rays of ``spec``,
-    with the benchmark's VaR for a correlated class. The rays are folded
-    in streamed blocks, which never hold the whole set at once."""
+    with the benchmark's VaR for a correlated class. A mean class is
+    folded in streamed blocks; a correlated one solves only the outer
+    pairs that can hold an extremum (``risk._class_bounds``)."""
     from . import pmf, rays_corr, rays_mean, risk
 
     # A refused class fails here, before any level is checked.
-    blocks = (rays_mean if spec.rho is None else rays_corr)._ray_blocks(spec)
-    betas = [None] * len(alphas)
-    if spec.rho is not None:
-        # Faults surface level by level: the first level's range, then
-        # the benchmark's, then the other levels'.
-        pmf._check_open_unit(alphas[0], "alpha")
-        betas = _beta_vars(spec, alphas)
-    rows = []
-    for alpha, bounds, beta in zip(alphas, risk._fold(blocks, alphas), betas):
-        row = {
-            "alpha": alpha,
-            "var_min": bounds.var_min,
-            "var_max": bounds.var_max,
-            "es_min": bounds.es_min,
-            "es_max": bounds.es_max,
-        }
-        if spec.rho is not None:
-            row["beta_var"] = beta
-        rows.append(row)
-    return rows
+    if spec.rho is None:
+        blocks = rays_mean._ray_blocks(spec)
+        return [dict(zip(BOUNDS_COLUMNS, (alpha, bounds.var_min,
+                                          bounds.var_max, bounds.es_min,
+                                          bounds.es_max)))
+                for alpha, bounds in zip(alphas, risk._fold(blocks, alphas))]
+    ranges = rays_corr._capped_ranges(spec)
+    # Faults surface level by level: the first level's range, then the
+    # benchmark's, then the other levels'.
+    pmf._check_open_unit(alphas[0], "alpha")
+    betas = _beta_vars(spec, alphas)
+    found = risk._class_bounds(spec, ranges, alphas)
+    return [dict(zip(BOUNDS_BETA_COLUMNS, (alpha, *values, beta)))
+            for alpha, values, beta in zip(alphas, found, betas)]
 
 
 def _sweep_grid(n: int) -> list[float]:
@@ -290,7 +305,8 @@ def _scenario_tables(scenario: str, p: float):
     per-rho table is the sweep rows at its rho and every class is
     solved once.
     """
-    from .pmf import ClassSpec
+    with _loading():
+        from .pmf import ClassSpec
 
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
@@ -421,7 +437,8 @@ def _resolve(
     alphas = _parse_alphas(alpha_text) if alpha_text is not None else ()
     p = p if p is not None else ref.SCENARIOS[scenario]
     # Imported after the flag checks: a refused flag loads no numpy.
-    from .pmf import ClassSpec
+    with _loading():
+        from .pmf import ClassSpec
 
     return ClassSpec(d, p, rho), alphas
 

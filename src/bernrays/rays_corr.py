@@ -20,14 +20,13 @@ middle indices that the outer pair admits, in O(d^2 + n) for ``n`` rays.
 
 Distinct triples carry distinct three-point supports, so no two rows
 share a support and nothing is merged. The sweep solves its triples in
-blocks of whole lower indices, which can go straight to a scan:
-:func:`risk._fold` takes the blocks of :func:`_ray_blocks` one at a time
-and never holds the whole set, while :func:`enumerate_rays` gathers the
-same blocks into one sorted :class:`RaySet`. VaR extrema alone need only
-the O(d) rays whose support holds two adjacent indices or spans
-``{0, d}`` (Kwerel, *JASA* 70, 1975; Prekopa, *Discrete Appl. Math.* 27,
-1990), which :func:`risk._var_extrema` takes from the same ranges
-(:func:`_capped_ranges`).
+blocks of whole lower indices, which :func:`enumerate_rays` gathers into
+one sorted :class:`RaySet`. The risk extrema need far fewer rays, taken
+from the same ranges (:func:`_capped_ranges`): VaR only the O(d) rays
+whose support holds two adjacent indices or spans ``{0, d}`` (Kwerel,
+*JASA* 70, 1975; Prekopa, *Discrete Appl. Math.* 27, 1990), and ES only
+the outer pairs whose closed-form bounds can still move an extremum
+(:func:`risk._extrema`).
 """
 
 from __future__ import annotations
@@ -341,14 +340,6 @@ def _row_blocks(spec: ClassSpec):
     all, at the call, by the sweep's gate before any per-index array."""
     blocks = _sweep_blocks(spec)
     return itertools.chain([_matching_mean_rays(spec)], blocks)
-
-
-def _ray_blocks(spec: ClassSpec):
-    """The rays of :func:`enumerate_rays` as checked :class:`RaySet`
-    blocks, in no set order, without ever holding the whole set. The
-    class is refused as :func:`enumerate_rays` refuses it, at the
-    call."""
-    return (RaySet._owning(spec, *rows) for rows in _row_blocks(spec))
 
 
 def enumerate_rays(spec: ClassSpec) -> RaySet:

@@ -3,14 +3,16 @@
 Value-at-risk extrema over a class are attained on its extremal rays,
 so a scan over the enumeration is exact. One fold scans blocks of rays
 for every confidence level at once; the whole enumeration is one such
-block, and a class's streamed blocks give the same bits without ever
-being held at once. What does not depend on the level is done once per
-block: each ray's cdf at its second point and its shortfall for each
-column its VaR can take. A level then costs two threshold tests and a
-select per ray. For the mean-constrained class
-the scan collapses to a closed form in (d, p, alpha); for the correlated
-class VaR needs only the O(d) rays whose support holds two adjacent
-indices or spans {0, d} (:func:`_var_extrema`). Expected-shortfall
+block, and a mean class's streamed blocks give the same bits without
+ever being held at once. What does not depend on the level is done once
+per block: each ray's cdf at its second point and its shortfall for
+each column its VaR can take. A level then costs two threshold tests
+and a select per ray. For the mean-constrained class the scan collapses
+to a closed form in (d, p, alpha). A correlated class is never folded
+whole: VaR needs only the O(d) rays whose support holds two adjacent
+indices or spans {0, d}, and ES only the outer pairs whose closed-form
+bounds can still move an extremum (:func:`_extrema`), with the fold's
+values bit for bit. Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
 ray extrema reproduce the bundled reference tables, the envelope is the bound
@@ -171,24 +173,55 @@ def _fold(
     ]
 
 
+def _levels(alphas: Sequence[float]) -> np.ndarray:
+    """The checked levels as a column: one row per level, against which
+    every per-ray or per-pair array broadcasts."""
+    return np.array([_check_open_unit(alpha, "alpha")
+                     for alpha in alphas]).reshape(-1, 1)
+
+
 def _var_extrema(
     spec: ClassSpec, alphas: Sequence[float]
 ) -> list[tuple[int, int]]:
     """``(var_min, var_max)`` of a correlated class at each level: the
     values of :func:`_fold` over its rays, from the O(d) rays that can
     attain an extremum. The class is refused as
-    :func:`rays_corr._sweep_blocks` refuses it, at the call, and the
-    levels are checked next. The matching mean rows are scanned in full,
-    and the three-point rays whose support holds two adjacent indices or
-    spans ``{0, d}`` in slices of ``rays_corr._BLOCK_CANDIDATES``
-    triples, each decided as :func:`_fold` decides it.
+    :func:`rays_corr._capped_ranges` refuses it, at the call, and the
+    levels are checked next (:func:`_extrema`)."""
+    found = _extrema(spec, rays_corr._capped_ranges(spec), _levels(alphas))
+    return [(int(low), int(high)) for low, high in found[:2].T]
 
-    These rays hold every extremum. ``var_max - 1`` is the last ``t``
-    with ``min P(S <= t) < alpha`` over the class, and ``var_min`` the
-    first with ``max P(S <= t) >= alpha``: linear programs with three
-    equality rows, optimal on a basis of three points that holds its
-    ray's support. The basis's dual quadratic ``q`` lies on one side of
-    the step ``1[j <= t]`` and meets it on the basis (Kwerel, *JASA* 70,
+
+def _class_bounds(
+    spec: ClassSpec, ranges: list, alphas: Sequence[float]
+) -> list[tuple[int, int, float, float]]:
+    """``(var_min, var_max, es_min, es_max)`` of a correlated class at
+    each level, the values of :func:`_fold` over its rays bit for bit,
+    from its ``ranges`` (:func:`rays_corr._capped_ranges`); the levels
+    are checked first."""
+    found = _extrema(spec, ranges, _levels(alphas), es=True)
+    return [(int(lo), int(hi), float(es_lo), float(es_hi))
+            for lo, hi, es_lo, es_hi in found.T]
+
+
+def _extrema(
+    spec: ClassSpec, ranges: list, levels: np.ndarray, es: bool = False
+) -> np.ndarray:
+    """Rows ``var_min``, ``var_max`` and, with ``es``, ``es_min`` and
+    ``es_max`` of a correlated class, a column per level, from the rays
+    that can attain them. Every ray scanned is a ray of the class,
+    decided as :func:`_fold` decides it, so each extremum is the fold's
+    once the rays that attain it are among them.
+
+    The matching mean rows are scanned in full, and the three-point rays
+    whose support holds two adjacent indices or spans ``{0, d}`` in
+    slices of ``rays_corr._BLOCK_CANDIDATES`` triples. These hold every
+    VaR extremum. ``var_max - 1`` is the last ``t`` with
+    ``min P(S <= t) < alpha`` over the class, and ``var_min`` the first
+    with ``max P(S <= t) >= alpha``: linear programs with three equality
+    rows, optimal on a basis of three points that holds its ray's
+    support. The basis's dual quadratic ``q`` lies on one side of the
+    step ``1[j <= t]`` and meets it on the basis (Kwerel, *JASA* 70,
     1975; Prekopa, *Discrete Appl. Math.* 27, 1990). Two points on one
     level have ``q`` on the wrong side of it strictly between them, so
     they are neighbours, or strictly outside them, so they are that
@@ -196,21 +229,37 @@ def _var_extrema(
     step. A basis on one level makes ``q`` constant: every ray on that
     side holds the extremum, among them the ray of least third moment,
     whose cubic dual puts two of its points next to each other.
+
+    ES is no linear objective, so with ``es`` every outer pair gets a
+    floor under the ES of its rays and a ceiling over it
+    (:func:`_pair_shortfall_bounds`). Then, best bound first, the pairs
+    whose bound still beats a running extremum are solved; the triples a
+    level may solve per extremum and round double, so a bound that many
+    pairs share costs a few rounds.
     """
-    ranges = rays_corr._capped_ranges(spec)
-    # One row per level; every array below broadcasts against it.
-    levels = np.array([_check_open_unit(alpha, "alpha")
-                       for alpha in alphas]).reshape(-1, 1)
-    lows, highs = np.full(len(levels), np.inf), np.full(len(levels), -np.inf)
+    # Rows var_min, var_max, es_min and es_max.
+    found = np.tile([[math.inf], [-math.inf]], (2, len(levels)))
 
-    def scan(support, masses):
-        if len(support):
-            rays = RaySet._owning(spec, support, masses)
-            values = _quantiles(rays, _second_cdf(rays), levels)[0]
-            np.minimum(lows, values.min(axis=1), out=lows)
-            np.maximum(highs, values.max(axis=1), out=highs)
+    def scan(i, j, k):
+        for t in range(0, len(j), rays_corr._BLOCK_CANDIDATES):
+            rows = slice(t, t + rays_corr._BLOCK_CANDIDATES)
+            scan_rows(*rays_corr._solve_triples(spec, i[rows], j[rows],
+                                                k[rows]))
 
-    scan(*rays_corr._matching_mean_rays(spec))
+    def scan_rows(support, masses):
+        if not len(support):
+            return
+        rays = RaySet._owning(spec, support, masses)
+        values, first, second = _quantiles(rays, _second_cdf(rays), levels)
+        np.minimum(found[0], values.min(axis=1), out=found[0])
+        np.maximum(found[1], values.max(axis=1), out=found[1])
+        if es:
+            at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
+            shortfall = np.where(first, at0, np.where(second, at1, at2))
+            np.minimum(found[2], shortfall.min(axis=1), out=found[2])
+            np.maximum(found[3], shortfall.max(axis=1), out=found[3])
+
+    scan_rows(*rays_corr._matching_mean_rays(spec))
     if ranges:
         i, k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
         # A pair's middle range holds every ray on it, so an adjacent middle
@@ -218,16 +267,197 @@ def _var_extrema(
         outer = (i == 0) & (k == spec.d)
         after = (lo == i + 1) & ~outer
         before = (hi == k - 1) & (k > i + 2) & ~outer
-        i, j, k = rays_corr._triples([
+        scan(*rays_corr._triples([
             (i[outer], k[outer], lo[outer], hi[outer]),
             (i[after], k[after], lo[after], lo[after]),
-            (i[before], k[before], hi[before], hi[before])])
-        for t in range(0, len(j), rays_corr._BLOCK_CANDIDATES):
-            rows = slice(t, t + rays_corr._BLOCK_CANDIDATES)
-            scan(*rays_corr._solve_triples(spec, i[rows], j[rows], k[rows]))
-    if np.isinf(lows).any():
+            (i[before], k[before], hi[before], hi[before])]))
+        if es:
+            floors, ceilings, lo, hi = _pair_shortfall_bounds(
+                spec, i, k, lo, hi, levels)
+            # Both extrema take the least bound first: a ceiling and the
+            # running maximum are negated.
+            bounds = (floors, -ceilings)
+            orders = [np.argsort(bound, axis=1) for bound in bounds]
+            ranked = [np.take_along_axis(bound, order, axis=1)
+                      for bound, order in zip(bounds, orders)]
+            width = hi - lo + 1
+            solved = np.zeros(len(i), dtype=bool)
+            # A level's first round takes up to about a third of a slice
+            # of triples per extremum.
+            budget = rays_corr._BLOCK_CANDIDATES // 6
+            while True:
+                pick = np.zeros(len(i), dtype=bool)
+                for rank, order, best in zip(ranked, orders,
+                                             (found[2], -found[3])):
+                    for level, value in enumerate(best):
+                        beats = order[level, :np.searchsorted(rank[level],
+                                                              value)]
+                        beats = beats[~solved[beats]]
+                        pick[beats[:np.searchsorted(
+                            np.cumsum(width[beats]), budget) + 1]] = True
+                if not pick.any():
+                    break
+                solved |= pick
+                budget *= 2
+                pick = np.flatnonzero(pick)
+                # Pairs of about _BLOCK_CANDIDATES triples at a time.
+                total = np.cumsum(width[pick])
+                for part in np.split(pick, np.searchsorted(total, np.arange(
+                        rays_corr._BLOCK_CANDIDATES, total[-1],
+                        rays_corr._BLOCK_CANDIDATES))):
+                    scan(*rays_corr._triples(
+                        [(i[part], k[part], lo[part], hi[part])]))
+    if np.isinf(found[0]).any():
         raise EmptyRaySet("risk scan over an empty ray collection")
-    return [(int(low), int(high)) for low, high in zip(lows, highs)]
+    return found
+
+
+# Slack of the outer-pair bounds, scaled by d**2 on a mass or a cdf and
+# by d**3 on a shortfall. A mass of rays_corr._solve_triples is a Cramer
+# numerator of at most 3*d**2 in magnitude, rounded in three operations
+# (at most 7*u*d**2, u = 2**-53), divided by an exact integer and
+# normalised by a correctly rounded sum within three such errors of one:
+# within 34*u*d**2 of the exact mass, and a two-mass cdf within
+# 69*u*d**2. The expressions of _outer_masses are within 13*u*d**2. A
+# ray's shortfall (_tail_shortfalls) is then within 224*u*d**3 of the
+# mean at column 0 and of k at column 2. At column 1 mass_i is below the
+# threshold t = alpha - CDF_TIE_TOL, and the shortfall and the float
+# value of (m - i*mass_i)/(1 - mass_i) are together within
+# 148*u*d**3/room of its exact value, for room = 1 - t - slack. The
+# slack, 512*u, is over twice each.
+_PAIR_SLACK = 2.0**-44
+
+
+def _outer_masses(spec: ClassSpec, i: np.ndarray, k: np.ndarray):
+    """``C`` and, for the triples ``(i, j, k)`` on the outer pairs
+    ``(i, k)``, ``mass_i(j)`` and ``mass_k(j)`` and the real ``j`` at
+    which each takes a value ``v``.
+
+    With ``C = (m - i)(k - m) - s2`` for ``s2 = M - m**2``, the masses
+    of the triple are
+
+        mass_i = (k - m)/(k - i) - C/((j - i)(k - i))
+        mass_j = C/((j - i)(k - j))
+        mass_k = (m - i)/(k - i) - C/((k - i)(k - j))
+
+    so ``mass_i`` and ``mass_k`` are monotone in ``j`` for ``i < j <
+    k``, in opposite directions; for ``C > 0`` ``mass_i`` rises. In
+    float each stays monotone in ``j``: the denominator is an exact
+    integer, and every operation is correctly rounded.
+    """
+    m = spec.mean_count
+    c = (m - i) * (k - m) - (spec.second_moment_target - m * m)
+    top_i, top_k = (k - m) / (k - i), (m - i) / (k - i)
+
+    def mass_i(j):
+        return top_i - c / ((j - i) * (k - i)).astype(float)
+
+    def mass_k(j):
+        return top_k - c / ((k - i) * (k - j)).astype(float)
+
+    def at_i(v):
+        return i + c / ((k - i) * (top_i - v))
+
+    def at_k(v):
+        return k - c / ((k - i) * (top_k - v))
+
+    return c, mass_i, mass_k, at_i, at_k
+
+
+def _first(holds, x, lo, hi):
+    """A floor under the first index of ``[lo, hi]`` where ``holds``, a
+    test that fails and then passes as the index rises, passes:
+    ``ceil(x)`` for a guess ``x`` at the crossing where the test fails
+    just below it, else ``lo``; ``hi + 1`` where it fails throughout."""
+    with np.errstate(invalid="ignore"):
+        guess = np.clip(np.where(np.isnan(x), lo, np.ceil(x)), lo, hi + 1)
+    guess = guess.astype(np.int64)
+    return np.where((guess > lo) & holds(np.maximum(guess - 1, lo)),
+                    lo, guess)
+
+
+def _last(holds, x, lo, hi):
+    """A ceiling over the last index of ``[lo, hi]`` where ``holds``, a
+    test that passes and then fails as the index rises, passes: the
+    mirror of :func:`_first`, ``lo - 1`` where it fails throughout."""
+    with np.errstate(invalid="ignore"):
+        guess = np.clip(np.where(np.isnan(x), hi, np.floor(x)), lo - 1, hi)
+    guess = guess.astype(np.int64)
+    return np.where((guess < hi) & holds(np.minimum(guess + 1, hi)),
+                    hi, guess)
+
+
+def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
+    """A floor under and a ceiling over the ES of every ray on each
+    outer pair ``(i, k)`` with its middle index in ``[lo, hi]``, a row
+    per level of the column ``levels``, and each range narrowed to the
+    indices where ``mass_i`` and ``mass_k`` can both be positive.
+
+    A ray's VaR takes column 0 only if its ``mass_i`` can reach the
+    level, column 2 only if its cdf ``1 - mass_k`` can fall short of it,
+    and column 1 only on the indices where ``mass_i`` can stay below the
+    level and the cdf can reach it, each within ``_PAIR_SLACK * d**2``.
+    Its ES is then the mean, ``(m - i*mass_i)/(1 - mass_i)`` or ``k``,
+    within ``_PAIR_SLACK * d**3`` (more at column 1 near a level of one).
+    The middle expression is monotone in ``mass_i``, and ``mass_i`` rises
+    with ``j`` where ``C > 0`` (:func:`_outer_masses`), so each bound
+    needs only the ends of an index range, which come from closed-form
+    crossings (:func:`_first`, :func:`_last`). A pair no ray can lie on
+    gets an empty range and the bounds ``inf`` and ``-inf``. A pair with
+    ``C <= 0``, whose middle mass is not positive in exact arithmetic,
+    keeps its range and gets ``-inf`` and ``inf``, so it is solved.
+    """
+    m = spec.mean_count
+    d = float(spec.d)
+    slack, es_slack = _PAIR_SLACK * d**2, _PAIR_SLACK * d**3
+    c, mass_i, mass_k, at_i, at_k = _outer_masses(spec, i, k)
+    rising = c > 0
+    floors, ceilings = np.empty((2, len(levels), len(i)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi = (
+            np.where(rising, _first(lambda j: mass_i(j) >= -slack,
+                                    at_i(-slack), lo, hi), lo),
+            np.where(rising, _last(lambda j: mass_k(j) >= -slack,
+                                   at_k(-slack), lo, hi), hi))
+        live = lo <= hi
+        # An empty range is evaluated at a middle index of its pair, and
+        # no column is reached there.
+        ends = np.where(live, lo, i + 1), np.where(live, hi, i + 1)
+        i_top, k_top = mass_i(ends[1]), mass_k(ends[0])
+        # One level at a time, so the working arrays do not grow with
+        # the number of levels.
+        for row, level in enumerate(levels[:, 0]):
+            threshold = level - CDF_TIE_TOL
+            short = (1.0 - threshold) + slack
+            # Column 1 holds from the first index where mass_k is short of
+            # 1 - alpha to the last where mass_i is below alpha.
+            start = _first(lambda j: mass_k(j) <= short, at_k(short), *ends)
+            stop = _last(lambda j: mass_i(j) < threshold + slack,
+                         at_i(threshold + slack), *ends)
+            w_hi = np.minimum(mass_i(np.maximum(stop, ends[0])) + slack,
+                              threshold + slack)
+            w_lo = np.minimum(mass_i(np.minimum(start, ends[1])) - slack,
+                              w_hi)
+            room = 1.0 - threshold - slack
+            if room > 0:
+                f_lo, f_hi = ((m - i * w) / (1.0 - w) for w in (w_lo, w_hi))
+                mid = (np.minimum(f_lo, f_hi) - es_slack / room,
+                       np.minimum(np.maximum(f_lo, f_hi), k)
+                       + es_slack / room)
+            else:
+                mid = -np.inf, np.inf
+            reach = [live & r for r in (
+                i_top >= threshold - slack, start <= stop,
+                k_top > (1.0 - threshold) - slack)]
+            floors[row] = np.where(rising, np.minimum.reduce([
+                np.where(reach[0], m - es_slack, np.inf),
+                np.where(reach[1], mid[0], np.inf),
+                np.where(reach[2], k - es_slack, np.inf)]), -np.inf)
+            ceilings[row] = np.where(rising, np.maximum.reduce([
+                np.where(reach[0], m + es_slack, -np.inf),
+                np.where(reach[1], mid[1], -np.inf),
+                np.where(reach[2], k + es_slack, -np.inf)]), np.inf)
+    return floors, ceilings, lo, hi
 
 
 def _one_block(rays: Sequence[RayDensity]):

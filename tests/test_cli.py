@@ -867,6 +867,59 @@ finally:
         assert (tmp_path / "exit").read_text() == "True"
 
 
+class TestLoading:
+    """Modules load with the collector paused; a command's work runs with
+    the caller's collector."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_command_keeps_the_callers_collector(self, monkeypatch,
+                                                   enabled):
+        seen = []
+        rows = cli._bounds_rows
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return rows(*args)
+
+        monkeypatch.setattr(cli, "_bounds_rows", watched)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(*BOUNDS_ARGV).exit_code == 0
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [enabled]
+
+    def test_loading_numpy_runs_one_collection_at_most(self):
+        # numpy loads at the first class a command builds: about 25
+        # collections without the pause, and after it at most the one
+        # its allocations have come to.
+        code = """
+import gc, sys
+from bernrays import cli
+starts = []
+gc.callbacks.append(lambda phase, info: starts.append(phase == "start"))
+cli._resolve(100, 0.5, None, None)
+print("numpy" in sys.modules, sum(starts) <= 1, gc.isenabled())
+"""
+        result = launch(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"True True True\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_importing_the_cli_keeps_the_callers_collector(self, enabled):
+        code = f"""
+import gc
+gc.{"enable" if enabled else "disable"}()
+import bernrays.cli
+print(gc.isenabled())
+"""
+        result = launch(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{enabled}\n".encode()
+
+
 class TestExitCodes:
     def test_usage_error_without_a_class(self):
         result = CliRunner().invoke(cli.main, ["bounds"])
@@ -1213,7 +1266,7 @@ class TestReproduce:
             monkeypatch.setattr(module, name, count)
 
         counting(rays_mean, "_ray_blocks")
-        counting(rays_corr, "_ray_blocks")
+        counting(risk, "_class_bounds")
         counting(risk, "_var_extrema")
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]

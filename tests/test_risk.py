@@ -3,6 +3,7 @@ mean-constrained class, and the class-wide shortfall envelope."""
 
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,6 +306,20 @@ def whole_set_bounds(rays, alpha):
                            first(lo), first(hi))
 
 
+def outer_pair_values(spec, alphas=FOLD_ALPHAS):
+    """The four value fields per level of a correlated class's outer-pair
+    path, with floats as their exact bits."""
+    found = risk._class_bounds(spec, rays_corr._capped_ranges(spec), alphas)
+    return [[lo, hi, es_lo.hex(), es_hi.hex()]
+            for lo, hi, es_lo, es_hi in found]
+
+
+def whole_set_values(rays, alphas):
+    """The four value fields per level of the fold over the whole set,
+    with floats as their exact bits."""
+    return [bits(bounds)[1:5] for bounds in risk._fold([rays], alphas)]
+
+
 def bits(bounds):
     """The fields of a RiskBounds, with floats as their exact bits."""
     return [x.hex() if isinstance(x, float) else x
@@ -421,15 +436,23 @@ class TestFold:
     """The one scan body, over blocks cut any way from a class's rays."""
 
     def test_streamed_blocks_fold_like_the_whole_set(self):
+        # A mean class folds its streamed blocks; a correlated class takes
+        # the outer-pair path, whose four values are the fold's.
         for spec in fold_classes(101, 200, 60):
             source = module_of(spec)
+            streamed = (rays_mean._ray_blocks if spec.rho is None
+                        else outer_pair_values)
             try:
                 rays = source.enumerate_rays(spec)
             except BernraysError as exc:
                 with pytest.raises(type(exc)):
-                    source._ray_blocks(spec)
+                    streamed(spec)
                 continue
-            blocks = list(source._ray_blocks(spec))
+            if spec.rho is not None:
+                assert outer_pair_values(spec) == whole_set_values(
+                    rays, FOLD_ALPHAS), spec
+                continue
+            blocks = list(streamed(spec))
             streamed = risk._fold(blocks, FOLD_ALPHAS)
             for alpha, got in zip(FOLD_ALPHAS, streamed):
                 want = whole_set_bounds(rays, alpha)
@@ -466,9 +489,9 @@ class TestFold:
         if spec.d <= 20:
             self.assert_any_cut_folds_alike(rays_corr.enumerate_rays(spec))
         rays = rays_corr.enumerate_rays(spec)
-        streamed = risk._fold(rays_corr._ray_blocks(spec), FOLD_ALPHAS)
-        assert [bits(b) for b in streamed] == [
-            bits(whole_set_bounds(rays, alpha)) for alpha in FOLD_ALPHAS]
+        assert outer_pair_values(spec) == [
+            bits(whole_set_bounds(rays, alpha))[1:5]
+            for alpha in FOLD_ALPHAS]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(adversarial_rows(), min_size=1, max_size=24),
@@ -501,7 +524,8 @@ class TestFold:
 
     def test_streamed_bounds_stay_far_below_the_whole_set(self):
         # Enumerating this class and then scanning it peaks at 34-37 MiB
-        # under tracemalloc; the streamed rows hold one block at a time.
+        # under tracemalloc; the outer pairs hold O(pairs) bounds and one
+        # slice of solved triples at a time.
         spec = ClassSpec(200, 0.294, 0.181)
         tracemalloc.start()
         try:
@@ -512,7 +536,7 @@ class TestFold:
         assert [(row["var_min"], row["var_max"], row["beta_var"])
                 for row in rows] == [(46, 176, 116), (62, 200, 133),
                                      (81, 200, 161)]
-        # About 5 MiB with blocks of 2**14 candidates.
+        # About 3 MiB (5 MiB when every ray was folded in blocks).
         assert peak < 12 * 2**20
 
 
@@ -562,10 +586,18 @@ def exact_classes(seed, count):
 CRAMER_CLASSES = [lower_edge(433, 385 / 433), lower_edge(576, 563 / 576)]
 
 
+def every_ray(spec):
+    """Every ray of a correlated class as checked blocks: the rows
+    ``enumerate_rays`` gathers, folded as they are drawn, so that a scan
+    of a large class never holds the whole set."""
+    return (rays_mean.RaySet._owning(spec, *rows)
+            for rows in rays_corr._row_blocks(spec))
+
+
 def streamed_var(spec, alphas):
-    """``(var_min, var_max)`` per level of the streamed fold."""
-    return [(b.var_min, b.var_max) for b in risk._fold(
-        rays_corr._ray_blocks(spec), alphas, es=False)]
+    """``(var_min, var_max)`` per level of the fold over every ray."""
+    return [(b.var_min, b.var_max)
+            for b in risk._fold(every_ray(spec), alphas, es=False)]
 
 
 @st.composite
@@ -674,6 +706,8 @@ class TestVarExtrema:
             streamed_var(spec, FOLD_ALPHAS)
         with pytest.raises(EmptyRaySet):
             risk._var_extrema(spec, FOLD_ALPHAS)
+        with pytest.raises(EmptyRaySet):
+            outer_pair_values(spec)
 
 
 class TestEnvelopeOfAClass:
@@ -715,3 +749,81 @@ class TestEnvelopeOfAClass:
                 tracemalloc.stop()
         assert found[0] == found[1] == (1e6, 1e6, True)
         assert peaks[1] <= peaks[0]
+
+
+class TestOuterPairBounds:
+    """The four value fields of a correlated class from the outer pairs
+    that can hold an extremum, against the fold over the whole set."""
+
+    def test_equal_the_whole_set_fold_on_seeded_classes(self):
+        rng = np.random.default_rng(271)
+        specs = [*var_classes(271, 220, 150), *CRAMER_CLASSES,
+                 *(tied_class(*case) for case in TIED_CLASSES)]
+        for spec in specs:
+            alphas = [*FOLD_ALPHAS, *rng.uniform(0.01, 0.999, 2).tolist()]
+            if spec.p < 0.5:
+                alphas.append(1.0 - spec.p)
+            assert outer_pair_values(spec, alphas) == whole_set_values(
+                rays_corr.enumerate_rays(spec), alphas), spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(degenerate_classes(), small_classes()), st.data())
+    def test_levels_on_and_next_to_ray_masses(self, spec, data):
+        # A level whose threshold lands on a ray's cdf at its first or
+        # second point, or an ulp or two from it.
+        rays = rays_corr.enumerate_rays(spec)
+        alphas = list(FOLD_ALPHAS)
+        for _ in range(data.draw(st.integers(1, 4), label="levels")):
+            row = data.draw(st.integers(0, len(rays) - 1), label="row")
+            cdf = rays.masses[row, 0]
+            if data.draw(st.booleans(), label="second point"):
+                cdf = cdf + rays.masses[row, 1]
+            shift = data.draw(st.integers(-2, 2), label="ulps")
+            alphas.append(nudged(float(cdf) + pmf.CDF_TIE_TOL, shift))
+        alphas = [alpha for alpha in alphas if 0.0 < alpha < 1.0]
+        assert outer_pair_values(spec, alphas) == whole_set_values(
+            rays, alphas)
+
+    def test_a_class_above_the_cap_in_time_and_memory(self, monkeypatch):
+        # The fold over the 31.7 million candidate triples of this class
+        # takes about 6 s and gives these bits; the outer pairs about
+        # 0.25 s and 33 MiB under tracemalloc.
+        monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 2**62)
+        spec = ClassSpec(1000, 0.266, 1 / 6)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            found = outer_pair_values(spec)
+            var = risk._var_extrema(spec, FOLD_ALPHAS)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == [
+            [206, 808, "0x1.09fffffffffffp+8", "0x1.9400000000001p+9"],
+            [248, 1000, "0x1.20b076fc76d65p+8", "0x1.f400000000001p+9"],
+            [366, 1000, "0x1.7698577048004p+8", "0x1.f400000000001p+9"]]
+        assert var == [tuple(values[:2]) for values in found]
+        assert elapsed < 5.0
+        assert peak < 64 * 2**20
+
+    def test_solve_a_tenth_of_the_candidates_of_dense_classes(
+        self, monkeypatch
+    ):
+        # Where some ray's VaR is at its first point, every such ray is
+        # solved, as the least bits of the mean decide es_min; on dense
+        # classes that is a few percent of the candidates (at most 6.4 %).
+        solved = []
+        solve = rays_corr._solve_triples
+
+        def counted(spec, i, j, k):
+            solved[-1] += len(j)
+            return solve(spec, i, j, k)
+
+        monkeypatch.setattr(rays_corr, "_solve_triples", counted)
+        for d in (200, 400):
+            for p, rho in ((0.266, 1 / 6), (0.25, 0.15), (0.5, 0.05)):
+                spec = ClassSpec(d, p, rho)
+                solved.append(0)
+                outer_pair_values(spec)
+                assert solved[-1] <= rays_corr.candidate_count(spec) / 10
