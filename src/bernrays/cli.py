@@ -21,13 +21,11 @@ endings, sorted JSON keys, and no timestamps.
 The module top loads only the standard library, click, ``errors`` and
 ``_reference_tables``; each library module, and numpy with it, loads at
 the first call into it. So ``--version``, ``--help`` and a flag refused
-before the class is built start without numpy. click and numpy load
-with the collector paused (``_loading``), as an import leaves almost
-nothing for it to free, and the command's work runs with the caller's
-collector. The first command a process runs registers ``gc.freeze`` as
-an exit handler, so the interpreter's collections at exit skip the
-objects those imports left; code that runs commands in process keeps
-its collector as it was until its own exit.
+before the class is built start without numpy. The first command a
+process runs registers ``gc.freeze`` as an exit handler, so the
+interpreter's collections at exit skip the objects those imports left;
+code that runs commands in process keeps its collector as it was until
+its own exit.
 
 Exit codes: 0 success, 2 infeasible or invalid input or an output
 directory, or the cache directory of ``rays``, that cannot be written,
@@ -37,7 +35,6 @@ directory, or the cache directory of ``rays``, that cannot be written,
 from __future__ import annotations
 
 import atexit
-import contextlib
 import gc
 import io
 import os
@@ -47,21 +44,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-
-@contextlib.contextmanager
-def _loading():
-    """Pause the collector while modules load, then restore the caller's
-    state: an import leaves almost nothing for it to free, yet its
-    allocations would trigger collections that walk everything loaded."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 # The library's BLAS calls are a few tiny products, yet OpenBLAS starts
 # a worker thread per core when numpy loads, and in a short command
 # that thread burns CPU spinning. numpy loads at the command's first
@@ -70,8 +52,7 @@ def _loading():
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-with _loading():
-    import click
+import click
 
 from . import __version__, enumerate_rays
 from . import _reference_tables as ref
@@ -305,8 +286,7 @@ def _scenario_tables(scenario: str, p: float):
     per-rho table is the sweep rows at its rho and every class is
     solved once.
     """
-    with _loading():
-        from .pmf import ClassSpec
+    from .pmf import ClassSpec
 
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
@@ -437,8 +417,7 @@ def _resolve(
     alphas = _parse_alphas(alpha_text) if alpha_text is not None else ()
     p = p if p is not None else ref.SCENARIOS[scenario]
     # Imported after the flag checks: a refused flag loads no numpy.
-    with _loading():
-        from .pmf import ClassSpec
+    from .pmf import ClassSpec
 
     return ClassSpec(d, p, rho), alphas
 

@@ -19,19 +19,22 @@ only those whose three masses are all positive; the sweep tries the
 middle indices that the outer pair admits, in O(d^2 + n) for ``n`` rays.
 
 Distinct triples carry distinct three-point supports, so no two rows
-share a support and nothing is merged. The sweep solves its triples in
-blocks of whole lower indices, which :func:`enumerate_rays` gathers into
-one sorted :class:`RaySet`. The risk extrema need far fewer rays, taken
-from the same ranges (:func:`_capped_ranges`): VaR only the O(d) rays
-whose support holds two adjacent indices or spans ``{0, d}`` (Kwerel,
-*JASA* 70, 1975; Prekopa, *Discrete Appl. Math.* 27, 1990), and ES only
-the outer pairs whose closed-form bounds can still move an extremum
-(:func:`risk._extrema`).
+share a support and nothing is merged. One rule and one constant cut
+all the work (:func:`_parts`, ``rays_mean._BLOCK_ROWS``): the sweep
+yields its outer pairs in chunks of whole lower indices and about
+``_BLOCK_ROWS`` pairs, which :func:`_capped_ranges` checks against the
+cap and joins, and :func:`_solved` solves the triples of any pair
+ranges at most ``_BLOCK_ROWS`` at a time. :func:`enumerate_rays` gathers
+the solved blocks into one sorted :class:`RaySet`. The risk extrema
+need far fewer rays, taken from the same ranges: VaR only the O(d) rays
+whose support holds two adjacent
+indices or spans ``{0, d}`` (Kwerel, *JASA* 70, 1975; Prekopa,
+*Discrete Appl. Math.* 27, 1990), and ES only the outer pairs whose
+closed-form bounds can still move an extremum (:func:`risk._extrema`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,10 +70,6 @@ _FEASIBILITY_TOL = 1e-12
 # by d**2: far above the float error of the mass numerators (about
 # 1e-16 * d**2) plus the ZERO_MASS_TOL keep-test (at most 1e-12 * d**2).
 _SWEEP_SLACK = 1e-9
-
-# Most candidate triples one block of the streamed sweep solves; its
-# working arrays then take about 2 MiB.
-_BLOCK_CANDIDATES = 2**14
 
 # Largest d whose packed support keys (i*(d+1) + j)*(d+1) + k, at most
 # (d+1)**3 - 1, fit in int64.
@@ -139,7 +138,8 @@ def _pair_ranges(spec: ClassSpec):
     packed support keys in :func:`enumerate_rays` would overflow int64,
     raises :class:`ClassTooLarge`.
 
-    Yields arrays ``(i, k, lo, hi)`` per lower index ``i``. Writing
+    Yields ``(4, n)`` arrays of rows ``i``, ``k``, ``lo`` and ``hi``,
+    one per chunk of whole lower indices (:func:`_parts`). Writing
     ``s2 = M - m**2``, the ``j`` mass has the sign of
     ``(m - i)(k - m) - s2``, and the other two are nonnegative exactly
     for ``j`` in ``[m - s2/(k - m), m + s2/(m - i)]``. The slack and the
@@ -188,10 +188,13 @@ def _pair_ranges(spec: ClassSpec):
         stop = np.where(past, k, stop)
         edge = np.where(past, edge, np.minimum(k + 1, stop))
     first, last = np.where(flip, index[2:], edge), np.where(flip, edge - 1, d)
-    for i in np.flatnonzero(first <= last):
-        k = np.arange(first[i], last[i] + 1)
-        yield (np.full(len(k), i), k, np.maximum(low[k], i + 1),
-               np.minimum(high[i], k - 1))
+    rows = np.flatnonzero(first <= last)
+    first, last = first[rows], last[rows]
+    for part in _parts(last - first + 1):
+        pair, k = _spans(first[part], last[part])
+        i = rows[part][pair]
+        yield np.stack([i, k, np.maximum(low[k], i + 1),
+                        np.minimum(high[i], k - 1)])
 
 
 def candidate_count(spec: ClassSpec) -> int:
@@ -199,7 +202,17 @@ def candidate_count(spec: ClassSpec) -> int:
     examines, in O(d log d) plus one step per admitted pair and O(d)
     memory; it refuses a class as :func:`enumerate_rays` does."""
     _require_corr(spec, "candidate_count")
-    return sum(_candidates(found) for found in _pair_ranges(spec))
+    return sum(_candidates(chunk) for chunk in _pair_ranges(spec))
+
+
+def _parts(sizes: np.ndarray) -> list[slice]:
+    """Slices that cut items of ``sizes`` into runs of about ``B =
+    rays_mean._BLOCK_ROWS`` in total: a run holds the items whose running
+    totals end in one interval ``(t*B, (t+1)*B]``, so only its first item
+    can take it past ``B``."""
+    run = (np.cumsum(sizes) - 1) // rays_mean._BLOCK_ROWS
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(sizes)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,57 +273,45 @@ def _solve_triples(
     return np.column_stack([x[live] for x in (i, j, k)]), masses
 
 
-def _capped_ranges(spec: ClassSpec) -> list:
-    """The output of :func:`_pair_ranges` as a list, once the candidate
-    triples it counts are known to be at most ``MAX_CANDIDATES``.
+def _capped_ranges(spec: ClassSpec) -> np.ndarray:
+    """The chunks of :func:`_pair_ranges` joined into one ``(4, n)``
+    array of rows ``i``, ``k``, ``lo`` and ``hi``, once the candidate
+    triples they count are known to be at most ``MAX_CANDIDATES``.
 
     The gate of :func:`_pair_ranges` and the cap refuse the class at the
     call, before any per-triple array is built: the cap at the first
-    lower index whose cumulative count passes it.
+    chunk whose cumulative count passes it.
     """
-    ranges, total = [], 0
-    for found in _pair_ranges(spec):
-        total += _candidates(found)
+    chunks, total = [np.empty((4, 0), np.int64)], 0
+    for chunk in _pair_ranges(spec):
+        total += _candidates(chunk)
         if total > MAX_CANDIDATES:
             raise ClassTooLarge(
                 f"class (d={spec.d}, p={spec.p:g}, rho={spec.rho:g}) needs "
                 f"more than {MAX_CANDIDATES} candidate triples"
             )
-        ranges.append(found)
-    return ranges
+        chunks.append(chunk)
+    return np.concatenate(chunks, axis=1)
 
 
-def _candidates(found) -> int:
-    """The candidate triples of one lower index's :func:`_pair_ranges`
-    output."""
-    return int((found[3] - found[2] + 1).sum())
+def _candidates(ranges: np.ndarray) -> int:
+    """The candidate triples of rows ``i``, ``k``, ``lo`` and ``hi``."""
+    return int((ranges[3] - ranges[2] + 1).sum())
 
 
-def _sweep_blocks(spec: ClassSpec):
-    """Support and mass rows of the three-point rays of the sweep, in
-    blocks of whole lower indices of about ``_BLOCK_CANDIDATES``
-    candidates each.
-
-    The class is refused as :func:`_capped_ranges` refuses it, at the
-    call; each block is solved when it is reached.
-    """
-    groups, group, size = [], [], 0
-    for found in _capped_ranges(spec):
-        group.append(found)
-        size += _candidates(found)
-        if size >= _BLOCK_CANDIDATES:
-            groups.append(group)
-            group, size = [], 0
-    if group:
-        groups.append(group)
-    return (_solve_triples(spec, *_triples(group)) for group in groups)
-
-
-def _triples(ranges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index triples of :func:`_pair_ranges` output, in its order."""
-    pair_i, pair_k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
-    pair, mid = _spans(lo, hi)
-    return pair_i[pair], mid, pair_k[pair]
+def _solved(spec: ClassSpec, i, k, lo, hi):
+    """Support and mass rows of the three-point rays on the outer pairs
+    ``(i, k)`` with middle indices in ``[lo, hi]``, solved at most
+    ``rays_mean._BLOCK_ROWS`` triples at a time: the triples of a run of
+    whole pairs with about that many (:func:`_parts`) are listed at
+    once, and a run that one wide pair takes past it is sliced."""
+    step = rays_mean._BLOCK_ROWS
+    for part in _parts(hi - lo + 1):
+        pair, j = _spans(lo[part], hi[part])
+        for t in range(0, len(j), step):
+            rows = pair[t:t + step]
+            yield _solve_triples(spec, i[part][rows], j[t:t + step],
+                                 k[part][rows])
 
 
 def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -334,14 +335,6 @@ def _matching_mean_rays(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
     return rays_mean._mean_rows(spec, j1[match], j2[match], point)
 
 
-def _row_blocks(spec: ClassSpec):
-    """Padded rows of every ray of the class, once each: the matching
-    mean-class rows, then the sweep's blocks. The class is refused, if at
-    all, at the call, by the sweep's gate before any per-index array."""
-    blocks = _sweep_blocks(spec)
-    return itertools.chain([_matching_mean_rays(spec)], blocks)
-
-
 def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-and-correlation class.
 
@@ -357,7 +350,10 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     any per-triple array is built.
     """
     _require_corr(spec, "enumerate_rays")
-    support, masses = (list(parts) for parts in zip(*_row_blocks(spec)))
+    # The sweep's gate and the cap refuse a class here, first.
+    blocks = _solved(spec, *_capped_ranges(spec))
+    support, masses = (list(parts) for parts in
+                       zip(_matching_mean_rays(spec), *blocks))
     # Each support occurs once, so its packed key, which ranks rows in
     # lexicographic order as every index lies in 0..d, alone orders them.
     n = spec.d + 1

@@ -45,8 +45,11 @@ from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 # its work too.
 MAX_CANDIDATES = 2**23
 
-# Most rays one streamed block of the mean class holds, unless one lower
-# index has more: a block's arrays then take a few MiB.
+# The one block size of the library: about this many rays in a streamed
+# block of the mean class, outer pairs in a chunk of the correlated
+# sweep, and triples solved at once (rays_corr._parts), so a block's
+# arrays take a few MiB. Every user reads it here, as
+# rays_mean._BLOCK_ROWS.
 _BLOCK_ROWS = 2**14
 
 # Masses this close to one another at a pairing step are exhausted together.

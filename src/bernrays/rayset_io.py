@@ -8,8 +8,10 @@ Text format, written by :func:`format_ray_set` (the ``rays`` output)
 and read by :func:`parse_ray_set`: one header line ``d,p,rho,count``
 (the rho field is empty for mean-only classes), then one line per ray of
 ``;``-joined ``index:mass`` pairs with 17 significant digits, which
-round-trips doubles exactly. The header must name a valid
-:class:`ClassSpec`, or parsing raises :class:`InvalidSpec`.
+round-trips doubles exactly. The header must hold numbers that name a
+valid :class:`ClassSpec`, or parsing raises :class:`InvalidSpec`; a ray
+line that is not one to three ``index:mass`` pairs of numbers raises
+:class:`LengthMismatch`.
 
 The cache stores binary arrays instead: one ``rayset_<key digest>.bin``
 file per (d, p, rho, package version) key holding three consecutive
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import IndexOutOfRange, InvalidSpec, LengthMismatch
 from .pmf import ClassSpec
 from .rays_mean import RayDensity, RaySet
 
@@ -79,8 +81,12 @@ def _read_rows(rows: list, support: np.ndarray, masses: np.ndarray) -> None:
         present = np.fromiter(map(bool, indices), bool, len(rows))
         support[present, c] = np.fromiter(map(int, filter(None, indices)),
                                           np.int64)
-        masses[present, c] = np.fromiter(map(float, filter(None, weights)),
-                                         np.float64)
+        try:
+            masses[present, c] = np.fromiter(
+                map(float, filter(None, weights)), np.float64)
+        except ValueError:
+            raise LengthMismatch("a ray line has a mass that is not a "
+                                 "number") from None
         if c:
             # A written pair that repeats its predecessor would pass for
             # padding; RayDensity rejects a repeated point.
@@ -97,9 +103,12 @@ def parse_ray_set(text: str) -> RaySet:
     fields = header.split(",")
     if len(fields) != 4:
         raise LengthMismatch(f"malformed ray-set header: {header!r}")
-    spec = ClassSpec(int(fields[0]), float(fields[1]),
-                     float(fields[2]) if fields[2] else None)
-    count = int(fields[3])
+    try:
+        d, p, count = int(fields[0]), float(fields[1]), int(fields[3])
+        rho = float(fields[2]) if fields[2] else None
+    except ValueError:
+        raise InvalidSpec(f"malformed ray-set header: {header!r}") from None
+    spec = ClassSpec(d, p, rho)
     carried = text.count("\n")
     if carried != count:
         raise LengthMismatch(

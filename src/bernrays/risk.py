@@ -1,18 +1,19 @@
 """Sharp risk bounds on the default count over an admissible class.
 
 Value-at-risk extrema over a class are attained on its extremal rays,
-so a scan over the enumeration is exact. One fold scans blocks of rays
-for every confidence level at once; the whole enumeration is one such
-block, and a mean class's streamed blocks give the same bits without
-ever being held at once. What does not depend on the level is done once
-per block: each ray's cdf at its second point and its shortfall for
-each column its VaR can take. A level then costs two threshold tests
-and a select per ray. For the mean-constrained class the scan collapses
-to a closed form in (d, p, alpha). A correlated class is never folded
-whole: VaR needs only the O(d) rays whose support holds two adjacent
-indices or spans {0, d}, and ES only the outer pairs whose closed-form
-bounds can still move an extremum (:func:`_extrema`), with the fold's
-values bit for bit. Expected-shortfall
+so a scan over the enumeration is exact. One kernel (:func:`_scan`)
+folds a block of rays into the running extrema of every confidence
+level; the whole enumeration is one such block, and a mean class's
+streamed blocks give the same bits without ever being held at once.
+What does not depend on the level is done once per block: each ray's
+cdf at its second point and its shortfall for each column its VaR can
+take. A level then costs two threshold tests and a select per ray. For
+the mean-constrained class the scan collapses to a closed form in (d,
+p, alpha). A correlated class is never folded whole: VaR needs only the
+O(d) rays whose support holds two adjacent indices or spans {0, d}, and
+ES only the outer pairs whose closed-form bounds can still move an
+extremum (:func:`_extrema`); the same kernel scans them, so the values
+are the fold's bit for bit. Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
 ray extrema reproduce the bundled reference tables, the envelope is the bound
@@ -27,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import rays_corr
+from . import rays_corr, rays_mean
 from .errors import EmptyRaySet
 from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
 from .rays_mean import RayDensity, RaySet, _require_mean_only
@@ -100,84 +101,73 @@ def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
-def _second_cdf(rays: RaySet) -> np.ndarray:
-    """Each ray's cdf at its second point. The rounded sum is the
-    compensated cdf of pmf.var bit for bit: the exact error of a
-    two-term sum rounds away when added back."""
-    return rays.masses[:, 0] + rays.masses[:, 1]
+def _scan(found: list, rays: RaySet, levels: list, args=None) -> None:
+    """Fold the checked rays of one block into ``found``, the running
+    extrema per level: ``[var_min, var_max]``, or with ES
+    ``[var_min, var_max, es_min, es_max]``. With ``args``, the pairs
+    ``[argmin, argmax]`` per level, it also keeps the lexicographically
+    smallest supports that attain the VaR extrema.
 
-
-def _quantiles(
-    rays: RaySet, cdf2: np.ndarray, alpha
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each ray's lower ``alpha``-quantile, the first column whose cdf
-    covers ``alpha``, and the two threshold tests that pick it: whether
-    the cdf covers it at the first point and at the second. A column of
-    levels gives a row of each per level."""
-    threshold = alpha - CDF_TIE_TOL
-    first = rays.masses[:, 0] >= threshold
-    second = cdf2 >= threshold
+    What does not depend on the level is computed once: the cdf at each
+    ray's second point, whose rounded sum is the compensated cdf of
+    pmf.var bit for bit (the exact error of a two-term sum rounds away
+    when added back), and with ES each ray's shortfall for every column
+    its VaR can take. A level then picks each ray's VaR column, the
+    first whose cdf covers it, by two threshold tests. Extrema and
+    attaining supports fold into the running ones, so the result does
+    not depend on how the rays are cut into blocks or ordered. Python's
+    tuple order ranks supports as the padded rows rank, so ties across
+    blocks resolve as a scan of the whole set resolves them.
+    """
+    if not len(rays) or not found:
+        return
     s0, s1, s2 = rays.support.T
-    return np.where(first, s0, np.where(second, s1, s2)), first, second
+    cdf1 = rays.masses[:, 0]
+    cdf2 = cdf1 + rays.masses[:, 1]
+    es = len(found[0]) > 2
+    if es:
+        at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
+    for column, (level, best) in enumerate(zip(levels, found)):
+        threshold = level - CDF_TIE_TOL
+        first, second = cdf1 >= threshold, cdf2 >= threshold
+        values = np.where(first, s0, np.where(second, s1, s2))
+        lo, hi = int(values.min()), int(values.max())
+        if args is not None:
+            arg = args[column]
+            if lo <= best[0]:
+                ray = _lex_smallest(rays, values == lo)
+                arg[0] = ray if lo < best[0] else min(arg[0], ray)
+            if hi >= best[1]:
+                ray = _lex_smallest(rays, values == hi)
+                arg[1] = ray if hi > best[1] else min(arg[1], ray)
+        best[0], best[1] = min(best[0], lo), max(best[1], hi)
+        if es:
+            shortfall = np.where(first, at0, np.where(second, at1, at2))
+            best[2] = min(best[2], float(shortfall.min()))
+            best[3] = max(best[3], float(shortfall.max()))
 
 
 def _fold(
     blocks: Iterable[RaySet], alphas: Sequence[float], es: bool = True
 ) -> list[RiskBounds]:
     """VaR (and, with ``es``, ES) extrema over the rays of every block,
-    one :class:`RiskBounds` per level, in one pass over the blocks.
-
-    The blocks are checked rays of one class. The levels are checked
-    before the first block is drawn. What does not depend on the level
-    is computed once per block: the cdf at each ray's second point and,
-    with ``es``, each ray's shortfall for every column its VaR can take.
-    A level then picks each ray's VaR column by two threshold tests. A
-    block's extrema and its lexicographically smallest attaining
-    support fold into the running ones, so the result does not depend
-    on how the rays are cut into blocks or ordered. Python's tuple order
-    ranks supports as the padded rows rank, so ties across blocks
-    resolve as a scan of the whole set resolves them.
-    """
-    alphas = [_check_open_unit(alpha, "alpha") for alpha in alphas]
-    # Per level: var_min, var_max, es_min, es_max, argmin, argmax.
-    found = [[math.inf, -math.inf, math.inf, -math.inf, None, None]
-             for _ in alphas]
+    one :class:`RiskBounds` per level, in one pass over the blocks
+    (:func:`_scan`). The blocks are checked rays of one class. The
+    levels are checked before the first block is drawn."""
+    levels = _levels(alphas)
+    found = [[math.inf, -math.inf] * (2 if es else 1) for _ in levels]
+    args = [[None, None] for _ in levels]
     for rays in blocks:
-        if not len(rays):
-            continue
-        cdf2 = _second_cdf(rays)
-        if es:
-            at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
-        for alpha, best in zip(alphas, found):
-            values, first, second = _quantiles(rays, cdf2, alpha)
-            lo, hi = int(values.min()), int(values.max())
-            if lo <= best[0]:
-                arg = _lex_smallest(rays, values == lo)
-                best[4] = arg if lo < best[0] else min(best[4], arg)
-                best[0] = lo
-            if hi >= best[1]:
-                arg = _lex_smallest(rays, values == hi)
-                best[5] = arg if hi > best[1] else min(best[5], arg)
-                best[1] = hi
-            if es:
-                shortfall = np.where(first, at0, np.where(second, at1, at2))
-                best[2] = min(best[2], float(shortfall.min()))
-                best[3] = max(best[3], float(shortfall.max()))
-    if any(best[4] is None for best in found):
+        _scan(found, rays, levels, args)
+    if any(best[0] == math.inf for best in found):
         raise EmptyRaySet("risk scan over an empty ray collection")
-    return [
-        RiskBounds(alpha, lo, hi, es_lo if es else None,
-                   es_hi if es else None, argmin, argmax)
-        for alpha, (lo, hi, es_lo, es_hi, argmin, argmax)
-        in zip(alphas, found)
-    ]
+    return [RiskBounds(alpha, *best, *([] if es else [None, None]), *arg)
+            for alpha, best, arg in zip(levels, found, args)]
 
 
-def _levels(alphas: Sequence[float]) -> np.ndarray:
-    """The checked levels as a column: one row per level, against which
-    every per-ray or per-pair array broadcasts."""
-    return np.array([_check_open_unit(alpha, "alpha")
-                     for alpha in alphas]).reshape(-1, 1)
+def _levels(alphas: Sequence[float]) -> list[float]:
+    """The levels, each checked, in order."""
+    return [_check_open_unit(alpha, "alpha") for alpha in alphas]
 
 
 def _var_extrema(
@@ -187,48 +177,48 @@ def _var_extrema(
     values of :func:`_fold` over its rays, from the O(d) rays that can
     attain an extremum. The class is refused as
     :func:`rays_corr._capped_ranges` refuses it, at the call, and the
-    levels are checked next (:func:`_extrema`)."""
+    levels are checked next."""
     found = _extrema(spec, rays_corr._capped_ranges(spec), _levels(alphas))
-    return [(int(low), int(high)) for low, high in found[:2].T]
+    return [tuple(best) for best in found]
 
 
 def _class_bounds(
-    spec: ClassSpec, ranges: list, alphas: Sequence[float]
+    spec: ClassSpec, ranges: np.ndarray, alphas: Sequence[float]
 ) -> list[tuple[int, int, float, float]]:
     """``(var_min, var_max, es_min, es_max)`` of a correlated class at
     each level, the values of :func:`_fold` over its rays bit for bit,
     from its ``ranges`` (:func:`rays_corr._capped_ranges`); the levels
     are checked first."""
     found = _extrema(spec, ranges, _levels(alphas), es=True)
-    return [(int(lo), int(hi), float(es_lo), float(es_hi))
-            for lo, hi, es_lo, es_hi in found.T]
+    return [tuple(best) for best in found]
 
 
 def _extrema(
-    spec: ClassSpec, ranges: list, levels: np.ndarray, es: bool = False
-) -> np.ndarray:
-    """Rows ``var_min``, ``var_max`` and, with ``es``, ``es_min`` and
-    ``es_max`` of a correlated class, a column per level, from the rays
-    that can attain them. Every ray scanned is a ray of the class,
-    decided as :func:`_fold` decides it, so each extremum is the fold's
-    once the rays that attain it are among them.
+    spec: ClassSpec, ranges: np.ndarray, levels: list, es: bool = False
+) -> list:
+    """The extrema of :func:`_scan` per level, ``[var_min, var_max]`` or
+    with ``es`` also ``es_min`` and ``es_max``, of a correlated class
+    with the pair ``ranges`` of :func:`rays_corr._capped_ranges`, from
+    the rays that can attain them. Every ray scanned is a ray of the
+    class, decided as :func:`_fold` decides it, so each extremum is the
+    fold's once the rays that attain it are among them.
 
-    The matching mean rows are scanned in full, and the three-point rays
-    whose support holds two adjacent indices or spans ``{0, d}`` in
-    slices of ``rays_corr._BLOCK_CANDIDATES`` triples. These hold every
-    VaR extremum. ``var_max - 1`` is the last ``t`` with
-    ``min P(S <= t) < alpha`` over the class, and ``var_min`` the first
-    with ``max P(S <= t) >= alpha``: linear programs with three equality
-    rows, optimal on a basis of three points that holds its ray's
-    support. The basis's dual quadratic ``q`` lies on one side of the
-    step ``1[j <= t]`` and meets it on the basis (Kwerel, *JASA* 70,
-    1975; Prekopa, *Discrete Appl. Math.* 27, 1990). Two points on one
-    level have ``q`` on the wrong side of it strictly between them, so
-    they are neighbours, or strictly outside them, so they are that
-    level's ends and the third point is ``0``, ``d`` or next to the
-    step. A basis on one level makes ``q`` constant: every ray on that
-    side holds the extremum, among them the ray of least third moment,
-    whose cubic dual puts two of its points next to each other.
+    The matching mean rows are scanned in full, and of the three-point
+    rays those whose support holds two adjacent indices or spans
+    ``{0, d}``. These hold every VaR extremum. ``var_max - 1`` is the
+    last ``t`` with ``min P(S <= t) < alpha`` over the class, and
+    ``var_min`` the first with ``max P(S <= t) >= alpha``: linear
+    programs with three equality rows, optimal on a basis of three
+    points that holds its ray's support. The basis's dual quadratic
+    ``q`` lies on one side of the step ``1[j <= t]`` and meets it on the
+    basis (Kwerel, *JASA* 70, 1975; Prekopa, *Discrete Appl. Math.* 27,
+    1990). Two points on one level have ``q`` on the wrong side of it
+    strictly between them, so they are neighbours, or strictly outside
+    them, so they are that level's ends and the third point is ``0``,
+    ``d`` or next to the step. A basis on one level makes ``q``
+    constant: every ray on that side holds the extremum, among them the
+    ray of least third moment, whose cubic dual puts two of its points
+    next to each other.
 
     ES is no linear objective, so with ``es`` every outer pair gets a
     floor under the ES of its rays and a ceiling over it
@@ -237,77 +227,51 @@ def _extrema(
     level may solve per extremum and round double, so a bound that many
     pairs share costs a few rounds.
     """
-    # Rows var_min, var_max, es_min and es_max.
-    found = np.tile([[math.inf], [-math.inf]], (2, len(levels)))
-
-    def scan(i, j, k):
-        for t in range(0, len(j), rays_corr._BLOCK_CANDIDATES):
-            rows = slice(t, t + rays_corr._BLOCK_CANDIDATES)
-            scan_rows(*rays_corr._solve_triples(spec, i[rows], j[rows],
-                                                k[rows]))
-
-    def scan_rows(support, masses):
-        if not len(support):
-            return
-        rays = RaySet._owning(spec, support, masses)
-        values, first, second = _quantiles(rays, _second_cdf(rays), levels)
-        np.minimum(found[0], values.min(axis=1), out=found[0])
-        np.maximum(found[1], values.max(axis=1), out=found[1])
-        if es:
-            at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
-            shortfall = np.where(first, at0, np.where(second, at1, at2))
-            np.minimum(found[2], shortfall.min(axis=1), out=found[2])
-            np.maximum(found[3], shortfall.max(axis=1), out=found[3])
-
-    scan_rows(*rays_corr._matching_mean_rays(spec))
-    if ranges:
-        i, k, lo, hi = (np.concatenate(parts) for parts in zip(*ranges))
-        # A pair's middle range holds every ray on it, so an adjacent middle
-        # index is tried where the range reaches it (once if k = i + 2).
-        outer = (i == 0) & (k == spec.d)
-        after = (lo == i + 1) & ~outer
-        before = (hi == k - 1) & (k > i + 2) & ~outer
-        scan(*rays_corr._triples([
-            (i[outer], k[outer], lo[outer], hi[outer]),
-            (i[after], k[after], lo[after], lo[after]),
-            (i[before], k[before], hi[before], hi[before])]))
-        if es:
-            floors, ceilings, lo, hi = _pair_shortfall_bounds(
-                spec, i, k, lo, hi, levels)
-            # Both extrema take the least bound first: a ceiling and the
-            # running maximum are negated.
-            bounds = (floors, -ceilings)
-            orders = [np.argsort(bound, axis=1) for bound in bounds]
-            ranked = [np.take_along_axis(bound, order, axis=1)
-                      for bound, order in zip(bounds, orders)]
-            width = hi - lo + 1
-            solved = np.zeros(len(i), dtype=bool)
-            # A level's first round takes up to about a third of a slice
-            # of triples per extremum.
-            budget = rays_corr._BLOCK_CANDIDATES // 6
-            while True:
-                pick = np.zeros(len(i), dtype=bool)
-                for rank, order, best in zip(ranked, orders,
-                                             (found[2], -found[3])):
-                    for level, value in enumerate(best):
-                        beats = order[level, :np.searchsorted(rank[level],
-                                                              value)]
-                        beats = beats[~solved[beats]]
-                        pick[beats[:np.searchsorted(
-                            np.cumsum(width[beats]), budget) + 1]] = True
-                if not pick.any():
-                    break
-                solved |= pick
-                budget *= 2
-                pick = np.flatnonzero(pick)
-                # Pairs of about _BLOCK_CANDIDATES triples at a time.
-                total = np.cumsum(width[pick])
-                for part in np.split(pick, np.searchsorted(total, np.arange(
-                        rays_corr._BLOCK_CANDIDATES, total[-1],
-                        rays_corr._BLOCK_CANDIDATES))):
-                    scan(*rays_corr._triples(
-                        [(i[part], k[part], lo[part], hi[part])]))
-    if np.isinf(found[0]).any():
+    found = [[math.inf, -math.inf] * (2 if es else 1) for _ in levels]
+    i, k, lo, hi = ranges
+    # A pair's middle range holds every ray on it, so an adjacent middle
+    # index is tried where the range reaches it (once if k = i + 2).
+    outer = (i == 0) & (k == spec.d)
+    after = (lo == i + 1) & ~outer
+    before = (hi == k - 1) & (k > i + 2) & ~outer
+    family = np.concatenate([ranges[:, outer],
+                             ranges[:, after][[0, 1, 2, 2]],
+                             ranges[:, before][[0, 1, 3, 3]]], axis=1)
+    _scan(found, RaySet._owning(spec, *rays_corr._matching_mean_rays(spec)),
+          levels)
+    for rows in rays_corr._solved(spec, *family):
+        _scan(found, RaySet._owning(spec, *rows), levels)
+    if es:
+        floors, ceilings, lo, hi = _pair_shortfall_bounds(
+            spec, i, k, lo, hi, levels)
+        # Both extrema take the least bound first: a ceiling and the
+        # running maximum are negated.
+        bounds = (floors, -ceilings)
+        orders = [np.argsort(bound, axis=1) for bound in bounds]
+        ranked = [np.take_along_axis(bound, order, axis=1)
+                  for bound, order in zip(bounds, orders)]
+        width = hi - lo + 1
+        solved = np.zeros(len(i), dtype=bool)
+        # A level's first round takes up to about a third of a block of
+        # triples per extremum.
+        budget = rays_mean._BLOCK_ROWS // 6
+        while True:
+            pick = np.zeros(len(i), dtype=bool)
+            for level, best in enumerate(found):
+                for rank, order, value in zip(ranked, orders,
+                                              (best[2], -best[3])):
+                    beats = order[level, :np.searchsorted(rank[level], value)]
+                    beats = beats[~solved[beats]]
+                    pick[beats[:np.searchsorted(
+                        np.cumsum(width[beats]), budget) + 1]] = True
+            if not pick.any():
+                break
+            solved |= pick
+            budget *= 2
+            for rows in rays_corr._solved(spec, i[pick], k[pick], lo[pick],
+                                          hi[pick]):
+                _scan(found, RaySet._owning(spec, *rows), levels)
+    if any(best[0] == math.inf for best in found):
         raise EmptyRaySet("risk scan over an empty ray collection")
     return found
 
@@ -390,7 +354,7 @@ def _last(holds, x, lo, hi):
 def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
     """A floor under and a ceiling over the ES of every ray on each
     outer pair ``(i, k)`` with its middle index in ``[lo, hi]``, a row
-    per level of the column ``levels``, and each range narrowed to the
+    per level of ``levels``, and each range narrowed to the
     indices where ``mass_i`` and ``mass_k`` can both be positive.
 
     A ray's VaR takes column 0 only if its ``mass_i`` can reach the
@@ -426,7 +390,7 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
         i_top, k_top = mass_i(ends[1]), mass_k(ends[0])
         # One level at a time, so the working arrays do not grow with
         # the number of levels.
-        for row, level in enumerate(levels[:, 0]):
+        for row, level in enumerate(levels):
             threshold = level - CDF_TIE_TOL
             short = (1.0 - threshold) + slack
             # Column 1 holds from the first index where mass_k is short of

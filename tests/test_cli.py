@@ -87,7 +87,7 @@ BAD_RAY_LINES = {
     "0:0.25;1:0.25;3:0.25;4:0.25": LengthMismatch,
     "0;1": LengthMismatch,
     "-1:0.5;3:0.5": LengthMismatch,
-    "0:abc": ValueError,
+    "0:abc": LengthMismatch,
     "0:1;4:0": NotNormalized,
     "0:0.5;4:0.6": NotNormalized,
     "1:0.40625;3:0.59375": MeanMismatch,
@@ -280,6 +280,12 @@ class TestRaySetFormat:
         # The point mass at 0 meets the mean 0 that either header implies.
         with pytest.raises(InvalidSpec):
             parse_ray_set(f"{header}\n0:1\n")
+
+    @pytest.mark.parametrize(
+        "header", ["abc,0.5,,0", "4.5,0.5,,0", "4,0.5,abc,0", "4,0.5,,x"])
+    def test_a_header_field_that_is_no_number_raises(self, header):
+        with pytest.raises(InvalidSpec, match="malformed ray-set header"):
+            parse_ray_set(f"{header}\n")
 
 
 class TestRaySetCache:
@@ -868,8 +874,8 @@ finally:
 
 
 class TestLoading:
-    """Modules load with the collector paused; a command's work runs with
-    the caller's collector."""
+    """Loading the command line and running a command keep the caller's
+    collector."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_a_command_keeps_the_callers_collector(self, monkeypatch,
@@ -890,22 +896,6 @@ class TestLoading:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [enabled]
-
-    def test_loading_numpy_runs_one_collection_at_most(self):
-        # numpy loads at the first class a command builds: about 25
-        # collections without the pause, and after it at most the one
-        # its allocations have come to.
-        code = """
-import gc, sys
-from bernrays import cli
-starts = []
-gc.callbacks.append(lambda phase, info: starts.append(phase == "start"))
-cli._resolve(100, 0.5, None, None)
-print("numpy" in sys.modules, sum(starts) <= 1, gc.isenabled())
-"""
-        result = launch(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == b"True True True\n"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_importing_the_cli_keeps_the_callers_collector(self, enabled):

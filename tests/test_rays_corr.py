@@ -319,7 +319,8 @@ class TestIntervalSweep:
         # keeps only triples with three live points, so the ray on {i, k}
         # is the matching mean row, which the reference ranks first too.
         spec = tied_class(d, mean, i, k)
-        for support, _ in rays_corr._sweep_blocks(spec):
+        ranges = rays_corr._capped_ranges(spec)
+        for support, _ in rays_corr._solved(spec, *ranges):
             assert (support[:, 1] < support[:, 2]).all()
         rays = as_pairs(rays_corr.enumerate_rays(spec))
         assert (i, k) in dict(rays)
@@ -337,7 +338,8 @@ class TestIntervalSweep:
         support, masses = (
             np.concatenate(parts)
             for parts in zip(rays_corr._matching_mean_rays(spec),
-                             *rays_corr._sweep_blocks(spec))
+                             *rays_corr._solved(
+                                 spec, *rays_corr._capped_ranges(spec)))
         )
         n = spec.d + 1
         key = (support[:, 0] * n + support[:, 1]) * n + support[:, 2]

@@ -1,6 +1,7 @@
 """Quantile and shortfall extrema: ray scans, the closed form for the
 mean-constrained class, and the class-wide shortfall envelope."""
 
+import itertools
 import math
 import random
 import time
@@ -590,8 +591,9 @@ def every_ray(spec):
     """Every ray of a correlated class as checked blocks: the rows
     ``enumerate_rays`` gathers, folded as they are drawn, so that a scan
     of a large class never holds the whole set."""
-    return (rays_mean.RaySet._owning(spec, *rows)
-            for rows in rays_corr._row_blocks(spec))
+    blocks = rays_corr._solved(spec, *rays_corr._capped_ranges(spec))
+    return (rays_mean.RaySet._owning(spec, *rows) for rows in
+            itertools.chain([rays_corr._matching_mean_rays(spec)], blocks))
 
 
 def streamed_var(spec, alphas):
@@ -682,7 +684,8 @@ class TestVarExtrema:
                 errors = []
                 for spec in specs:
                     try:
-                        rays_corr._sweep_blocks(spec)
+                        rays_corr._solved(
+                            spec, *rays_corr._capped_ranges(spec))
                     except BernraysError as exc:
                         errors.append(exc)
                         with pytest.raises(type(exc)) as caught:
@@ -827,3 +830,49 @@ class TestOuterPairBounds:
                 solved.append(0)
                 outer_pair_values(spec)
                 assert solved[-1] <= rays_corr.candidate_count(spec) / 10
+
+
+class TestBlockSize:
+    """One constant, ``rays_mean._BLOCK_ROWS``, cuts every block of work,
+    and no result depends on it."""
+
+    SPECS = [ClassSpec(30, 0.266, 1 / 6), ClassSpec(24, 0.5, 0.5),
+             ClassSpec(40, 0.5, 1.0), ClassSpec(30, 0.4, 0.0),
+             lower_edge(25, 0.8),
+             *(tied_class(*case) for case in TIED_CLASSES)]
+
+    def results(self):
+        found = []
+        for spec in self.SPECS:
+            rays = rays_corr.enumerate_rays(spec)
+            found.append((rays.support.tobytes(), rays.masses.tobytes(),
+                          outer_pair_values(spec),
+                          risk._var_extrema(spec, FOLD_ALPHAS),
+                          rays_corr.candidate_count(spec)))
+        blocks = rays_mean._ray_blocks(ClassSpec(60, 0.3))
+        found.append([bits(b) for b in risk._fold(blocks, FOLD_ALPHAS)])
+        return found
+
+    def test_no_result_depends_on_the_block_size(self, monkeypatch):
+        solves = []
+        solve = rays_corr._solve_triples
+
+        def counted(spec, i, j, k):
+            solves[-1] += 1
+            return solve(spec, i, j, k)
+
+        monkeypatch.setattr(rays_corr, "_solve_triples", counted)
+        found, chunks, mean_blocks = [], [], []
+        for size in (1, 7, 2**14):
+            monkeypatch.setattr(rays_mean, "_BLOCK_ROWS", size)
+            solves.append(0)
+            found.append(self.results())
+            chunks.append(len(list(rays_corr._pair_ranges(self.SPECS[0]))))
+            mean_blocks.append(
+                len(list(rays_mean._ray_blocks(ClassSpec(60, 0.3)))))
+        assert found[0] == found[1] == found[2]
+        # The patched size reaches the pair chunks, the triple slices and
+        # the mean blocks alike.
+        for counts in (solves, chunks, mean_blocks):
+            assert counts[0] >= counts[1] >= counts[2], counts
+            assert counts[0] > counts[2], counts
