@@ -10,7 +10,7 @@ flags to bytes: ``_resolve`` turns the class flags into a
 to stdout or a file. Only ``rays`` holds a whole ray set, which
 ``_enumerate_cached`` gets by way of the cache. ``bounds`` folds a mean
 class in streamed blocks and takes a correlated one's values from the
-outer pairs that can hold an extremum (``risk._class_bounds``).
+outer pairs that can hold an extremum (``risk._extrema``).
 ``sweep`` and ``reproduce``'s correlated tables carry only VaR, which
 ``risk._var_extrema`` finds from the O(d) rays whose support holds two
 adjacent indices or spans ``{0, d}``, so no command but ``rays`` uses
@@ -207,7 +207,7 @@ def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
     """One row per level of the risk bounds over the rays of ``spec``,
     with the benchmark's VaR for a correlated class. A mean class is
     folded in streamed blocks; a correlated one solves only the outer
-    pairs that can hold an extremum (``risk._class_bounds``)."""
+    pairs that can hold an extremum (``risk._extrema``)."""
     from . import pmf, rays_corr, rays_mean, risk
 
     # A refused class fails here, before any level is checked.
@@ -222,7 +222,7 @@ def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
     # benchmark's, then the other levels'.
     pmf._check_open_unit(alphas[0], "alpha")
     betas = _beta_vars(spec, alphas)
-    found = risk._class_bounds(spec, ranges, alphas)
+    found = risk._extrema(spec, ranges, alphas, es=True)
     return [dict(zip(BOUNDS_BETA_COLUMNS, (alpha, *values, beta)))
             for alpha, values, beta in zip(alphas, found, betas)]
 

@@ -30,7 +30,7 @@ need far fewer rays, taken from the same ranges: VaR only the O(d) rays
 whose support holds two adjacent
 indices or spans ``{0, d}`` (Kwerel, *JASA* 70, 1975; Prekopa,
 *Discrete Appl. Math.* 27, 1990), and ES only the outer pairs whose
-closed-form bounds can still move an extremum (:func:`risk._extrema`).
+closed-form bounds beat the extrema of those rays (:func:`risk._extrema`).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ take. A level then costs two threshold tests and a select per ray. For
 the mean-constrained class the scan collapses to a closed form in (d,
 p, alpha). A correlated class is never folded whole: VaR needs only the
 O(d) rays whose support holds two adjacent indices or spans {0, d}, and
-ES only the outer pairs whose closed-form bounds can still move an
-extremum (:func:`_extrema`); the same kernel scans them, so the values
-are the fold's bit for bit. Expected-shortfall
+ES only the outer pairs whose closed-form bounds beat the extrema of
+those rays, in one pass (:func:`_extrema`); the same kernel scans them,
+so the values are the fold's bit for bit. Expected-shortfall
 scans report the extrema over rays; the proved class-wide envelope
 [min VaR, d] is exposed separately because the two differ in meaning:
 ray extrema reproduce the bundled reference tables, the envelope is the bound
@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import rays_corr, rays_mean
+from . import rays_corr
 from .errors import EmptyRaySet
 from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
 from .rays_mean import RayDensity, RaySet, _require_mean_only
@@ -178,30 +178,20 @@ def _var_extrema(
     attain an extremum. The class is refused as
     :func:`rays_corr._capped_ranges` refuses it, at the call, and the
     levels are checked next."""
-    found = _extrema(spec, rays_corr._capped_ranges(spec), _levels(alphas))
-    return [tuple(best) for best in found]
-
-
-def _class_bounds(
-    spec: ClassSpec, ranges: np.ndarray, alphas: Sequence[float]
-) -> list[tuple[int, int, float, float]]:
-    """``(var_min, var_max, es_min, es_max)`` of a correlated class at
-    each level, the values of :func:`_fold` over its rays bit for bit,
-    from its ``ranges`` (:func:`rays_corr._capped_ranges`); the levels
-    are checked first."""
-    found = _extrema(spec, ranges, _levels(alphas), es=True)
-    return [tuple(best) for best in found]
+    return _extrema(spec, rays_corr._capped_ranges(spec), alphas)
 
 
 def _extrema(
-    spec: ClassSpec, ranges: np.ndarray, levels: list, es: bool = False
-) -> list:
-    """The extrema of :func:`_scan` per level, ``[var_min, var_max]`` or
+    spec: ClassSpec, ranges: np.ndarray, alphas: Sequence[float],
+    es: bool = False
+) -> list[tuple]:
+    """The extrema of :func:`_scan` per level, ``(var_min, var_max)`` or
     with ``es`` also ``es_min`` and ``es_max``, of a correlated class
     with the pair ``ranges`` of :func:`rays_corr._capped_ranges`, from
-    the rays that can attain them. Every ray scanned is a ray of the
-    class, decided as :func:`_fold` decides it, so each extremum is the
-    fold's once the rays that attain it are among them.
+    the rays that can attain them; the levels are checked first. Every
+    ray scanned is a ray of the class, decided as :func:`_fold` decides
+    it, so each extremum is the fold's once the rays that attain it are
+    among them.
 
     The matching mean rows are scanned in full, and of the three-point
     rays those whose support holds two adjacent indices or spans
@@ -222,11 +212,14 @@ def _extrema(
 
     ES is no linear objective, so with ``es`` every outer pair gets a
     floor under the ES of its rays and a ceiling over it
-    (:func:`_pair_shortfall_bounds`). Then, best bound first, the pairs
-    whose bound still beats a running extremum are solved; the triples a
-    level may solve per extremum and round double, so a bound that many
-    pairs share costs a few rounds.
+    (:func:`_pair_shortfall_bounds`), and in one pass the pairs are
+    solved whose floor is below ``es_min``, or whose ceiling above
+    ``es_max``, at some level, both as the scan above left them. That
+    is exact: a skipped pair's floor is at or above that ``es_min``,
+    which is at or above the final one, so none of its rays can do more
+    than tie it, and so for ceilings.
     """
+    levels = _levels(alphas)
     found = [[math.inf, -math.inf] * (2 if es else 1) for _ in levels]
     i, k, lo, hi = ranges
     # A pair's middle range holds every ray on it, so an adjacent middle
@@ -242,38 +235,14 @@ def _extrema(
     for rows in rays_corr._solved(spec, *family):
         _scan(found, RaySet._owning(spec, *rows), levels)
     if es:
-        floors, ceilings, lo, hi = _pair_shortfall_bounds(
-            spec, i, k, lo, hi, levels)
-        # Both extrema take the least bound first: a ceiling and the
-        # running maximum are negated.
-        bounds = (floors, -ceilings)
-        orders = [np.argsort(bound, axis=1) for bound in bounds]
-        ranked = [np.take_along_axis(bound, order, axis=1)
-                  for bound, order in zip(bounds, orders)]
-        width = hi - lo + 1
-        solved = np.zeros(len(i), dtype=bool)
-        # A level's first round takes up to about a third of a block of
-        # triples per extremum.
-        budget = rays_mean._BLOCK_ROWS // 6
-        while True:
-            pick = np.zeros(len(i), dtype=bool)
-            for level, best in enumerate(found):
-                for rank, order, value in zip(ranked, orders,
-                                              (best[2], -best[3])):
-                    beats = order[level, :np.searchsorted(rank[level], value)]
-                    beats = beats[~solved[beats]]
-                    pick[beats[:np.searchsorted(
-                        np.cumsum(width[beats]), budget) + 1]] = True
-            if not pick.any():
-                break
-            solved |= pick
-            budget *= 2
-            for rows in rays_corr._solved(spec, i[pick], k[pick], lo[pick],
-                                          hi[pick]):
-                _scan(found, RaySet._owning(spec, *rows), levels)
+        pick, lo, hi = _pair_shortfall_bounds(spec, i, k, lo, hi, found,
+                                              levels)
+        for rows in rays_corr._solved(spec, i[pick], k[pick], lo[pick],
+                                      hi[pick]):
+            _scan(found, RaySet._owning(spec, *rows), levels)
     if any(best[0] == math.inf for best in found):
         raise EmptyRaySet("risk scan over an empty ray collection")
-    return found
+    return [tuple(best) for best in found]
 
 
 # Slack of the outer-pair bounds, scaled by d**2 on a mass or a cdf and
@@ -351,13 +320,16 @@ def _last(holds, x, lo, hi):
                     hi, guess)
 
 
-def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
-    """A floor under and a ceiling over the ES of every ray on each
-    outer pair ``(i, k)`` with its middle index in ``[lo, hi]``, a row
-    per level of ``levels``, and each range narrowed to the
-    indices where ``mass_i`` and ``mass_k`` can both be positive.
+def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, found, levels):
+    """Which outer pairs ``(i, k)``, with middle indices in ``[lo,
+    hi]``, can hold a ray whose ES beats an extremum of ``found`` (the
+    running ``[var_min, var_max, es_min, es_max]`` per level of
+    ``levels``), as a mask; and each range narrowed to the indices where
+    ``mass_i`` and ``mass_k`` can both be positive.
 
-    A ray's VaR takes column 0 only if its ``mass_i`` can reach the
+    A pair is picked where, at some level, a floor under the ES of its
+    rays is below ``es_min`` or a ceiling over it is above ``es_max``. A
+    ray's VaR takes column 0 only if its ``mass_i`` can reach the
     level, column 2 only if its cdf ``1 - mass_k`` can fall short of it,
     and column 1 only on the indices where ``mass_i`` can stay below the
     level and the cdf can reach it, each within ``_PAIR_SLACK * d**2``.
@@ -367,16 +339,16 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
     with ``j`` where ``C > 0`` (:func:`_outer_masses`), so each bound
     needs only the ends of an index range, which come from closed-form
     crossings (:func:`_first`, :func:`_last`). A pair no ray can lie on
-    gets an empty range and the bounds ``inf`` and ``-inf``. A pair with
-    ``C <= 0``, whose middle mass is not positive in exact arithmetic,
-    keeps its range and gets ``-inf`` and ``inf``, so it is solved.
+    gets an empty range and is not picked. A pair with ``C <= 0``, whose
+    middle mass is not positive in exact arithmetic, keeps its range and
+    is always picked.
     """
     m = spec.mean_count
     d = float(spec.d)
     slack, es_slack = _PAIR_SLACK * d**2, _PAIR_SLACK * d**3
     c, mass_i, mass_k, at_i, at_k = _outer_masses(spec, i, k)
     rising = c > 0
-    floors, ceilings = np.empty((2, len(levels), len(i)))
+    pick = ~rising
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo, hi = (
             np.where(rising, _first(lambda j: mass_i(j) >= -slack,
@@ -390,7 +362,7 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
         i_top, k_top = mass_i(ends[1]), mass_k(ends[0])
         # One level at a time, so the working arrays do not grow with
         # the number of levels.
-        for row, level in enumerate(levels):
+        for level, best in zip(levels, found):
             threshold = level - CDF_TIE_TOL
             short = (1.0 - threshold) + slack
             # Column 1 holds from the first index where mass_k is short of
@@ -413,15 +385,16 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, levels):
             reach = [live & r for r in (
                 i_top >= threshold - slack, start <= stop,
                 k_top > (1.0 - threshold) - slack)]
-            floors[row] = np.where(rising, np.minimum.reduce([
+            floor = np.minimum.reduce([
                 np.where(reach[0], m - es_slack, np.inf),
                 np.where(reach[1], mid[0], np.inf),
-                np.where(reach[2], k - es_slack, np.inf)]), -np.inf)
-            ceilings[row] = np.where(rising, np.maximum.reduce([
+                np.where(reach[2], k - es_slack, np.inf)])
+            ceiling = np.maximum.reduce([
                 np.where(reach[0], m + es_slack, -np.inf),
                 np.where(reach[1], mid[1], -np.inf),
-                np.where(reach[2], k + es_slack, -np.inf)]), np.inf)
-    return floors, ceilings, lo, hi
+                np.where(reach[2], k + es_slack, -np.inf)])
+            pick |= (floor < best[2]) | (ceiling > best[3])
+    return pick, lo, hi
 
 
 def _one_block(rays: Sequence[RayDensity]):

@@ -1249,15 +1249,16 @@ class TestReproduce:
         def counting(module, name):
             source = getattr(module, name)
 
-            def count(spec, *args):
+            def count(spec, *args, **kwargs):
                 requests.append((spec.d, spec.p, spec.rho))
-                return source(spec, *args)
+                return source(spec, *args, **kwargs)
 
             monkeypatch.setattr(module, name, count)
 
+        # Both correlated paths, VaR only and with ES, pass through
+        # risk._extrema once per class.
         counting(rays_mean, "_ray_blocks")
-        counting(risk, "_class_bounds")
-        counting(risk, "_var_extrema")
+        counting(risk, "_extrema")
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]
         )

@@ -26,6 +26,7 @@ from bernrays import (
 )
 from bernrays.errors import BernraysError, EmptyRaySet, InvalidSpec
 from oracles import (
+    adjacent_pair_family,
     exact_var_extrema,
     mean_grid_pmfs,
     per_level_fold,
@@ -310,7 +311,8 @@ def whole_set_bounds(rays, alpha):
 def outer_pair_values(spec, alphas=FOLD_ALPHAS):
     """The four value fields per level of a correlated class's outer-pair
     path, with floats as their exact bits."""
-    found = risk._class_bounds(spec, rays_corr._capped_ranges(spec), alphas)
+    found = risk._extrema(spec, rays_corr._capped_ranges(spec), alphas,
+                          es=True)
     return [[lo, hi, es_lo.hex(), es_hi.hex()]
             for lo, hi, es_lo, es_hi in found]
 
@@ -787,10 +789,27 @@ class TestOuterPairBounds:
         assert outer_pair_values(spec, alphas) == whole_set_values(
             rays, alphas)
 
+    @pytest.mark.parametrize("spec, alpha, es_max, family_max", [
+        (ClassSpec(16, 0.1, 0.25), 0.95, 12.916666666666668, 12.0),
+        (ClassSpec(11, 0.25, 1 / 6), 0.9, 9.322033898305085, 9.0)])
+    def test_an_es_maximum_off_the_var_family(self, spec, alpha, es_max,
+                                              family_max):
+        # The adjacent-pair family holds every VaR extremum but not this
+        # ES maximum, so the outer pairs must be solved beyond it.
+        rays = rays_corr.enumerate_rays(spec)
+        found = outer_pair_values(spec, (alpha,))
+        assert found == whole_set_values(rays, (alpha,))
+        keep = [adjacent_pair_family(ray.support, spec.d) for ray in rays]
+        family = rays_mean.RaySet(spec, rays.support[keep],
+                                  rays.masses[keep])
+        (*_, family_es_max), = whole_set_values(family, (alpha,))
+        assert float.fromhex(family_es_max) == family_max
+        assert float.fromhex(found[0][3]) == es_max > family_max
+
     def test_a_class_above_the_cap_in_time_and_memory(self, monkeypatch):
         # The fold over the 31.7 million candidate triples of this class
         # takes about 6 s and gives these bits; the outer pairs about
-        # 0.25 s and 33 MiB under tracemalloc.
+        # 0.22 s, and 25 MiB under tracemalloc.
         monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 2**62)
         spec = ClassSpec(1000, 0.266, 1 / 6)
         tracemalloc.start()
@@ -830,6 +849,28 @@ class TestOuterPairBounds:
                 solved.append(0)
                 outer_pair_values(spec)
                 assert solved[-1] <= rays_corr.candidate_count(spec) / 10
+
+    @pytest.mark.parametrize("p, rho, counts", [
+        (0.266, 1 / 6, (1_804, 9_243, 76_924)),
+        (0.017, 0.5, (2_603, 18_297, 125_607))])
+    def test_solve_no_more_triples_than_the_best_first_rounds(
+        self, monkeypatch, p, rho, counts
+    ):
+        # One pass over the pairs whose bounds beat the extrema of the
+        # adjacent-pair family solves no more triples on these classes
+        # than solving best bound first against a running extremum did.
+        solved = []
+        solve = rays_corr._solve_triples
+
+        def counted(spec, i, j, k):
+            solved[-1] += len(j)
+            return solve(spec, i, j, k)
+
+        monkeypatch.setattr(rays_corr, "_solve_triples", counted)
+        for d, count in zip((100, 200, 400), counts):
+            solved.append(0)
+            outer_pair_values(ClassSpec(d, p, rho))
+            assert solved[-1] <= count, (d, p, rho)
 
 
 class TestBlockSize:
