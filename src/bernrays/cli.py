@@ -8,9 +8,9 @@ flags to bytes: ``_resolve`` turns the class flags into a
 :class:`~bernrays.pmf.ClassSpec`, a row builder makes raw rows,
 ``_render`` serializes them and ``_emit`` or ``_write`` sends the text
 to stdout or a file. Only ``rays`` holds a whole ray set, which
-``_enumerate_cached`` gets by way of the cache. ``bounds`` folds a mean
-class in streamed blocks and takes a correlated one's values from the
-outer pairs that can hold an extremum (``risk._extrema``).
+``_enumerate_cached`` gets by way of the cache. ``bounds`` takes a mean
+class's values from closed forms and a correlated one's from the outer
+pairs that can hold an extremum (``risk._extrema``).
 ``sweep`` and ``reproduce``'s correlated tables carry only VaR, which
 ``risk._var_extrema`` finds from the O(d) rays whose support holds two
 adjacent indices or spans ``{0, d}``, so no command but ``rays`` uses
@@ -205,18 +205,17 @@ def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
 
 def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
     """One row per level of the risk bounds over the rays of ``spec``,
-    with the benchmark's VaR for a correlated class. A mean class is
-    folded in streamed blocks; a correlated one solves only the outer
-    pairs that can hold an extremum (``risk._extrema``)."""
-    from . import pmf, rays_corr, rays_mean, risk
+    with the benchmark's VaR for a correlated class. A mean class takes
+    its values from closed forms (``risk._mean_extrema``); a correlated
+    one solves only the outer pairs that can hold an extremum
+    (``risk._extrema``)."""
+    from . import pmf, rays_corr, risk
 
-    # A refused class fails here, before any level is checked.
     if spec.rho is None:
-        blocks = rays_mean._ray_blocks(spec)
-        return [dict(zip(BOUNDS_COLUMNS, (alpha, bounds.var_min,
-                                          bounds.var_max, bounds.es_min,
-                                          bounds.es_max)))
-                for alpha, bounds in zip(alphas, risk._fold(blocks, alphas))]
+        return [dict(zip(BOUNDS_COLUMNS, (alpha, *values)))
+                for alpha, values in zip(alphas,
+                                         risk._mean_extrema(spec, alphas))]
+    # A refused class fails here, before any level is checked.
     ranges = rays_corr._capped_ranges(spec)
     # Faults surface level by level: the first level's range, then the
     # benchmark's, then the other levels'.

@@ -41,15 +41,13 @@ from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
 # ray about 104 (2,081,837 candidates of (400, 0.266, 1/6): 175 MiB;
 # 6,929,716 of (600, 0.266, 1/6): 589 MiB; 1,000,001 rays of
 # (2000, 0.5): 99 MiB), so at the cap either enumeration peaks near
-# 0.8 GiB. A streamed scan holds one block at a time, but the cap bounds
-# its work too.
+# 0.8 GiB.
 MAX_CANDIDATES = 2**23
 
-# The one block size of the library: about this many rays in a streamed
-# block of the mean class, outer pairs in a chunk of the correlated
-# sweep, and triples solved at once (rays_corr._parts), so a block's
-# arrays take a few MiB. Every user reads it here, as
-# rays_mean._BLOCK_ROWS.
+# The one block size of the library: about this many outer pairs in a
+# chunk of the correlated sweep, and triples solved at once
+# (rays_corr._parts), so a block's arrays take a few MiB. Every user
+# reads it here, as rays_mean._BLOCK_ROWS.
 _BLOCK_ROWS = 2**14
 
 # Masses this close to one another at a pairing step are exhausted together.
@@ -352,23 +350,6 @@ def point_ray(spec: ClassSpec) -> RayDensity:
     return _mean_rays(spec, [], [], point=True)[0]
 
 
-def _two_point_indices(spec: ClassSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and the upper support indices of the two-point rays,
-    both empty when there are none; a class with more than
-    ``MAX_CANDIDATES`` of them is refused first."""
-    _require_mean_only(spec, "enumerate_rays")
-    count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
-    if count > MAX_CANDIDATES:
-        raise ClassTooLarge(
-            f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
-            f"more than {MAX_CANDIDATES}"
-        )
-    if not count:
-        return np.arange(0), np.arange(0)
-    return (np.arange(spec.max_lower_index + 1),
-            np.arange(spec.min_upper_index, spec.d + 1))
-
-
 def enumerate_rays(spec: ClassSpec) -> RaySet:
     """All extremal rays of the mean-constrained class.
 
@@ -377,29 +358,22 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     ``(j1M + 1) * (d - j2m + 1)`` plus one for the point ray, where
     ``j1M``/``j2m`` are the extreme support indices adjacent to the mean.
     A class with more two-point rays than ``MAX_CANDIDATES`` raises
-    :class:`ClassTooLarge` before any array is built.
+    :class:`ClassTooLarge` before any array is built, and a class with
+    none builds no index array.
     """
-    lower, upper = _two_point_indices(spec)
+    _require_mean_only(spec, "enumerate_rays")
+    count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
+    if count > MAX_CANDIDATES:
+        raise ClassTooLarge(
+            f"class (d={spec.d}, p={spec.p:g}) has {count} two-point rays, "
+            f"more than {MAX_CANDIDATES}"
+        )
+    lower = upper = np.arange(0)
+    if count:
+        lower = np.arange(spec.max_lower_index + 1)
+        upper = np.arange(spec.min_upper_index, spec.d + 1)
     return _mean_rays(spec, np.repeat(lower, len(upper)),
                       np.tile(upper, len(lower)), point=spec.integer_mean)
-
-
-def _ray_blocks(spec: ClassSpec):
-    """The rays of :func:`enumerate_rays` as checked :class:`RaySet`
-    blocks of whole lower indices, about ``_BLOCK_ROWS`` rays each, and
-    the point ray last. The class is refused as :func:`enumerate_rays`
-    refuses it, at the call."""
-    return _mean_blocks(spec, *_two_point_indices(spec))
-
-
-def _mean_blocks(spec: ClassSpec, lower: np.ndarray, upper: np.ndarray):
-    step = max(1, _BLOCK_ROWS // max(1, len(upper)))
-    for start in range(0, len(lower), step):
-        part = lower[start:start + step]
-        yield _mean_rays(spec, np.repeat(part, len(upper)),
-                         np.tile(upper, len(part)))
-    if spec.integer_mean:
-        yield _mean_rays(spec, [], [], point=True)
 
 
 def decompose(

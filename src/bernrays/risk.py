@@ -3,21 +3,21 @@
 Value-at-risk extrema over a class are attained on its extremal rays,
 so a scan over the enumeration is exact. One kernel (:func:`_scan`)
 folds a block of rays into the running extrema of every confidence
-level; the whole enumeration is one such block, and a mean class's
-streamed blocks give the same bits without ever being held at once.
-What does not depend on the level is done once per block: each ray's
-cdf at its second point and its shortfall for each column its VaR can
-take. A level then costs two threshold tests and a select per ray. For
-the mean-constrained class the scan collapses to a closed form in (d,
-p, alpha). A correlated class is never folded whole: VaR needs only the
-O(d) rays whose support holds two adjacent indices or spans {0, d}, and
-ES only the outer pairs whose closed-form bounds beat the extrema of
-those rays, in one pass (:func:`_extrema`); the same kernel scans them,
-so the values are the fold's bit for bit. Expected-shortfall
-scans report the extrema over rays; the proved class-wide envelope
-[min VaR, d] is exposed separately because the two differ in meaning:
-ray extrema reproduce the bundled reference tables, the envelope is the bound
-established for every class member.
+level; the whole enumeration is one such block. What does not depend on
+the level is done once per block: each ray's cdf at its second point
+and its shortfall for each column its VaR can take, exact where the
+tail is the whole support (the class mean) or one point. A level then
+costs two threshold tests and a select per ray. For the
+mean-constrained class the scan collapses to a closed form in (d, p,
+alpha). A correlated class is never folded whole: VaR
+needs only the O(d) rays whose support holds two adjacent indices or
+spans {0, d}, and ES only the outer pairs whose closed-form bounds beat
+the extrema of those rays, in one pass (:func:`_extrema`); the same
+kernel scans them, so the values are the fold's bit for bit.
+Expected-shortfall scans report the extrema over rays; the proved
+class-wide envelope [min VaR, d] is exposed separately because the two
+differ in meaning: ray extrema reproduce the bundled reference tables,
+the envelope is the bound established for every class member.
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import rays_corr
+from . import rays_corr, rays_mean
 from .errors import EmptyRaySet
 from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
 from .rays_mean import RayDensity, RaySet, _require_mean_only
-
-# Slack for boundary decisions in the closed-form index arithmetic:
-# quantities like pd/(1-alpha) land exactly on integers for round table
-# parameters and must resolve by their strict-inequality definitions.
-_INDEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,27 +61,21 @@ class EsEnvelope(NamedTuple):
 
 
 def _tail_shortfalls(
-    support: np.ndarray, masses: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row expected shortfall for a VaR at support column 0, 1 or 2.
-
-    The tail of a VaR holds every column at or above it, so it starts at
-    the first column holding the VaR's value: a padded column shares its
-    predecessor's tail and adds its zero mass. Each sum adds its terms
-    left to right, as ``sum(1)`` adds a row masked to its tail. There a
-    column outside the tail holds a point of the ray, whose term is not
-    negative, so it enters as a positive zero. A candidate no tail uses
-    may divide zero by zero, or by a subnormal sum and overflow.
-    """
+    support: np.ndarray, masses: np.ndarray, mean: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row expected shortfall for a VaR at support column 1 or 2; at
+    column 0, whose tail is the whole support, it is the class ``mean``.
+    A tail of one point ``s`` has ``s`` (a padded column repeats its
+    predecessor). Only the two-point tail of a three-point ray takes a
+    ratio, adding its terms left to right as ``sum(1)`` adds a row
+    masked to its tail, column 0 as a positive zero. A candidate no tail
+    uses may divide zero by zero, or by a subnormal sum and overflow."""
     s0, s1, s2 = support.T
-    m0, m1, m2 = masses.T
-    p0, p1, p2 = s0 * m0, s1 * m1, s2 * m2
+    _, m1, m2 = masses.T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        at0 = ((p0 + p1) + p2) / ((m0 + m1) + m2)
-        at1 = ((0.0 + p1) + p2) / ((0.0 + m1) + m2)
-        at2 = (0.0 + p2) / (0.0 + m2)
-    at1 = np.where(s1 == s0, at0, at1)
-    return at0, at1, np.where(s2 == s1, at1, at2)
+        ratio = ((0.0 + s1 * m1) + s2 * m2) / ((0.0 + m1) + m2)
+    at1 = np.where(s1 == s0, mean, np.where(s2 == s1, s1, ratio))
+    return at1, np.where(s2 == s1, at1, s2)
 
 
 def _lex_smallest(rays: RaySet, where: np.ndarray) -> tuple[int, ...]:
@@ -126,7 +115,8 @@ def _scan(found: list, rays: RaySet, levels: list, args=None) -> None:
     cdf2 = cdf1 + rays.masses[:, 1]
     es = len(found[0]) > 2
     if es:
-        at0, at1, at2 = _tail_shortfalls(rays.support, rays.masses)
+        mean = rays.spec.mean_count
+        at1, at2 = _tail_shortfalls(rays.support, rays.masses, mean)
     for column, (level, best) in enumerate(zip(levels, found)):
         threshold = level - CDF_TIE_TOL
         first, second = cdf1 >= threshold, cdf2 >= threshold
@@ -142,7 +132,7 @@ def _scan(found: list, rays: RaySet, levels: list, args=None) -> None:
                 arg[1] = ray if hi > best[1] else min(arg[1], ray)
         best[0], best[1] = min(best[0], lo), max(best[1], hi)
         if es:
-            shortfall = np.where(first, at0, np.where(second, at1, at2))
+            shortfall = np.where(first, mean, np.where(second, at1, at2))
             best[2] = min(best[2], float(shortfall.min()))
             best[3] = max(best[3], float(shortfall.max()))
 
@@ -252,12 +242,11 @@ def _extrema(
 # normalised by a correctly rounded sum within three such errors of one:
 # within 34*u*d**2 of the exact mass, and a two-mass cdf within
 # 69*u*d**2. The expressions of _outer_masses are within 13*u*d**2. A
-# ray's shortfall (_tail_shortfalls) is then within 224*u*d**3 of the
-# mean at column 0 and of k at column 2. At column 1 mass_i is below the
-# threshold t = alpha - CDF_TIE_TOL, and the shortfall and the float
-# value of (m - i*mass_i)/(1 - mass_i) are together within
-# 148*u*d**3/room of its exact value, for room = 1 - t - slack. The
-# slack, 512*u, is over twice each.
+# ray's shortfall (_tail_shortfalls) at column 1, where mass_i is below
+# the threshold t = alpha - CDF_TIE_TOL, and the float value of
+# (m - i*mass_i)/(1 - mass_i) are together within 148*u*d**3/room of
+# its exact value, for room = 1 - t - slack. The slack, 512*u, is over
+# twice each.
 _PAIR_SLACK = 2.0**-44
 
 
@@ -333,9 +322,10 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, found, levels):
     level, column 2 only if its cdf ``1 - mass_k`` can fall short of it,
     and column 1 only on the indices where ``mass_i`` can stay below the
     level and the cdf can reach it, each within ``_PAIR_SLACK * d**2``.
-    Its ES is then the mean, ``(m - i*mass_i)/(1 - mass_i)`` or ``k``,
-    within ``_PAIR_SLACK * d**3`` (more at column 1 near a level of one).
-    The middle expression is monotone in ``mass_i``, and ``mass_i`` rises
+    Its ES is then exactly the mean at column 0 and ``k`` at column 2,
+    and ``(m - i*mass_i)/(1 - mass_i)`` at column 1 within
+    ``_PAIR_SLACK * d**3 / room``, for the ``room`` a level leaves below
+    one. That expression is monotone in ``mass_i``, and ``mass_i`` rises
     with ``j`` where ``C > 0`` (:func:`_outer_masses`), so each bound
     needs only the ends of an index range, which come from closed-form
     crossings (:func:`_first`, :func:`_last`). A pair no ray can lie on
@@ -386,13 +376,13 @@ def _pair_shortfall_bounds(spec: ClassSpec, i, k, lo, hi, found, levels):
                 i_top >= threshold - slack, start <= stop,
                 k_top > (1.0 - threshold) - slack)]
             floor = np.minimum.reduce([
-                np.where(reach[0], m - es_slack, np.inf),
+                np.where(reach[0], m, np.inf),
                 np.where(reach[1], mid[0], np.inf),
-                np.where(reach[2], k - es_slack, np.inf)])
+                np.where(reach[2], k, np.inf)])
             ceiling = np.maximum.reduce([
-                np.where(reach[0], m + es_slack, -np.inf),
+                np.where(reach[0], m, -np.inf),
                 np.where(reach[1], mid[1], -np.inf),
-                np.where(reach[2], k + es_slack, -np.inf)])
+                np.where(reach[2], k, -np.inf)])
             pick |= (floor < best[2]) | (ceiling > best[3])
     return pick, lo, hi
 
@@ -413,41 +403,62 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     return _fold(_one_block(rays), (alpha,), es=False)[0]
 
 
-def _ceil_guarded(x: float) -> int:
-    """Smallest integer at or above ``x``, treating a value within 1e-9
-    above an integer as that integer."""
-    f = math.floor(x)
-    if x - f <= _INDEX_TOL:
-        return int(f)
-    return int(f) + 1
-
-
 def var_bounds_mean_closed_form(
     spec: ClassSpec, alpha: float
 ) -> tuple[int, int]:
-    """Closed-form VaR extrema over the mean-constrained class.
+    """Closed-form VaR extrema over the mean-constrained class, those of
+    a scan over its rays.
 
-    With ``j1p = (p - (1 - alpha)) * d / alpha``, the pivot index below
-    which a two-point ray can still place cdf ``alpha`` at its lower
-    support point:
-
-    - ``j1p <= 0``: minimum 0; maximum is the largest integer strictly
-      below ``pd / (1 - alpha)``. This includes the boundary
-      ``p = 1 - alpha`` exactly, where the ray on ``{0, d}`` carries cdf
-      exactly ``alpha`` at zero and quantile ties resolve downward.
-    - ``0 < j1p <= j1M``: minimum ``ceil(j1p)``; maximum ``d``.
-    - ``j1p > j1M``: minimum ``j1M + 1`` (the integer mean itself when
-      there is one, attained by the point ray); maximum ``d``.
+    A two-point ray ``(j1, j2)`` has VaR ``j1`` where its cdf at ``j1``,
+    ``(j2 - pd)/(j2 - j1)``, covers the level, else ``j2``; that cdf
+    rises with either index. So the minimum is the first ``j1`` whose
+    ray to ``d`` covers the level, near ``d - (d - pd)/alpha``, or
+    ``j1M + 1`` (the integer mean, if any) where none does; the maximum
+    is the last ``j2`` whose ray from 0 does not, near
+    ``pd/(1 - alpha)``, or ``j2m - 1`` where all do. A mean that rounds to
+    0 or ``d`` leaves the point ray alone. Each crossing is settled on
+    the rays next to its estimate by the scan's own test, a float mass
+    against ``alpha - CDF_TIE_TOL``, so ties resolve as in the scan.
     """
     _require_mean_only(spec, "var_bounds_mean_closed_form")
     alpha = _check_open_unit(alpha, "alpha")
-    pd = spec.mean_count
-    pivot = (spec.p - (1.0 - alpha)) * spec.d / alpha
-    if pivot <= _INDEX_TOL:
-        return 0, _ceil_guarded(pd / (1.0 - alpha)) - 1
-    if pivot <= spec.max_lower_index + _INDEX_TOL:
-        return _ceil_guarded(pivot), spec.d
-    return spec.max_lower_index + 1, spec.d
+    d, pd = spec.d, spec.mean_count
+    lower, upper = spec.max_lower_index, spec.min_upper_index
+    if lower < 0 or upper > d:
+        return lower + 1, lower + 1
+    threshold = alpha - CDF_TIE_TOL
+
+    def covers(j1, j2):
+        return rays_mean._two_point_masses(pd, j1, j2)[0] >= threshold
+
+    start = d - (d - pd) / threshold if threshold > 0 else 0.0
+    var_min = min(math.ceil(max(start, 0.0)), lower + 1)
+    while var_min > 0 and covers(var_min - 1, d):
+        var_min -= 1
+    while var_min <= lower and not covers(var_min, d):
+        var_min += 1
+    var_max = min(max(math.ceil(pd / (1.0 - threshold)), upper), d + 1) - 1
+    while var_max < d and not covers(0, var_max + 1):
+        var_max += 1
+    while var_max >= upper and covers(0, var_max):
+        var_max -= 1
+    return var_min, var_max
+
+
+def _mean_extrema(
+    spec: ClassSpec, alphas: Sequence[float]
+) -> list[tuple[int, int, float, float]]:
+    """``(var_min, var_max, es_min, es_max)`` of the mean class per
+    level, the values of :func:`_fold` over its rays in closed form. A
+    ray's ES is the mean where its VaR is below ``j2m``, the least index
+    above the mean (a two-point ray's lower point, or the point ray),
+    and its VaR elsewhere. The test is on indices: the float mean can
+    fall an ulp short of the point ray."""
+    upper, mean = spec.min_upper_index, spec.mean_count
+    return [(lo, hi, mean if lo < upper else float(lo),
+             float(hi) if hi >= upper else mean)
+            for lo, hi in (var_bounds_mean_closed_form(spec, alpha)
+                           for alpha in alphas)]
 
 
 def es_bounds_scan(

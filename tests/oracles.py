@@ -186,12 +186,30 @@ def _lexsort_smallest(rays, where):
     return tuple(rays.support[t, : rays.sizes[t]].tolist())
 
 
+def tail_shortfalls(rays, values):
+    """Per-row expected shortfall of padded ray rows whose quantiles are
+    ``values``: the class mean where the quantile is the first point,
+    the point itself where the tail holds one point of the ray, and
+    otherwise the masked row sums' ratio.
+
+    ``rays`` holds ``support``, ``masses`` and ``sizes`` arrays and a
+    ``spec`` with the class mean.
+    """
+    tail = rays.support >= values[:, None]
+    num = np.sum(rays.support * rays.masses * tail, axis=1)
+    den = np.sum(rays.masses * tail, axis=1)
+    points = np.sum(tail & (np.arange(3) < rays.sizes[:, None]), axis=1)
+    return np.where(values == rays.support[:, 0], rays.spec.mean_count,
+                    np.where(points == 1, values, num / den))
+
+
 def per_level_fold(blocks, alphas, es=True, tie_tol=1e-12):
     """Reference for the streamed risk scan: every level redoes the
     quantiles, the tail mask and the masked row sums of every block, and
     ties go to a lexsort of the attaining rows.
 
-    ``blocks`` hold ``support``, ``masses`` and ``sizes`` arrays. Returns
+    ``blocks`` hold ``support``, ``masses`` and ``sizes`` arrays and a
+    ``spec`` with the class mean (:func:`tail_shortfalls`). Returns
     one ``[var_min, var_max, es_min, es_max, argmin, argmax]`` per level,
     with the ES entries infinite when ``es`` is false.
     """
@@ -212,10 +230,7 @@ def per_level_fold(blocks, alphas, es=True, tie_tol=1e-12):
                 best[5] = arg if hi > best[1] else min(best[5], arg)
                 best[1] = hi
             if es:
-                tail = rays.support >= values[:, None]
-                num = np.sum(rays.support * rays.masses * tail, axis=1)
-                den = np.sum(rays.masses * tail, axis=1)
-                shortfall = num / den
+                shortfall = tail_shortfalls(rays, values)
                 best[2] = min(best[2], float(shortfall.min()))
                 best[3] = max(best[3], float(shortfall.max()))
     return found
@@ -258,30 +273,64 @@ def adjacent_pair_family(support, d):
     return j == i + 1 or k == j + 1 or (i == 0 and k == d)
 
 
-def exact_var_extrema(d, m, big_m):
-    """Exact lower-quantile extrema over every ray of a class and over
-    the rays :func:`adjacent_pair_family` admits, at every level in
-    (0, 1) up to ties.
+def _exact_quantile_points(rays):
+    """The levels of :func:`exact_var_extrema` for ``rays``, a dict from
+    support to exact masses, and per ray and level the number of the
+    ray's point that is its lower quantile there.
 
     The levels are each distinct cdf a ray takes below one, a level
     between each two neighbouring ones and one past each end, so every
     level in (0, 1) orders against every ray cdf as one of them does.
     A ray's quantile at a level is its first point whose cdf covers it.
-    Returns the levels and, per level, ``(min, max)`` over all rays and
-    over the family.
     """
-    rays = exact_rays(d, m, big_m)
-    cdfs = {support: list(itertools.accumulate(masses[:-1]))
-            for support, masses in rays.items()}
-    ties = sorted({c for cdf in cdfs.values() for c in cdf})
+    cdfs = [list(itertools.accumulate(masses[:-1]))
+            for masses in rays.values()]
+    ties = sorted({c for cdf in cdfs for c in cdf})
     edges = [Fraction(0), *ties, Fraction(1)]
     levels = sorted([*ties, *((x + y) / 2 for x, y in zip(edges, edges[1:]))])
     rank = {level: t for t, level in enumerate(levels)}
     # A ray's quantile at level t is its point number n, for the n of its
     # cdfs below the level: those whose rank is below t.
     t = np.arange(len(levels))
-    values = np.array([np.array(support)[np.searchsorted(
-        [rank[c] for c in cdf], t)] for support, cdf in cdfs.items()])
-    chosen = values[[adjacent_pair_family(support, d) for support in cdfs]]
+    return levels, np.array([np.searchsorted([rank[c] for c in cdf], t)
+                             for cdf in cdfs])
+
+
+def exact_var_extrema(d, m, big_m):
+    """Exact lower-quantile extrema over every ray of a class and over
+    the rays :func:`adjacent_pair_family` admits, at every level in
+    (0, 1) up to ties (:func:`_exact_quantile_points`).
+
+    Returns the levels and, per level, ``(min, max)`` over all rays and
+    over the family.
+    """
+    rays = exact_rays(d, m, big_m)
+    levels, points = _exact_quantile_points(rays)
+    values = np.array([np.array(support)[n]
+                       for support, n in zip(rays, points)])
+    chosen = values[[adjacent_pair_family(support, d) for support in rays]]
     return (levels, list(zip(values.min(0), values.max(0))),
             list(zip(chosen.min(0), chosen.max(0))))
+
+
+def exact_es_extrema(d, m, big_m):
+    """Exact expected-shortfall extrema over every ray of a class at the
+    levels of :func:`exact_var_extrema`, in rational arithmetic.
+
+    A ray's ES at a level is the mass-weighted mean of its points at or
+    above its quantile there. Returns the levels and, per level,
+    ``(min, max)`` as :class:`Fraction`.
+    """
+    rays = exact_rays(d, m, big_m)
+    levels, points = _exact_quantile_points(rays)
+    shortfalls = [[sum(s * x for s, x in zip(support[n:], masses[n:]))
+                   / sum(masses[n:]) for n in range(len(support))]
+                  for support, masses in rays.items()]
+    # Extrema over ranks of the distinct shortfalls, not over Fractions.
+    distinct = sorted({es for row in shortfalls for es in row})
+    rank = {es: r for r, es in enumerate(distinct)}
+    ranks = np.array([[rank[es] for es in row] + [0] * (3 - len(row))
+                      for row in shortfalls])
+    values = np.take_along_axis(ranks, points, axis=1)
+    return levels, [(distinct[lo], distinct[hi])
+                    for lo, hi in zip(values.min(0), values.max(0))]

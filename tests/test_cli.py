@@ -1018,9 +1018,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "module, flags, named",
-        [(rays_corr, ["--rho", "1/6"], "candidate triples"),
-         (rays_mean, [], "two-point rays")],
-        ids=["correlated", "mean"],
+        [(rays_corr, ["--rho", "1/6"], "candidate triples")],
+        ids=["correlated"],
     )
     def test_streamed_bounds_keep_the_cap(self, monkeypatch, module, flags,
                                           named):
@@ -1256,8 +1255,7 @@ class TestReproduce:
             monkeypatch.setattr(module, name, count)
 
         # Both correlated paths, VaR only and with ES, pass through
-        # risk._extrema once per class.
-        counting(rays_mean, "_ray_blocks")
+        # risk._extrema once per class; the mean class takes closed forms.
         counting(risk, "_extrema")
         result = CliRunner().invoke(
             cli.main, ["reproduce", "--out", str(tmp_path)]
@@ -1270,8 +1268,8 @@ class TestReproduce:
         assert manifest["tables"]["sweep_A"]["mismatches"][0]["column"] == (
             "var_max"
         )
-        assert len(requests) == 13
-        assert len(set(requests)) == 13
+        assert len(requests) == 12
+        assert len(set(requests)) == 12
 
 
 class TestSweepGrid:

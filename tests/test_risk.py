@@ -24,14 +24,21 @@ from bernrays import (
     rays_mean,
     risk,
 )
-from bernrays.errors import BernraysError, EmptyRaySet, InvalidSpec
+from bernrays.errors import (
+    BernraysError,
+    EmptyRaySet,
+    InvalidSpec,
+    MeanMismatch,
+)
 from oracles import (
     adjacent_pair_family,
+    exact_es_extrema,
     exact_var_extrema,
     mean_grid_pmfs,
     per_level_fold,
     random_mixture,
     scan_vars,
+    tail_shortfalls,
 )
 from test_rays_corr import TIED_CLASSES, degenerate_classes, tied_class
 
@@ -84,6 +91,30 @@ class TestVarScan:
                 risk.var_bounds_scan(mean_rays["A"], alpha)
 
 
+@st.composite
+def mean_classes(draw):
+    """Mean classes with d up to 60: p above 1e-9 and below 1, or an
+    integer mean. A smaller p below d = 10 fails the ray check
+    (``test_a_mean_within_1e_9_of_0_below_d_10_folds_alike``); such
+    means are drawn at larger d by
+    ``test_agrees_with_the_fold_where_the_mean_rounds_to_0_or_d``."""
+    d = draw(st.integers(1, 60))
+    if d > 1 and draw(st.booleans()):
+        return ClassSpec(d, draw(st.integers(1, d - 1)) / d)
+    return ClassSpec(d, draw(st.floats(1e-9, 1.0, exclude_min=True,
+                                       exclude_max=True)))
+
+
+# Mean classes on the edges of the closed forms: p = 1 - alpha, a pivot
+# above every lower index, integer means, a mean count an ulp below its
+# integer, means that round to 0 or to d.
+MEAN_EDGE_CLASSES = [
+    ClassSpec(10, 0.1), ClassSpec(4, 0.75), ClassSpec(4, 0.7),
+    ClassSpec(100, 0.01), ClassSpec(100, 0.05), ClassSpec(20, 0.1875),
+    ClassSpec(49, 2 / 49), ClassSpec(107, 7 / 107), ClassSpec(100, 1e-14),
+    ClassSpec(300, 1 - 1e-13), ClassSpec(1, 0.5), ClassSpec(2, 0.5)]
+
+
 class TestVarClosedForm:
     def test_low_marginal_cells(self):
         spec = ClassSpec(100, 0.003)
@@ -134,6 +165,61 @@ class TestVarClosedForm:
     def test_rejects_correlation_specs(self):
         with pytest.raises(InvalidSpec):
             risk.var_bounds_mean_closed_form(ClassSpec(4, 0.5, 0.25), 0.9)
+
+    @pytest.mark.parametrize("spec, alpha, point", [
+        (ClassSpec(100, 1e-14), 0.99, 0),
+        (ClassSpec(100, 1e-14), 1.0 - 1e-14, 0),
+        (ClassSpec(300, 1.0 - 1e-13), 1e-12, 300)])
+    def test_a_mean_that_rounds_to_0_or_d_is_its_point_ray(self, spec,
+                                                           alpha, point):
+        # The point ray is the whole class. The two-point branches gave
+        # (0, -1), (0, 100) and (270, 300) here.
+        assert risk.var_bounds_mean_closed_form(spec, alpha) == (
+            point, point)
+        bounds = risk.risk_bounds(rays_mean.enumerate_rays(spec), alpha)
+        assert (bounds.var_min, bounds.var_max) == (point, point)
+
+    def test_agrees_with_the_fold_where_the_mean_rounds_to_0_or_d(self):
+        # d*p at most 1e-9, or p within 1e-12 of 1, at levels near 0 and
+        # 1 too: the VaR closed form and the ES rule against the fold.
+        rng = np.random.default_rng(311)
+        for n in range(200):
+            d = int(np.exp(rng.uniform(math.log(10), math.log(2000))))
+            if n % 2:
+                p = max(float(rng.uniform(0.0, 1e-9)) / d, 5e-324)
+            else:
+                p = 1.0 - float(rng.uniform(2.0**-53, 1e-12))
+            spec = ClassSpec(d, p)
+            rays = rays_mean.enumerate_rays(spec)
+            alphas = [alpha for alpha in (
+                *FOLD_ALPHAS, 1e-12, 1.0 - 1e-14, 1.0 - p, p,
+                float(rng.uniform(0.01, 0.999))) if 0.0 < alpha < 1.0]
+            assert mean_values(spec, alphas) == whole_set_values(
+                rays, alphas), spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(mean_classes(), st.data())
+    def test_levels_on_and_next_to_ray_masses(self, spec, data):
+        # A level whose threshold lands on a ray's cdf at its first point,
+        # or an ulp or two from it, resolves as the fold resolves it.
+        rays = rays_mean.enumerate_rays(spec)
+        alphas = []
+        for _ in range(data.draw(st.integers(1, 4), label="levels")):
+            row = data.draw(st.integers(0, len(rays) - 1), label="row")
+            shift = data.draw(st.integers(-2, 2), label="ulps")
+            alphas.append(nudged(float(rays.masses[row, 0])
+                                 + pmf.CDF_TIE_TOL, shift))
+        alphas = [alpha for alpha in alphas if 0.0 < alpha < 1.0]
+        assert mean_values(spec, alphas) == whole_set_values(rays, alphas)
+
+    @pytest.mark.xfail(strict=True, raises=MeanMismatch, reason=(
+        "below d = 10 the ray check's mean tolerance, 1e-10 * d, is "
+        "tighter than the 1e-9 within which integer_mean snaps d*p, so "
+        "the point ray of such a class fails the check"))
+    def test_a_mean_within_1e_9_of_0_below_d_10_folds_alike(self):
+        spec = ClassSpec(1, 4.5e-10)
+        assert mean_values(spec) == whole_set_values(
+            rays_mean.enumerate_rays(spec), FOLD_ALPHAS)
 
 
 class TestSandwich:
@@ -293,9 +379,7 @@ def whole_set_bounds(rays, alpha):
     per-row VaR and ES expressions, the extrema over all rows and a
     lexicographic sort of the attaining rows."""
     values = scan_vars(rays.support, rays.masses, alpha)
-    tail = rays.support >= values[:, None]
-    es = (np.sum(rays.support * rays.masses * tail, axis=1)
-          / np.sum(rays.masses * tail, axis=1))
+    es = tail_shortfalls(rays, values)
 
     def first(value):
         rows = np.flatnonzero(values == value)
@@ -315,6 +399,13 @@ def outer_pair_values(spec, alphas=FOLD_ALPHAS):
                           es=True)
     return [[lo, hi, es_lo.hex(), es_hi.hex()]
             for lo, hi, es_lo, es_hi in found]
+
+
+def mean_values(spec, alphas=FOLD_ALPHAS):
+    """The four value fields per level of a mean class's closed forms,
+    with floats as their exact bits."""
+    return [[lo, hi, es_lo.hex(), es_hi.hex()]
+            for lo, hi, es_lo, es_hi in risk._mean_extrema(spec, alphas)]
 
 
 def whole_set_values(rays, alphas):
@@ -368,18 +459,20 @@ def per_level_bits(blocks, alphas, es=True):
 
 @dataclass
 class Rows:
-    """Padded ray rows as the fold reads them, never checked."""
+    """Padded ray rows as the fold reads them, never checked, and the
+    class whose mean a shortfall at the first point takes."""
 
     support: np.ndarray
     masses: np.ndarray
     sizes: np.ndarray
+    spec: ClassSpec
 
     def __len__(self):
         return len(self.support)
 
     def blocks(self, size):
         return [Rows(self.support[t:t + size], self.masses[t:t + size],
-                     self.sizes[t:t + size])
+                     self.sizes[t:t + size], self.spec)
                 for t in range(0, len(self), size)]
 
 
@@ -435,34 +528,41 @@ def adversarial_rows(draw):
             masses + [padding] * (3 - size), size)
 
 
+# The class of adversarial rows, on {0, ..., 30}: any mean, or an
+# integer one.
+ROW_CLASSES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 29).map(lambda n: n / 30)).map(
+        lambda p: ClassSpec(30, p))
+
+
 class TestFold:
     """The one scan body, over blocks cut any way from a class's rays."""
 
     def test_streamed_blocks_fold_like_the_whole_set(self):
-        # A mean class folds its streamed blocks; a correlated class takes
-        # the outer-pair path, whose four values are the fold's.
+        # A mean class takes the closed forms and a correlated class the
+        # outer-pair path, whose four values are the fold's.
         for spec in fold_classes(101, 200, 60):
             source = module_of(spec)
-            streamed = (rays_mean._ray_blocks if spec.rho is None
-                        else outer_pair_values)
             try:
                 rays = source.enumerate_rays(spec)
             except BernraysError as exc:
                 with pytest.raises(type(exc)):
-                    streamed(spec)
+                    outer_pair_values(spec)
                 continue
             if spec.rho is not None:
                 assert outer_pair_values(spec) == whole_set_values(
                     rays, FOLD_ALPHAS), spec
                 continue
-            blocks = list(streamed(spec))
-            streamed = risk._fold(blocks, FOLD_ALPHAS)
-            for alpha, got in zip(FOLD_ALPHAS, streamed):
+            assert mean_values(spec) == whole_set_values(
+                rays, FOLD_ALPHAS), spec
+            fold = risk._fold([rays], FOLD_ALPHAS)
+            for alpha, got in zip(FOLD_ALPHAS, fold):
                 want = whole_set_bounds(rays, alpha)
                 assert bits(got) == bits(want) == bits(
                     risk.risk_bounds(rays, alpha)), spec
-            assert [bits(b) for b in streamed] == per_level_bits(
-                blocks, FOLD_ALPHAS), spec
+            assert [bits(b) for b in fold] == per_level_bits(
+                [rays], FOLD_ALPHAS), spec
 
     @staticmethod
     def assert_any_cut_folds_alike(rays):
@@ -498,15 +598,16 @@ class TestFold:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(adversarial_rows(), min_size=1, max_size=24),
-           st.integers(1, 8), st.booleans())
+           st.integers(1, 8), st.booleans(), ROW_CLASSES)
     # A sum of masses that is subnormal: the shortfall of a candidate no
     # tail uses overflows.
-    @example([([0, 1, 2], [1.0, -1.0, 5e-324], 3)], 1, True)
+    @example([([0, 1, 2], [1.0, -1.0, 5e-324], 3)], 1, True,
+             ClassSpec(30, 0.5))
     def test_adversarial_rows_fold_like_the_per_level_scan(self, rows,
-                                                           size, es):
+                                                           size, es, spec):
         support, masses, sizes = zip(*rows)
         blocks = Rows(np.array(support, np.int64), np.array(masses),
-                      np.array(sizes, np.int64)).blocks(size)
+                      np.array(sizes, np.int64), spec).blocks(size)
         got = risk._fold(blocks, FOLD_ALPHAS, es)
         assert [bits(b) for b in got] == per_level_bits(
             blocks, FOLD_ALPHAS, es)
@@ -809,7 +910,7 @@ class TestOuterPairBounds:
     def test_a_class_above_the_cap_in_time_and_memory(self, monkeypatch):
         # The fold over the 31.7 million candidate triples of this class
         # takes about 6 s and gives these bits; the outer pairs about
-        # 0.22 s, and 25 MiB under tracemalloc.
+        # 0.07 s, and 25 MiB under tracemalloc.
         monkeypatch.setattr(rays_corr, "MAX_CANDIDATES", 2**62)
         spec = ClassSpec(1000, 0.266, 1 / 6)
         tracemalloc.start()
@@ -822,9 +923,9 @@ class TestOuterPairBounds:
         finally:
             tracemalloc.stop()
         assert found == [
-            [206, 808, "0x1.09fffffffffffp+8", "0x1.9400000000001p+9"],
-            [248, 1000, "0x1.20b076fc76d65p+8", "0x1.f400000000001p+9"],
-            [366, 1000, "0x1.7698577048004p+8", "0x1.f400000000001p+9"]]
+            [206, 808, "0x1.0a00000000000p+8", "0x1.9400000000000p+9"],
+            [248, 1000, "0x1.20b076fc76d65p+8", "0x1.f400000000000p+9"],
+            [366, 1000, "0x1.7698577048004p+8", "0x1.f400000000000p+9"]]
         assert var == [tuple(values[:2]) for values in found]
         assert elapsed < 5.0
         assert peak < 64 * 2**20
@@ -873,6 +974,95 @@ class TestOuterPairBounds:
             assert solved[-1] <= count, (d, p, rho)
 
 
+class TestShortfallRule:
+    """A ray's ES is the class mean where its VaR is its first point and
+    the point where its tail holds one point, so every ES extremum lies
+    in [mean, d]; a mean class's extrema follow from its VaR closed
+    form."""
+
+    @staticmethod
+    def assert_inside(spec, found):
+        for _, _, es_min, es_max in found:
+            assert spec.mean_count <= es_min <= es_max <= spec.d, spec
+
+    def values(self, spec, alphas):
+        """The four values per level that ``bounds`` prints, and the
+        whole-set fold's where the class is small."""
+        if spec.rho is None:
+            found = risk._mean_extrema(spec, alphas)
+        else:
+            found = risk._extrema(spec, rays_corr._capped_ranges(spec),
+                                  alphas, es=True)
+        if spec.d <= 60:
+            rays = module_of(spec).enumerate_rays(spec)
+            found += [(b.var_min, b.var_max, b.es_min, b.es_max)
+                      for b in risk._fold([rays], alphas)]
+        return found
+
+    def test_seeded_classes_of_both_kinds(self):
+        rng = np.random.default_rng(283)
+        specs = [*fold_classes(283, 300, 200), *CRAMER_CLASSES,
+                 *MEAN_EDGE_CLASSES]
+        for spec in specs:
+            alphas = [*FOLD_ALPHAS, *rng.uniform(0.01, 0.999, 2).tolist()]
+            if spec.p < 0.5:
+                alphas.append(1.0 - spec.p)
+            self.assert_inside(spec, self.values(spec, alphas))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mean_classes(), degenerate_classes(), small_classes()),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                              exclude_max=True), max_size=3))
+    def test_drawn_classes_of_both_kinds(self, spec, alphas):
+        self.assert_inside(spec, self.values(spec, [*FOLD_ALPHAS, *alphas]))
+
+    def test_exact_extrema_at_every_level(self):
+        # In exact arithmetic, at every level up to ties, the ES extrema
+        # over every ray are within the rounding bound of a two-point
+        # tail (risk._PAIR_SLACK) of the outer-pair path's.
+        checks = 0
+        for d, m, big_m in exact_classes(293, 80):
+            p = m / d
+            rho = ((big_m - m) / (d * (d - 1)) - p * p) / (p * (1 - p))
+            if rho <= -1:
+                continue  # the class of one name pair, outside ClassSpec
+            spec = ClassSpec(d, float(p), float(rho))
+            levels, exact = exact_es_extrema(d, m, big_m)
+            alphas = [float(level) for level in levels]
+            found = risk._extrema(spec, rays_corr._capped_ranges(spec),
+                                  alphas, es=True)
+            for alpha, (lo, hi), (*_, es_min, es_max) in zip(
+                    alphas, exact, found):
+                room = (1.0 - (alpha - pmf.CDF_TIE_TOL)
+                        - risk._PAIR_SLACK * d**2)
+                bound = risk._PAIR_SLACK * d**3 / room
+                assert abs(es_min - lo) <= bound, (d, m, big_m, alpha)
+                assert abs(es_max - hi) <= bound, (d, m, big_m, alpha)
+                checks += 1
+        assert checks > 3_000
+
+    def test_mean_rows_equal_the_fold(self):
+        # The command line's rows of a mean class come from the closed
+        # forms; they are the fold's over every ray, bit for bit.
+        rng = np.random.default_rng(307)
+        specs = [ClassSpec(int(rng.integers(1, 600)),
+                           float(rng.uniform(0.001, 0.999)))
+                 for _ in range(150)]
+        specs += [ClassSpec(d, int(rng.integers(1, d)) / d)
+                  for d in rng.integers(2, 600, 75).tolist()]
+        for spec in [*specs, *MEAN_EDGE_CLASSES]:
+            alphas = [*FOLD_ALPHAS, *rng.uniform(0.01, 0.999, 2).tolist()]
+            if spec.p < 0.5:
+                alphas.append(1.0 - spec.p)
+            rays = rays_mean.enumerate_rays(spec)
+            rows = cli._bounds_rows(spec, alphas)
+            assert [[row[key] for key in cli.BOUNDS_COLUMNS]
+                    for row in rows] == [
+                [alpha, b.var_min, b.var_max, b.es_min, b.es_max]
+                for alpha, b in ((alpha, risk.risk_bounds(rays, alpha))
+                                 for alpha in alphas)], spec
+
+
 class TestBlockSize:
     """One constant, ``rays_mean._BLOCK_ROWS``, cuts every block of work,
     and no result depends on it."""
@@ -890,8 +1080,6 @@ class TestBlockSize:
                           outer_pair_values(spec),
                           risk._var_extrema(spec, FOLD_ALPHAS),
                           rays_corr.candidate_count(spec)))
-        blocks = rays_mean._ray_blocks(ClassSpec(60, 0.3))
-        found.append([bits(b) for b in risk._fold(blocks, FOLD_ALPHAS)])
         return found
 
     def test_no_result_depends_on_the_block_size(self, monkeypatch):
@@ -903,17 +1091,15 @@ class TestBlockSize:
             return solve(spec, i, j, k)
 
         monkeypatch.setattr(rays_corr, "_solve_triples", counted)
-        found, chunks, mean_blocks = [], [], []
+        found, chunks = [], []
         for size in (1, 7, 2**14):
             monkeypatch.setattr(rays_mean, "_BLOCK_ROWS", size)
             solves.append(0)
             found.append(self.results())
             chunks.append(len(list(rays_corr._pair_ranges(self.SPECS[0]))))
-            mean_blocks.append(
-                len(list(rays_mean._ray_blocks(ClassSpec(60, 0.3)))))
         assert found[0] == found[1] == found[2]
-        # The patched size reaches the pair chunks, the triple slices and
-        # the mean blocks alike.
-        for counts in (solves, chunks, mean_blocks):
+        # The patched size reaches the pair chunks and the triple slices
+        # alike.
+        for counts in (solves, chunks):
             assert counts[0] >= counts[1] >= counts[2], counts
             assert counts[0] > counts[2], counts
