@@ -19,8 +19,8 @@ import importlib
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .pmf import ClassSpec
     from .rays_mean import RaySet
+    from .spec import ClassSpec
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     "BernraysError": "errors",
     "BetaMixParams": "betamix",
-    "ClassSpec": "pmf",
+    "ClassSpec": "spec",
     "DefaultCountPmf": "pmf",
     "EsEnvelope": "risk",
     "ExchangeablePmfSummary": "pmf",

@@ -5,7 +5,7 @@ library call; this layer only parses flags, routes ``rays`` through the
 ray-set cache, applies display rounding (one rule per column, read by
 both CSV and JSON), and serializes. Each command takes one path from
 flags to bytes: ``_resolve`` turns the class flags into a
-:class:`~bernrays.pmf.ClassSpec`, a row builder makes raw rows,
+:class:`~bernrays.spec.ClassSpec`, a row builder makes raw rows,
 ``_render`` serializes them and ``_emit`` or ``_write`` sends the text
 to stdout or a file. Only ``rays`` holds a whole ray set, which
 ``_enumerate_cached`` gets by way of the cache. ``bounds`` takes a mean
@@ -21,11 +21,12 @@ endings, sorted JSON keys, and no timestamps.
 The module top loads only the standard library, click, ``errors`` and
 ``_reference_tables``; each library module, and numpy with it, loads at
 the first call into it. So ``--version``, ``--help`` and a flag refused
-before the class is built start without numpy. The first command a
-process runs registers ``gc.freeze`` as an exit handler, so the
-interpreter's collections at exit skip the objects those imports left;
-code that runs commands in process keeps its collector as it was until
-its own exit.
+before the class is built start without numpy, and so do a mean
+class's ``bounds`` and ``moments``, served by the stdlib-only ``spec``.
+The first command a process runs registers ``gc.freeze`` as an exit
+handler, so the interpreter's collections at exit skip the objects
+those imports left; code that runs commands in process keeps its
+collector as it was until its own exit.
 
 Exit codes: 0 success, 2 infeasible or invalid input or an output
 directory, or the cache directory of ``rays``, that cannot be written,
@@ -59,8 +60,8 @@ from . import _reference_tables as ref
 from .errors import BernraysError, InadmissibleCorrelation, InvalidSpec
 
 if TYPE_CHECKING:
-    from .pmf import ClassSpec
     from .rays_mean import RaySet
+    from .spec import ClassSpec
 
 EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
@@ -177,15 +178,13 @@ SWEEP_COLUMNS = ("rho", "alpha", "var_min", "var_max", "beta_var")
 
 
 def _moments_rows(spec: ClassSpec) -> list[dict]:
-    from . import rays_mean
+    from .spec import _moment_range, correlation_bounds
 
     rows = []
     for order in range(1, min(4, spec.d) + 1):
-        bounds = rays_mean.moment_bounds(spec, order)
-        rows.append(
-            {"order": str(order), "lower": bounds.lower, "upper": bounds.upper}
-        )
-    low, high = rays_mean.correlation_bounds(spec)
+        lower, upper, _ = _moment_range(spec, order)
+        rows.append({"order": str(order), "lower": lower, "upper": upper})
+    low, high = correlation_bounds(spec)
     rows.append({"order": "rho", "lower": low, "upper": high})
     return rows
 
@@ -206,20 +205,21 @@ def _beta_vars(spec: ClassSpec, alphas: tuple[float, ...]) -> list:
 def _bounds_rows(spec: ClassSpec, alphas: tuple[float, ...]) -> list[dict]:
     """One row per level of the risk bounds over the rays of ``spec``,
     with the benchmark's VaR for a correlated class. A mean class takes
-    its values from closed forms (``risk._mean_extrema``); a correlated
-    one solves only the outer pairs that can hold an extremum
-    (``risk._extrema``)."""
-    from . import pmf, rays_corr, risk
+    its values from numpy-free closed forms (``bernrays.spec``);
+    a correlated one solves only the outer pairs that can hold an
+    extremum (``risk._extrema``)."""
+    from .spec import _check_open_unit, _mean_extrema
 
     if spec.rho is None:
         return [dict(zip(BOUNDS_COLUMNS, (alpha, *values)))
-                for alpha, values in zip(alphas,
-                                         risk._mean_extrema(spec, alphas))]
+                for alpha, values in zip(alphas, _mean_extrema(spec, alphas))]
+    from . import rays_corr, risk
+
     # A refused class fails here, before any level is checked.
     ranges = rays_corr._capped_ranges(spec)
     # Faults surface level by level: the first level's range, then the
     # benchmark's, then the other levels'.
-    pmf._check_open_unit(alphas[0], "alpha")
+    _check_open_unit(alphas[0], "alpha")
     betas = _beta_vars(spec, alphas)
     found = risk._extrema(spec, ranges, alphas, es=True)
     return [dict(zip(BOUNDS_BETA_COLUMNS, (alpha, *values, beta)))
@@ -241,7 +241,7 @@ def _sweep_rows(
     come from the rays whose support holds two adjacent indices or spans
     ``{0, d}``, so no class is enumerated or cached."""
     from . import risk
-    from .pmf import ClassSpec
+    from .spec import ClassSpec
 
     rows = []
     for rho in _sweep_grid(grid):
@@ -285,7 +285,7 @@ def _scenario_tables(scenario: str, p: float):
     per-rho table is the sweep rows at its rho and every class is
     solved once.
     """
-    from .pmf import ClassSpec
+    from .spec import ClassSpec
 
     spec = ClassSpec(ref.DEFAULT_D, p)
     moments = _moments_rows(spec)
@@ -415,8 +415,9 @@ def _resolve(
     rho = parse_rho(rho_text) if rho_text is not None else None
     alphas = _parse_alphas(alpha_text) if alpha_text is not None else ()
     p = p if p is not None else ref.SCENARIOS[scenario]
-    # Imported after the flag checks: a refused flag loads no numpy.
-    from .pmf import ClassSpec
+    # Imported after the flag checks: a refused flag compiles no more. It
+    # loads no numpy, nor do a mean class's bounds and moments.
+    from .spec import ClassSpec
 
     return ClassSpec(d, p, rho), alphas
 

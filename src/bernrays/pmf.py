@@ -8,8 +8,9 @@ dimensions in the thousands neither overflow nor lose the small masses;
 one function reweights in either direction, and both forms share one
 validator, the level weights checked through their reweighted total.
 
-The tolerances of pmfs and their membership checks live here; the ray
-modules and ``risk`` define the tolerances of their own checks.
+The tolerances of pmfs and their membership checks live here, but for
+``CDF_TIE_TOL``, which the quantile shares with the mean class's closed
+forms in ``spec``; the ray modules and ``risk`` define their own.
 """
 
 from __future__ import annotations
@@ -19,16 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spec as spec_mod
 from .errors import (
     DegenerateMarginal,
     EmptyTail,
-    InvalidSpec,
     LengthMismatch,
     NegativeMass,
     NotNormalized,
     OrderOutOfRange,
     Overflow,
 )
+from .spec import CDF_TIE_TOL, _check_d, _check_open_unit, _falling_ratio
+
+# The class descriptor, defined without numpy, is found here too.
+ClassSpec = spec_mod.ClassSpec
 
 # Entries may dip this far below zero before they count as negative mass;
 # anything in [-NEG_MASS_TOL, 0) is clamped to exact zero on construction.
@@ -37,35 +42,9 @@ NEG_MASS_TOL = 1e-12
 # Probability vectors must total one within this absolute tolerance.
 NORM_TOL = 1e-10
 
-# A cdf value within this distance below alpha still covers the quantile.
-# Two-point extremal densities routinely put mass exactly alpha at their
-# lower support point, so quantile ties must resolve downward.
-CDF_TIE_TOL = 1e-12
-
-# d*p within this distance of an integer is treated as an integer mean.
-INTEGER_MEAN_TOL = 1e-9
-
 # Residual tolerances for membership checks, scaled by d and d**2.
 MEAN_RESIDUAL_SCALE = 1e-9
 SECOND_MOMENT_RESIDUAL_SCALE = 1e-9
-
-
-def _check_d(d) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidSpec(f"d must be a positive integer, got {d}")
-    # Support indices are int64 throughout.
-    if d > np.iinfo(np.int64).max:
-        raise InvalidSpec(f"d must be at most 2**63 - 1, got {d}")
-    return int(d)
-
-
-def _check_open_unit(x, name: str) -> float:
-    """``x`` as a float strictly inside (0, 1); NaN and infinities fail
-    the comparison too."""
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise InvalidSpec(f"{name} must lie strictly inside (0, 1), got {x}")
-    return x
 
 
 def _clean_probs(values, d: int, levels: bool = False) -> np.ndarray:
@@ -133,75 +112,6 @@ class ExchangeablePmfSummary:
         object.__setattr__(self, "f", _clean_probs(self.f, self.d, True))
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """Specification of a class of exchangeable Bernoulli laws.
-
-    ``ClassSpec(d, p)`` fixes only the marginal default probability;
-    ``ClassSpec(d, p, rho)`` additionally fixes the pairwise
-    equicorrelation. Derived quantities used throughout the ray
-    machinery are exposed as read-only properties.
-    """
-
-    d: int
-    p: float
-    rho: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _check_d(self.d))
-        object.__setattr__(self, "p", _check_open_unit(self.p, "p"))
-        if self.rho is not None:
-            rho = float(self.rho)
-            if not -1.0 < rho <= 1.0:
-                raise InvalidSpec(f"rho must lie in (-1, 1], got {rho}")
-            if self.d < 2:
-                raise InvalidSpec("a correlation target requires d >= 2")
-            object.__setattr__(self, "rho", rho)
-
-    @property
-    def mean_count(self) -> float:
-        """Target mean of the default count, ``d * p``."""
-        return self.d * self.p
-
-    @property
-    def integer_mean(self) -> bool:
-        """Whether ``d * p`` is an integer within ``1e-9``."""
-        pd = self.mean_count
-        return abs(pd - round(pd)) <= INTEGER_MEAN_TOL
-
-    @property
-    def max_lower_index(self) -> int:
-        """Largest support index strictly below the mean count."""
-        pd = self.mean_count
-        if self.integer_mean:
-            return int(round(pd)) - 1
-        return int(math.floor(pd))
-
-    @property
-    def min_upper_index(self) -> int:
-        """Smallest support index strictly above the mean count."""
-        return self.max_lower_index + 1 + self.integer_mean
-
-    @property
-    def pair_moment_target(self) -> float | None:
-        """Target second cross moment ``E[X_i X_j]``, or None."""
-        if self.rho is None:
-            return None
-        return self.rho * self.p * (1.0 - self.p) + self.p * self.p
-
-    @property
-    def second_moment_target(self) -> float | None:
-        """Target raw second moment of the count, or None.
-
-        Equals ``d*p + d*(d-1) * pair_moment_target``; the count-level
-        counterpart of the pair moment.
-        """
-        mu2 = self.pair_moment_target
-        if mu2 is None:
-            return None
-        return self.mean_count + self.d * (self.d - 1) * mu2
-
-
 def log_binomial(d: int) -> np.ndarray:
     """Vector of ``log binom(d, j)`` for ``j = 0..d`` via log-gamma."""
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(d + 1)])
@@ -239,20 +149,6 @@ def mean(pmf: DefaultCountPmf) -> float:
     return math.fsum((j * x for j, x in enumerate(pmf.probs.tolist())))
 
 
-def _falling_ratio(support: np.ndarray, d: int, order: int) -> np.ndarray:
-    """``(s)_order / (d)_order`` per support value ``s``.
-
-    The ratio is a product of per-step ratios ``(s-t)/(d-t)``, each in
-    ``[0, 1]``, so no overflow is possible at any ``d``; it is zero for
-    ``s < order``.
-    """
-    out = np.ones(support.shape)
-    s = support.astype(float)
-    for t in range(order):
-        out *= (s - t) / (d - t)
-    return np.maximum(out, 0.0)
-
-
 def cross_moment(pmf: DefaultCountPmf, order: int) -> float:
     """Cross moment ``E[X_1 * ... * X_order]`` of the Bernoulli margins.
 
@@ -274,7 +170,7 @@ def cross_moment(pmf: DefaultCountPmf, order: int) -> float:
     """
     if not 1 <= order <= pmf.d:
         raise OrderOutOfRange(f"order must lie in 1..{pmf.d}, got {order}")
-    ratio = _falling_ratio(np.arange(pmf.d + 1), pmf.d, order)
+    ratio = _falling_ratio(np.arange(pmf.d + 1, dtype=float), pmf.d, order)
     return math.fsum((ratio * pmf.probs).tolist())
 
 

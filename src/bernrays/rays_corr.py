@@ -48,12 +48,12 @@ from .errors import (
     InvalidSpec,
 )
 from .pmf import (
-    ClassSpec,
     DefaultCountPmf,
     MEAN_RESIDUAL_SCALE,
     SECOND_MOMENT_RESIDUAL_SCALE,
 )
 from .rays_mean import MAX_CANDIDATES, RayDensity, RaySet
+from .spec import ClassSpec, _pair_moment_floor
 
 # A computed mass this close to zero marks a dropped support point; the
 # Cramer formulas at d ~ 100 accumulate roundoff near 1e-13.
@@ -150,7 +150,7 @@ def _pair_ranges(spec: ClassSpec):
     monotone in ``k``, so the ``k`` it admits for an ``i`` form one run.
     """
     mu2 = spec.pair_moment_target
-    floor = rays_mean._pair_moment_floor(spec)
+    floor = _pair_moment_floor(spec)
     # The upper bound, p, holds for every rho <= 1 that ClassSpec admits.
     if mu2 < floor - _FEASIBILITY_TOL:
         raise InfeasibleMoment(

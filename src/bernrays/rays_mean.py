@@ -5,8 +5,8 @@ polytope whose extreme points all have at most two support points: one
 strictly below the mean and one strictly above, with masses fixed by the
 mean constraint, plus the degenerate point mass when ``d*p`` is itself
 an integer. This module enumerates those rays, decomposes any admissible
-pmf into a convex combination of them, and turns the enumeration into
-sharp bounds on cross moments and on the pairwise correlation. It also
+pmf into a convex combination of them, and names the rays attaining the
+cross-moment bounds, whose values ``spec`` gives in closed form. It also
 holds :class:`RaySet` and :class:`RayDensity`, the ray types of both
 classes: each carries the :class:`ClassSpec` its rays are extremal for,
 and one validator checks the rows of either class against it.
@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pmf as pmf_mod
+from . import spec as spec_mod
 from .errors import (
     ClassTooLarge,
     EmptyRaySet,
@@ -31,9 +32,9 @@ from .errors import (
     MeanMismatch,
     NonIntegerMean,
     NotNormalized,
-    OrderOutOfRange,
 )
-from .pmf import ClassSpec, DefaultCountPmf, _falling_ratio
+from .pmf import DefaultCountPmf
+from .spec import ClassSpec
 
 # Most index triples one correlated enumeration may examine, and most
 # two-point rays a mean-class enumeration may build. By tracemalloc peak
@@ -54,7 +55,8 @@ _BLOCK_ROWS = 2**14
 _RESIDUAL_EPS = 1e-15
 
 # Ray checks shared by RayDensity and RaySet: the masses sum to one
-# within _SUM_TOL, the mean is within _MEAN_SCALE * d of d*p and, for
+# within _SUM_TOL, the mean is within _MEAN_SCALE * d of d*p, but at
+# least INTEGER_MEAN_TOL, the slack of a snapped integer mean, and, for
 # the correlated class, the raw second moment is within
 # pmf.SECOND_MOMENT_RESIDUAL_SCALE * d**2 of its target.
 _SUM_TOL = 1e-12
@@ -172,7 +174,8 @@ def _check_rows(
     if bad.any():
         fail(NotNormalized, bad, "has masses that do not sum to 1")
     mean = spec.mean_count
-    bad = np.abs(s0 * x0 + s1 * x1 + s2 * x2 - mean) > _MEAN_SCALE * d
+    tol = max(_MEAN_SCALE * d, spec_mod.INTEGER_MEAN_TOL)
+    bad = np.abs(s0 * x0 + s1 * x1 + s2 * x2 - mean) > tol
     if bad.any():
         fail(MeanMismatch, bad, f"misses the mean {mean}")
     target = spec.second_moment_target
@@ -281,31 +284,13 @@ class MomentBounds(NamedTuple):
     argmax: RayDensity
 
 
-def _require_mean_only(spec: ClassSpec, op: str) -> None:
-    if spec.rho is not None:
-        raise InvalidSpec(
-            f"{op} applies to the mean-constrained class; "
-            "got a spec with a correlation target"
-        )
-
-
-def _two_point_masses(pd: float, j1, j2):
-    """Masses at ``j1`` and ``j2`` of the two-point rays on ``(j1, j2)``,
-    for scalar or array indices alike."""
-    gap = j2 - j1
-    low = (j2 - pd) / gap
-    high = (pd - j1) / gap
-    total = low + high
-    return low / total, high / total
-
-
 def _mean_rows(
     spec: ClassSpec, j1, j2, point: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Padded support and mass rows of the two-point rays on ``(j1, j2)``,
     then of the point ray at the integer mean if ``point``."""
     j1, j2 = np.asarray(j1, np.int64), np.asarray(j2, np.int64)
-    low, high = _two_point_masses(spec.mean_count, j1, j2)
+    low, high = spec_mod._two_point_masses(spec.mean_count, j1, j2)
     support = np.column_stack((j1, j2, j2))
     masses = np.column_stack((low, high, np.zeros(len(j1))))
     if point:
@@ -361,7 +346,7 @@ def enumerate_rays(spec: ClassSpec) -> RaySet:
     :class:`ClassTooLarge` before any array is built, and a class with
     none builds no index array.
     """
-    _require_mean_only(spec, "enumerate_rays")
+    spec_mod._require_mean_only(spec, "enumerate_rays")
     count = (spec.max_lower_index + 1) * (spec.d - spec.min_upper_index + 1)
     if count > MAX_CANDIDATES:
         raise ClassTooLarge(
@@ -401,7 +386,7 @@ def decompose(
         Weights are positive and sum to one; mixing the rays with these
         weights reconstructs ``pmf`` entry by entry.
     """
-    _require_mean_only(spec, "decompose")
+    spec_mod._require_mean_only(spec, "decompose")
     if pmf.d != spec.d:
         raise LengthMismatch(f"pmf has d={pmf.d}, spec has d={spec.d}")
     got = pmf_mod.mean(pmf)
@@ -424,7 +409,7 @@ def decompose(
     at = [0, 0]
     while at[0] < len(lower) and at[1] < len(upper):
         pair = (lower[at[0]], upper[at[1]])
-        masses = _two_point_masses(spec.mean_count, *pair)
+        masses = spec_mod._two_point_masses(spec.mean_count, *pair)
         lam = min(residual[j] / m for j, m in zip(pair, masses))
         lows.append(pair[0])
         highs.append(pair[1])
@@ -451,51 +436,17 @@ def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:
     the maximum and the ray hugging the mean (the point ray at an
     integer mean) the minimum. When the ratio vanishes at ``j2m``, the
     minimum is zero and ``(0, j2m)`` is its lexicographically first ray.
-    Orders 1 and 2 take their values from closed forms. Any correlation
+    The values come from the numpy-free ``spec`` module. Any correlation
     target on ``spec`` is ignored: the bounds describe the
     mean-constrained class.
     """
-    if not 1 <= order <= spec.d:
-        raise OrderOutOfRange(f"order must lie in 1..{spec.d}, got {order}")
-    j2 = spec.min_upper_index
+    lower, upper, floor = spec_mod._moment_range(spec, order)
     # Row 0 spans {0, d}; row 1 is the lowest chord at the mean.
-    if spec.integer_mean and j2 >= order:
-        rays = _mean_rays(spec, [0], [spec.d], point=True)
-    else:
-        j1 = 0 if j2 < order else spec.max_lower_index
-        rays = _mean_rays(spec, [0, j1], [spec.d, j2])
-    if order == 1:
-        return MomentBounds(spec.p, spec.p, rays[0], rays[0])
-    if order == 2:
-        return MomentBounds(_pair_moment_floor(spec), spec.p, rays[1],
-                            rays[0])
-    ratio = _falling_ratio(rays.support, spec.d, order)
-    # A batched matmul rounds each 3-term dot product like np.dot does.
-    values = (ratio[:, None, :] @ rays.masses[:, :, None])[:, 0, 0]
-    return MomentBounds(float(values[1]), float(values[0]), rays[1], rays[0])
+    point = len(floor) == 1
+    rays = _mean_rays(spec, [0, *floor[:-1]], [spec.d, *floor[1:]], point)
+    return MomentBounds(lower, upper, rays[0 if order == 1 else 1], rays[0])
 
 
-def _pair_moment_floor(spec: ClassSpec) -> float:
-    """The least order-2 cross moment over the class, in closed form:
-    that of the point ray at an integer mean, else of the ray on
-    ``(j1M, j1M + 1)``. ``spec.d`` is at least 2."""
-    d, pd = spec.d, spec.mean_count
-    if spec.integer_mean:
-        return spec.p * (pd - 1.0) / (d - 1.0)
-    j = spec.max_lower_index
-    return (-j * (j + 1.0) + 2.0 * j * pd) / (d * (d - 1.0))
-
-
-def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:
-    """Sharp correlation range of the mean-constrained class.
-
-    The maximum is 1 (comonotonic margins are always admissible); the
-    minimum maps the order-2 moment minimum through
-    ``rho = (mu2 - p^2) / (p(1-p))``. A pair of names needs ``d >= 2``.
-    """
-    if spec.d < 2:
-        raise InvalidSpec("a correlation range requires d >= 2")
-    mu2_low = moment_bounds(spec, 2).lower
-    q = 1.0 - spec.p
-    rho_min = (mu2_low - spec.p * spec.p) / (spec.p * q)
-    return max(-1.0, rho_min), 1.0
+# The mean class's correlation range, defined without numpy, is found
+# here too.
+correlation_bounds = spec_mod.correlation_bounds

@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidSpec, LengthMismatch
-from .pmf import ClassSpec
 from .rays_mean import RayDensity, RaySet
+from .spec import ClassSpec
 
 # Line templates by ray size; str.format ignores the unused trailing cells.
 _LINE_FORMATS = {

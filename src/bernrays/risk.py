@@ -9,7 +9,7 @@ and its shortfall for each column its VaR can take, exact where the
 tail is the whole support (the class mean) or one point. A level then
 costs two threshold tests and a select per ray. For the
 mean-constrained class the scan collapses to a closed form in (d, p,
-alpha). A correlated class is never folded whole: VaR
+alpha), in ``spec``. A correlated class is never folded whole: VaR
 needs only the O(d) rays whose support holds two adjacent indices or
 spans {0, d}, and ES only the outer pairs whose closed-form bounds beat
 the extrema of those rays, in one pass (:func:`_extrema`); the same
@@ -28,10 +28,15 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import rays_corr, rays_mean
+from . import rays_corr
 from .errors import EmptyRaySet
-from .pmf import CDF_TIE_TOL, ClassSpec, _check_open_unit
-from .rays_mean import RayDensity, RaySet, _require_mean_only
+from .rays_mean import RayDensity, RaySet
+from .spec import (
+    CDF_TIE_TOL,
+    ClassSpec,
+    _check_open_unit,
+    var_bounds_mean_closed_form,
+)
 
 
 @dataclass(frozen=True)
@@ -401,64 +406,6 @@ def var_bounds_scan(rays: Sequence[RayDensity], alpha: float) -> RiskBounds:
     support, independent of the input order.
     """
     return _fold(_one_block(rays), (alpha,), es=False)[0]
-
-
-def var_bounds_mean_closed_form(
-    spec: ClassSpec, alpha: float
-) -> tuple[int, int]:
-    """Closed-form VaR extrema over the mean-constrained class, those of
-    a scan over its rays.
-
-    A two-point ray ``(j1, j2)`` has VaR ``j1`` where its cdf at ``j1``,
-    ``(j2 - pd)/(j2 - j1)``, covers the level, else ``j2``; that cdf
-    rises with either index. So the minimum is the first ``j1`` whose
-    ray to ``d`` covers the level, near ``d - (d - pd)/alpha``, or
-    ``j1M + 1`` (the integer mean, if any) where none does; the maximum
-    is the last ``j2`` whose ray from 0 does not, near
-    ``pd/(1 - alpha)``, or ``j2m - 1`` where all do. A mean that rounds to
-    0 or ``d`` leaves the point ray alone. Each crossing is settled on
-    the rays next to its estimate by the scan's own test, a float mass
-    against ``alpha - CDF_TIE_TOL``, so ties resolve as in the scan.
-    """
-    _require_mean_only(spec, "var_bounds_mean_closed_form")
-    alpha = _check_open_unit(alpha, "alpha")
-    d, pd = spec.d, spec.mean_count
-    lower, upper = spec.max_lower_index, spec.min_upper_index
-    if lower < 0 or upper > d:
-        return lower + 1, lower + 1
-    threshold = alpha - CDF_TIE_TOL
-
-    def covers(j1, j2):
-        return rays_mean._two_point_masses(pd, j1, j2)[0] >= threshold
-
-    start = d - (d - pd) / threshold if threshold > 0 else 0.0
-    var_min = min(math.ceil(max(start, 0.0)), lower + 1)
-    while var_min > 0 and covers(var_min - 1, d):
-        var_min -= 1
-    while var_min <= lower and not covers(var_min, d):
-        var_min += 1
-    var_max = min(max(math.ceil(pd / (1.0 - threshold)), upper), d + 1) - 1
-    while var_max < d and not covers(0, var_max + 1):
-        var_max += 1
-    while var_max >= upper and covers(0, var_max):
-        var_max -= 1
-    return var_min, var_max
-
-
-def _mean_extrema(
-    spec: ClassSpec, alphas: Sequence[float]
-) -> list[tuple[int, int, float, float]]:
-    """``(var_min, var_max, es_min, es_max)`` of the mean class per
-    level, the values of :func:`_fold` over its rays in closed form. A
-    ray's ES is the mean where its VaR is below ``j2m``, the least index
-    above the mean (a two-point ray's lower point, or the point ray),
-    and its VaR elsewhere. The test is on indices: the float mean can
-    fall an ulp short of the point ray."""
-    upper, mean = spec.min_upper_index, spec.mean_count
-    return [(lo, hi, mean if lo < upper else float(lo),
-             float(hi) if hi >= upper else mean)
-            for lo, hi in (var_bounds_mean_closed_form(spec, alpha)
-                           for alpha in alphas)]
 
 
 def es_bounds_scan(

@@ -410,6 +410,22 @@ class TestCommands:
         header = result.stdout.splitlines()[0]
         assert header.startswith("12,0.25")
 
+    @pytest.mark.parametrize("d, p", [("5", "0.2000000001"),
+                                      ("2", "2.25e-10"),
+                                      ("4", "0.749999999775")])
+    def test_a_snapped_mean_below_d_10_is_answered(self, d, p):
+        # d*p lies within the 1e-9 that integer_mean snaps but more than
+        # 1e-10 * d from its integer: the point ray passes its check, and
+        # the library's moment bounds are the values moments prints.
+        spec = ClassSpec(int(d), float(p))
+        assert run("rays", "--d", d, "--p", p).exit_code == 0
+        assert run("moments", "--d", d, "--p", p).exit_code == 0
+        rows = cli._moments_rows(spec)
+        assert [(row["lower"], row["upper"]) for row in rows] == [
+            *(rays_mean.moment_bounds(spec, order)[:2]
+              for order in range(1, min(4, spec.d) + 1)),
+            rays_mean.correlation_bounds(spec)]
+
     def test_bounds_csv_shape(self):
         result = run("bounds", "--scenario", "BBB")
         assert result.exit_code == 0
@@ -742,6 +758,32 @@ class TestImport:
         )
         assert results == [[0, []], [0, []]]
         assert held == []
+
+    def test_mean_class_bounds_and_moments_load_no_numpy(self, tmp_path):
+        # Their values are the closed forms of the stdlib-only spec
+        # module, in every output form and on a refused level too.
+        out = str(tmp_path / "out")
+        mean = ["--d", "400", "--p", "0.25"]
+        results, held = run_in_process(
+            [["bounds", *mean], ["moments", *mean],
+             ["bounds", *mean, "--format", "json"],
+             ["moments", *mean, "--format", "json"],
+             ["bounds", *mean, "--out", out],
+             ["moments", *mean, "--out", out],
+             ["bounds", *mean, "--alpha", "0.9,1.5"]],
+            ["numpy", *LIBRARY_MODULES],
+        )
+        assert results[:6] == [[0, []]] * 6
+        code, err = results[6]
+        assert code == cli.EXIT_INFEASIBLE
+        assert err == ["error: alpha must lie strictly inside (0, 1), "
+                       "got 1.5"]
+        assert held == []
+
+    def test_the_class_descriptor_loads_no_numpy(self):
+        assert fresh_python(
+            "from bernrays import ClassSpec; ClassSpec(10, 0.3); "
+            "print('numpy' in sys.modules)") == "False"
 
     def test_enumerate_rays_loads_only_the_module_it_dispatches_to(self):
         assert fresh_python(

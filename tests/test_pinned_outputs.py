@@ -1,6 +1,6 @@
 """Bit-level pins of the numeric core: decomposition, binomial
-reweighting, the closed-form VaR of the mean class and the VaR extrema
-of the correlation sweep.
+reweighting, the closed forms of the mean class and the VaR extrema of
+the correlation sweep.
 
 Each digest is the sha256 of little-endian int64 and float64 bytes
 recorded from an earlier implementation, so a rewrite that moves a
@@ -26,6 +26,7 @@ from bernrays import (
     risk,
 )
 from bernrays.errors import InvalidSpec
+from bernrays.spec import _mean_extrema
 
 
 def sha256(*arrays):
@@ -144,6 +145,76 @@ def test_closed_form_var_on_a_seeded_grid():
     assert sha256(bounds) == (
         "c55d5da560563a152273e6ece2227e3935bb79772d11e819d5ffe5053d4b3ad7"
     )
+
+
+def snapped_mean_classes(rng):
+    """Seeded mean classes with d up to 400. Below d = 10, every integer
+    mean, each also moved by up to 9e-10, within the 1e-9 that
+    ``integer_mean`` snaps; above, a third each of integer means, means
+    within 1e-9 of an integer (0 and d included) and uniform p."""
+    for d in range(1, 10):
+        for m in range(d + 1):
+            for shift in (0.0, 4.5e-10, -4.5e-10, 9e-10, -9e-10):
+                if 0.0 < m + shift < d:
+                    yield ClassSpec(d, (m + shift) / d)
+    for t in range(240):
+        d = int(rng.integers(10, 401))
+        if t % 3 == 0:
+            yield ClassSpec(d, int(rng.integers(1, d)) / d)
+        elif t % 3 == 1:
+            m = int(rng.integers(0, d + 1))
+            shift = float(rng.uniform(-9e-10, 9e-10))
+            mean = min(max(m + shift, abs(shift)), d - abs(shift))
+            yield ClassSpec(d, mean / d)
+        else:
+            yield ClassSpec(d, float(rng.uniform(0.001, 0.999)))
+
+
+def test_mean_class_closed_forms_on_a_seeded_grid():
+    # Every moment bound of orders 1 to min(d, 8) with its attaining
+    # rays, the correlation range and the VaR/ES extrema at levels on
+    # and next to two-point rays' cdfs, as float.hex. Recorded where the
+    # order-3+ moments were a batched matmul of ratios and masses
+    # (numpy 2.4.6, Intel Xeon, x86-64 Linux), with the ray check's mean
+    # tolerance widened to 1e-9 below d = 10, where it refused the point
+    # ray of the shifted classes.
+    rng = np.random.default_rng(2026)
+    lines = []
+    for spec in snapped_mean_classes(rng):
+        lines.append(f"{spec.d} {spec.p.hex()}")
+        for order in range(1, min(spec.d, 8) + 1):
+            bounds = rays_mean.moment_bounds(spec, order)
+            lines.append(" ".join([
+                bounds.lower.hex(), bounds.upper.hex(),
+                *(f"{ray.support}{[m.hex() for m in ray.masses]}"
+                  for ray in (bounds.argmin, bounds.argmax))]))
+        if spec.d >= 2:
+            lines.append(" ".join(
+                x.hex() for x in rays_mean.correlation_bounds(spec)))
+        alphas = [0.9, 0.95, 0.99, 1.0 - spec.p]
+        alphas += rng.uniform(0.01, 0.999, size=2).tolist()
+        lower, upper = spec.max_lower_index, spec.min_upper_index
+        if 0 <= lower and upper <= spec.d:
+            for _ in range(2):
+                ray = rays_mean.two_point_ray(
+                    spec, int(rng.integers(0, lower + 1)),
+                    int(rng.integers(upper, spec.d + 1)))
+                level = ray.masses[0] + pmf.CDF_TIE_TOL
+                alphas += [level, math.nextafter(level, 0.0),
+                           math.nextafter(level, 1.0)]
+        alphas = [alpha for alpha in alphas if 0.0 < alpha < 1.0]
+        for values in _mean_extrema(spec, alphas):
+            lines.append(" ".join(str(x) if isinstance(x, int) else x.hex()
+                                  for x in values))
+    assert len(lines) == MEAN_CLASS_LINES
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MEAN_CLASS_SHA256
+
+
+MEAN_CLASS_LINES = 9408
+MEAN_CLASS_SHA256 = (
+    "0d6d400e24cbe9ab1fddd825fda3118db658308ad0b5d7e17332a99c04bbaa22"
+)
 
 
 # sha256 of the stdout of `sweep`, recorded from a fold over every ray of

@@ -28,8 +28,8 @@ from bernrays.errors import (
     BernraysError,
     EmptyRaySet,
     InvalidSpec,
-    MeanMismatch,
 )
+from bernrays.spec import _mean_extrema
 from oracles import (
     adjacent_pair_family,
     exact_es_extrema,
@@ -212,10 +212,6 @@ class TestVarClosedForm:
         alphas = [alpha for alpha in alphas if 0.0 < alpha < 1.0]
         assert mean_values(spec, alphas) == whole_set_values(rays, alphas)
 
-    @pytest.mark.xfail(strict=True, raises=MeanMismatch, reason=(
-        "below d = 10 the ray check's mean tolerance, 1e-10 * d, is "
-        "tighter than the 1e-9 within which integer_mean snaps d*p, so "
-        "the point ray of such a class fails the check"))
     def test_a_mean_within_1e_9_of_0_below_d_10_folds_alike(self):
         spec = ClassSpec(1, 4.5e-10)
         assert mean_values(spec) == whole_set_values(
@@ -405,7 +401,7 @@ def mean_values(spec, alphas=FOLD_ALPHAS):
     """The four value fields per level of a mean class's closed forms,
     with floats as their exact bits."""
     return [[lo, hi, es_lo.hex(), es_hi.hex()]
-            for lo, hi, es_lo, es_hi in risk._mean_extrema(spec, alphas)]
+            for lo, hi, es_lo, es_hi in _mean_extrema(spec, alphas)]
 
 
 def whole_set_values(rays, alphas):
@@ -989,7 +985,7 @@ class TestShortfallRule:
         """The four values per level that ``bounds`` prints, and the
         whole-set fold's where the class is small."""
         if spec.rho is None:
-            found = risk._mean_extrema(spec, alphas)
+            found = _mean_extrema(spec, alphas)
         else:
             found = risk._extrema(spec, rays_corr._capped_ranges(spec),
                                   alphas, es=True)
