@@ -182,8 +182,7 @@ def correlation(pmf: DefaultCountPmf, p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise DegenerateMarginal(f"correlation undefined for p={p}")
-    mu2 = cross_moment(pmf, 2)
-    rho = (mu2 - p * p) / (p * (1.0 - p))
+    rho = spec_mod._pair_correlation(cross_moment(pmf, 2), p)
     return min(1.0, max(-1.0, rho))
 
 

@@ -197,10 +197,14 @@ def correlation_bounds(spec: ClassSpec) -> tuple[float, float]:
     """
     if spec.d < 2:
         raise InvalidSpec("a correlation range requires d >= 2")
-    mu2_low = _pair_moment_floor(spec)
-    q = 1.0 - spec.p
-    rho_min = (mu2_low - spec.p * spec.p) / (spec.p * q)
+    rho_min = _pair_correlation(_pair_moment_floor(spec), spec.p)
     return max(-1.0, rho_min), 1.0
+
+
+def _pair_correlation(mu2: float, p: float) -> float:
+    """The correlation of two names with pair moment ``mu2`` and
+    marginal ``p``, ``(mu2 - p^2) / (p(1-p))``."""
+    return (mu2 - p * p) / (p * (1.0 - p))
 
 
 def var_bounds_mean_closed_form(
