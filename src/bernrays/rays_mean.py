@@ -51,9 +51,6 @@ MAX_CANDIDATES = 2**23
 # reads it here, as rays_mean._BLOCK_ROWS.
 _BLOCK_ROWS = 2**14
 
-# Masses this close to one another at a pairing step are exhausted together.
-_RESIDUAL_EPS = 1e-15
-
 # Ray checks shared by RayDensity and RaySet: the masses sum to one
 # within _SUM_TOL, the mean is within _MEAN_SCALE * d of d*p, but at
 # least INTEGER_MEAN_TOL, the slack of a snapped integer mean, and, for
@@ -366,12 +363,21 @@ def decompose(
 ) -> list[tuple[RayDensity, float]]:
     """Write an admissible pmf as a convex combination of extremal rays.
 
-    Greedy residual pairing: the point-ray mass is peeled first when the
-    mean is an integer, then the smallest below-mean index with residual
-    mass is repeatedly paired with the smallest above-mean one, taking
-    the largest weight that exhausts one of the two. Each step zeroes at
-    least one residual entry, so at most ``d + 1`` terms are produced.
-    The terms are checked once, as one :class:`RaySet`.
+    A two-point ray on ``(j1, j2)`` takes equal deviation mass
+    ``r_j * |j - d*p|`` from both sides of the mean. The point-ray mass
+    is peeled first when the mean is an integer. Then each side's
+    deviation masses are summed nearest the mean first (lower indices
+    descending, upper ascending), and ``[0, min(total_low,
+    total_high)]`` is cut at both sides' breakpoints. Each segment is
+    one term: it pairs the two indices whose masses cover it, with
+    weight ``width * (j2 - j1) / ((j2 - d*p) * (d*p - j1))``. So the
+    indices next to the mean pair first, and the pmf mirrored by
+    ``j -> d - j`` gives the mirrored terms of the class ``(d, 1 - p)``
+    wherever both means are exact. Each segment ends at a breakpoint of
+    a distinct index, so at most ``d + 1`` terms are produced; where
+    two breakpoints agree in exact arithmetic but not in floats, a
+    term's weight is at rounding level. The terms are checked once, as
+    one :class:`RaySet`.
 
     Parameters
     ----------
@@ -390,41 +396,29 @@ def decompose(
     if pmf.d != spec.d:
         raise LengthMismatch(f"pmf has d={pmf.d}, spec has d={spec.d}")
     got = pmf_mod.mean(pmf)
-    if abs(got - spec.mean_count) > pmf_mod.MEAN_RESIDUAL_SCALE * spec.d:
+    mean = spec.mean_count
+    if abs(got - mean) > pmf_mod.MEAN_RESIDUAL_SCALE * spec.d:
         raise MeanMismatch(
-            f"pmf mean {got} differs from class mean {spec.mean_count}"
+            f"pmf mean {got} differs from class mean {mean}"
         )
-    residual = [float(x) for x in pmf.probs]
-    peeled = []
-    if spec.integer_mean:
-        k = int(round(spec.mean_count))
-        if residual[k] > 0.0:
-            peeled.append(residual[k])
-            residual[k] = 0.0
-    lower = [j for j in range(spec.max_lower_index + 1) if residual[j] > 0.0]
-    upper = [
-        j for j in range(spec.min_upper_index, spec.d + 1) if residual[j] > 0.0
-    ]
-    lows, highs, weights = [], [], []
-    at = [0, 0]
-    while at[0] < len(lower) and at[1] < len(upper):
-        pair = (lower[at[0]], upper[at[1]])
-        masses = spec_mod._two_point_masses(spec.mean_count, *pair)
-        lam = min(residual[j] / m for j, m in zip(pair, masses))
-        lows.append(pair[0])
-        highs.append(pair[1])
-        weights.append(lam)
-        # The side lam exhausts keeps at most 2.3e-16 (r - (r/m)*m
-        # rounds twice, r <= 1), so it moves on; the other side moves on
-        # too when as little is left.
-        for side, (j, m) in enumerate(zip(pair, masses)):
-            residual[j] -= lam * m
-            if residual[j] <= _RESIDUAL_EPS:
-                at[side] += 1
-    rays = list(_mean_rays(spec, lows, highs, point=bool(peeled)))
+    probs = pmf.probs
+    k = round(mean)
+    peeled = [float(probs[k])] if spec.integer_mean and probs[k] > 0.0 else []
+    lower = np.arange(spec.max_lower_index, -1, -1)
+    upper = np.arange(spec.min_upper_index, spec.d + 1)
+    # Each side's deviation mass, summed from 0 nearest the mean first.
+    low = np.cumsum(np.append(0.0, probs[lower] * (mean - lower)))
+    high = np.cumsum(np.append(0.0, probs[upper] * (upper - mean)))
+    cuts = np.union1d(low, high)
+    cuts = cuts[cuts <= min(low[-1], high[-1])]
+    starts, widths = cuts[:-1], np.diff(cuts)
+    j1 = lower[np.searchsorted(low, starts, "right") - 1]
+    j2 = upper[np.searchsorted(high, starts, "right") - 1]
+    weights = widths * (j2 - j1) / ((j2 - mean) * (mean - j1))
+    rays = list(_mean_rays(spec, j1, j2, point=bool(peeled)))
     # The point ray is the last row and the first term.
     return list(zip(rays[-1:] + rays[:-1] if peeled else rays,
-                    peeled + weights))
+                    peeled + weights.tolist()))
 
 
 def moment_bounds(spec: ClassSpec, order: int) -> MomentBounds:

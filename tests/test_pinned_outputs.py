@@ -78,9 +78,9 @@ def test_decompose_terms_and_weights():
                 support.append(ray.support + ray.support[-1:] * pad)
                 masses.append(ray.masses + (0.0,) * pad)
                 weights.append(weight)
-    assert len(weights) == 4898
+    assert len(weights) == 4932
     assert sha256(support, masses, weights) == (
-        "f66d8a3c50d6f81766e4f49fe34b04d76bb5c3915c968251aae19a632e1f618e"
+        "9a74f401fb0798f1e469ff642e89aadc99b0a10548085352ab22062168859914"
     )
 
 

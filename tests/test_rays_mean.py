@@ -324,6 +324,60 @@ class TestDecompose:
                     rebuilt[point] += weight * mass
             assert np.max(np.abs(rebuilt - probs)) < 1e-10
 
+    @pytest.mark.parametrize("d, p", [
+        (16, 0.375), (20, 0.3125), (64, 0.140625), (100, 0.25),
+        (40, 0.0625), (8, 0.5),
+    ])
+    def test_commutes_with_the_mirror(self, d, p):
+        # d*p and d - d*p are exact here, so only the pairing order can
+        # tell a pmf's terms from those of its mirror image.
+        rng = np.random.default_rng(d)
+        spec, mirror = ClassSpec(d, p), ClassSpec(d, 1.0 - p)
+        rays = rays_mean.enumerate_rays(spec)
+        for _ in range(50):
+            probs, _, _ = random_mixture(rng, rays)
+            terms = rays_mean.decompose(DefaultCountPmf(d, probs), spec)
+            mirrored = rays_mean.decompose(
+                DefaultCountPmf(d, probs[::-1]), mirror
+            )
+            assert [
+                (tuple(d - j for j in reversed(ray.support)), w.hex())
+                for ray, w in terms
+            ] == [(ray.support, w.hex()) for ray, w in mirrored]
+
+    def test_a_mean_near_an_integer_rebuilds(self):
+        def uniform(spec):
+            rays = rays_mean.enumerate_rays(spec)
+            probs = np.zeros(spec.d + 1)
+            np.add.at(probs, rays.support, rays.masses / len(rays))
+            return spec, probs
+
+        # The uniform mixtures of every ray of two classes whose d*p
+        # lies just above an integer, then seeded mixtures at offsets on
+        # both sides of one.
+        cases = [uniform(ClassSpec(10, 0.3000000002)),
+                 uniform(ClassSpec(1000, 0.2600000000015))]
+        rng = np.random.default_rng(38)
+        for d in (10, 100, 1000):
+            for delta in (1.5e-9, 1e-8, 1e-7, 1e-6):
+                for sign in (1, -1):
+                    k = int(rng.integers(1, d))
+                    spec = ClassSpec(d, (k + sign * delta) / d)
+                    rays = rays_mean.enumerate_rays(spec)
+                    cases += [(spec, random_mixture(rng, rays)[0])
+                              for _ in range(5)]
+                    cases.append(uniform(spec))
+        for spec, probs in cases:
+            terms = rays_mean.decompose(DefaultCountPmf(spec.d, probs), spec)
+            weights = [w for _, w in terms]
+            assert min(weights) > 0.0 and len(terms) <= spec.d + 1
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12, spec
+            rebuilt = np.zeros(spec.d + 1)
+            for ray, weight in terms:
+                for point, mass in zip(ray.support, ray.masses):
+                    rebuilt[point] += weight * mass
+            assert np.max(np.abs(rebuilt - probs)) <= 1e-12, spec
+
     def test_rejects_wrong_mean(self):
         probs = scipy.stats.binom.pmf(np.arange(5), 4, 0.3)
         with pytest.raises(MeanMismatch):
